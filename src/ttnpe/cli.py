@@ -28,8 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (overrides config output_path)")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--variant", choices=["tn", "atn"], help="override solver variant")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for interface compatibility; runs are single-threaded")
         if model:
             p.add_argument("--model", required=True, help="saved chain JSON")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import struct
 
 import numpy as np
@@ -83,6 +84,8 @@ def load_csv(path, label_column: int) -> tuple[np.ndarray, np.ndarray]:
             values = [float(x) for x in row]
         except ValueError as exc:
             raise DataError(f"{path}: non-numeric cell in row {lineno}: {exc}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise DataError(f"{path}: NaN or infinite cell in row {lineno}")
         labels.append(values[label_column])
         features.append(values[:label_column] + values[label_column + 1:])
     return np.asarray(features, dtype=np.float64), np.asarray(labels)

@@ -1,5 +1,7 @@
 """Exception types mapped to CLI exit codes."""
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Invalid experiment or solver configuration (exit code 1)."""
@@ -15,3 +17,9 @@ class NumericError(RuntimeError):
 
 class TNMemoryError(NumericError):
     """The exact TN core update would exceed the intermediate-memory budget."""
+
+
+def require_finite(array, what: str) -> None:
+    """Raise DataError when ``array`` holds NaN or infinite entries."""
+    if not np.all(np.isfinite(array)):
+        raise DataError(f"{what} contain NaN or infinite values")

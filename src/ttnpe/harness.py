@@ -150,10 +150,7 @@ def split_per_class(labels: np.ndarray, n_train: int, n_test: int,
 
 
 def _graph_config(config: ExperimentConfig) -> AffinityConfig:
-    eps = config.epsilon
-    if eps == "median":
-        eps = "median-knn-sq-dist"
-    return AffinityConfig(k_neighbors=config.k_graph, epsilon=eps)
+    return AffinityConfig(k_neighbors=config.k_graph, epsilon=config.epsilon)
 
 
 def _noise_seed(base_seed: int, trial: int, snr_db) -> int:

@@ -1,0 +1,115 @@
+"""Exact K-nearest-neighbor selection by Gram-identity screening and exact
+re-ranking, shared by the affinity graph and the classifier.
+
+Points are the rows of 2-D arrays. The reference squared distance from
+point p to anchor q is the per-anchor loop value
+``einsum("ij,ij->i", points - q, points - q)``. The screen computes all
+squared distances of a block of anchors at once from the Gram identity
+||q||^2 + ||p||^2 - 2 q.p (one matrix product), clamped at zero; it differs
+from the reference by at most ``screen_slack``. Every point that can be
+among an anchor's K nearest therefore lies in the window
+{j : screen_j <= screen_(K) + 2 * slack}, and only the window is re-ranked
+on reference distances under the total order (distance, index).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ttnpe.errors import DataError
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
+# Entries per temporary block (1 MiB of float64): below the N x N distance
+# matrix the graph holds for N >= 363, and large enough that the Python cost
+# per block stays negligible.
+BLOCK_ELEMENTS = 1 << 17
+
+
+def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Slices covering range(n_rows), each at most BLOCK_ELEMENTS / n_cols rows (>= 1)."""
+    step = max(1, BLOCK_ELEMENTS // max(n_cols, 1))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def sq_norms(points: np.ndarray) -> np.ndarray:
+    """Squared row norms; rejects rows whose screen distances could overflow."""
+    norms = np.einsum("ij,ij->i", points, points)
+    if norms.size and not np.isfinite(4.0 * norms.max()):
+        raise DataError("sample values are non-finite or too large for squared distances")
+    return norms
+
+
+def screen_sq_dists(anchors: np.ndarray, anchor_norms: np.ndarray, points: np.ndarray,
+                    point_norms: np.ndarray) -> np.ndarray:
+    """Gram-identity squared distances, anchors x points, clamped at zero."""
+    out = anchors @ points.T
+    out *= -2.0
+    out += anchor_norms[:, None]
+    out += point_norms[None, :]
+    return np.maximum(out, 0.0, out=out)
+
+
+def screen_slack(anchor_norms: np.ndarray, point_norms: np.ndarray, n_features: int) -> np.ndarray:
+    """Per-anchor bound on |screen - reference| over all of its points.
+
+    With u the unit roundoff and g = m u / (1 - m u), m = n_features + 2,
+    an inner product of f terms in any summation order errs by at most
+    g_f sum|a_k b_k| (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.1). Hence both the screen and the reference lie within
+    2 g (||q||^2 + ||p||^2) of the true squared distance. The bound
+    5 g (||q||^2 + max ||p||^2) on the computed norms covers their sum, the
+    rounding of the norms themselves and of the window threshold.
+    """
+    m = n_features + 2
+    g = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+    return 5.0 * g * (anchor_norms + point_norms.max())
+
+
+def reference_sq_dists(points: np.ndarray, anchors: np.ndarray, point_idx: np.ndarray,
+                       anchor_idx: np.ndarray) -> np.ndarray:
+    """Reference squared distances of the pairs (points[j], anchors[i]).
+
+    Bit-identical to the per-anchor loop: einsum sums each row in an order
+    set by the memory layout of ``points - q``, which follows ``points``.
+    When the point index is the fastest-varying one (and there is more than
+    one point), each row is accumulated term by term across the features;
+    otherwise each row is reduced as one contiguous vector. The pairs are
+    gathered into an array of the same layout, at least two rows long so
+    that numpy does not drop the point axis and switch orders, in chunks of
+    about BLOCK_ELEMENTS entries.
+    """
+    n, f = points.shape
+    point_major = n > 1 and abs(points.strides[0]) < abs(points.strides[1])
+    order = "F" if point_major else "C"
+    out = np.empty(len(point_idx))
+    for chunk in row_blocks(len(point_idx), f):
+        start = chunk.start
+        p_idx = point_idx[chunk]
+        a_idx = anchor_idx[chunk]
+        m = len(p_idx)
+        if m == 1:
+            p_idx, a_idx = np.repeat(p_idx, 2), np.repeat(a_idx, 2)
+        diff = np.empty((len(p_idx), f), order=order)
+        np.subtract(points[p_idx], anchors[a_idx], out=diff)
+        out[start:start + m] = np.einsum("ij,ij->i", diff, diff)[:m]
+    return out
+
+
+def k_nearest(screen: np.ndarray, k: int, slack: np.ndarray, reference):
+    """Each screen row's k nearest columns under (reference distance, index).
+
+    ``screen`` holds squared distances within ``slack[row]`` of the
+    reference; +inf marks an excluded pair, and there must be at least k
+    others per row. ``reference(rows, cols)`` returns the reference distances
+    of the window pairs. Returns the (rows, k) neighbor indices, nearest
+    first, and their reference distances.
+    """
+    kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(screen <= (kth + 2.0 * slack)[:, None])
+    counts = np.bincount(rows, minlength=screen.shape[0])
+    if counts.min(initial=k) < k:
+        raise DataError("non-finite squared distances")
+    dists = reference(rows, cols)
+    order = np.lexsort((cols, dists, rows))
+    picks = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return cols[picks], dists[picks]

@@ -5,6 +5,16 @@ Samples enter as columns of the d x N data matrix D (each column a
 vectorized tensor). Weight matrices are kept dense: the downstream Gram
 target is a dense d x d matrix anyway at the problem scales this library
 targets.
+
+Neighbors are found without a per-sample loop: ``pairwise_sq_dists``
+screens all pairs with the Gram identity ||a||^2 + ||b||^2 - 2 a^T b, whose
+rounding error is at most 5 g (||a||^2 + max_j ||b_j||^2) against the
+per-column reference distance, g = (d+2) u / (1 - (d+2) u) for unit
+roundoff u (see ``ttnpe.nearest.screen_slack``). ``knn_sets`` recomputes
+only the columns within twice that bound of each row's K-th screened
+distance, with the reference formula, and ranks them by (distance, index).
+The KNN sets and the distances the affinity reads are therefore exactly
+those of the per-column loop.
 """
 
 from __future__ import annotations
@@ -14,6 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ttnpe.errors import DataError
+from ttnpe.nearest import (
+    k_nearest,
+    reference_sq_dists,
+    row_blocks,
+    screen_slack,
+    screen_sq_dists,
+    sq_norms,
+)
 
 
 @dataclass
@@ -39,36 +57,54 @@ class AffinityConfig:
 
 
 def pairwise_sq_dists(d_mat: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between columns of ``d_mat``.
+    """Screen of the squared Euclidean distances between columns of ``d_mat``.
 
-    Computed column-against-all to keep results deterministic and accurate;
-    the diagonal is exactly zero.
+    Computed from the Gram identity ||a||^2 + ||b||^2 - 2 a^T b with one
+    matrix product, clamped at zero, with an exactly zero diagonal. Each
+    entry is within ``nearest.screen_slack`` of the per-column reference
+    ``einsum("dj,dj->j", diff, diff)`` with ``diff = d_mat - d_mat[:, i]``;
+    ``knn_sets`` given ``d_mat`` re-ranks on the reference values.
     """
-    d_mat = np.asarray(d_mat, dtype=np.float64)
-    n = d_mat.shape[1]
-    out = np.empty((n, n))
-    for i in range(n):
-        diff = d_mat - d_mat[:, i:i + 1]
-        out[i] = np.einsum("dj,dj->j", diff, diff)
-        out[i, i] = 0.0
+    points = np.asarray(d_mat, dtype=np.float64).T
+    norms = sq_norms(points)
+    out = screen_sq_dists(points, norms, points, norms)
+    np.fill_diagonal(out, 0.0)
     return out
 
 
-def knn_sets(sq_dists: np.ndarray, k: int) -> np.ndarray:
+def knn_sets(sq_dists: np.ndarray, k: int, d_mat: np.ndarray | None = None) -> np.ndarray:
     """Indices of the K nearest neighbors of each sample, self excluded.
 
     Ties are broken by smaller index. Returns an (N, K) integer array.
+
+    Without ``d_mat`` the given distances are ranked as they are. With
+    ``d_mat``, ``sq_dists`` is read as the ``pairwise_sq_dists`` screen:
+    each row's candidate window (every column within twice the screen's
+    rounding bound of its K-th smallest entry) is recomputed with the
+    reference per-column distance and ranked on those values, and the
+    entries of ``sq_dists`` at the returned neighbors are overwritten with
+    their reference values.
     """
     n = sq_dists.shape[0]
     if k >= n:
         raise ValueError(f"K must be < number of samples, got K={k}, N={n}")
+    if d_mat is not None:
+        points = np.asarray(d_mat, dtype=np.float64).T
+        norms = sq_norms(points)
+        slack = screen_slack(norms, norms, points.shape[1])
     neighbors = np.empty((n, k), dtype=np.intp)
-    idx = np.arange(n)
-    for i in range(n):
-        row = sq_dists[i].copy()
-        row[i] = np.inf
-        order = np.lexsort((idx, row))
-        neighbors[i] = order[:k]
+    for block in row_blocks(n, n):
+        rows = np.arange(n)[block]
+        screen = sq_dists[block].copy()
+        screen[np.arange(len(rows)), rows] = np.inf
+        if d_mat is None:
+            neighbors[block], _ = k_nearest(screen, k, np.zeros(len(rows)),
+                                            lambda r, c: sq_dists[rows[r], c])
+        else:
+            neighbors[block], dists = k_nearest(
+                screen, k, slack[block],
+                lambda r, c: reference_sq_dists(points, points[block], c, r))
+            sq_dists[rows[:, None], neighbors[block]] = dists
     return neighbors
 
 
@@ -108,7 +144,7 @@ def symmetrize_normalize(f: np.ndarray) -> np.ndarray:
 def build_weight_matrix(d_mat: np.ndarray, config: AffinityConfig) -> np.ndarray:
     """Full pipeline: KNN sets -> affinity F -> row-normalized S."""
     sq = pairwise_sq_dists(d_mat)
-    neighbors = knn_sets(sq, config.k_neighbors)
+    neighbors = knn_sets(sq, config.k_neighbors, d_mat)
     eps = resolve_epsilon(sq, neighbors, config)
     return symmetrize_normalize(affinity(sq, neighbors, eps))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ttnpe.errors import DataError, NumericError, TNMemoryError
+from ttnpe.errors import DataError, NumericError, TNMemoryError, require_finite
 from ttnpe.neighborhood_graph import (
     AffinityConfig,
     build_gram,
@@ -269,6 +269,7 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     data = np.asarray(data, dtype=np.float64)
     if data.ndim < 2:
         raise DataError("data must stack samples along a trailing mode")
+    require_finite(data, "data")
     n_samples = data.shape[-1]
     if n_samples < 2:
         raise DataError("need at least 2 samples")
@@ -288,11 +289,12 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     problem = TTNPEProblem(z=z, mode_dims=mode_dims, chain=chain, variant=variant,
                            tn_memory_budget=tn_memory_budget)
     r_n = chain.embedding_dim
-    eigvals = np.linalg.eigvalsh(z)
-    report.kyfan_bound = float(np.sum(eigvals[:r_n]))
     v = None
     if variant == "atn":
-        _, v = smallest_eigvecs(z, r_n)
+        eigvals, v = smallest_eigvecs(z, r_n)
+    else:
+        eigvals = np.linalg.eigvalsh(z)[:r_n]
+    report.kyfan_bound = float(np.sum(eigvals))
     report.wall_time["init"] = time.perf_counter() - t0
 
     n = len(mode_dims)

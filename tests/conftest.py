@@ -86,3 +86,62 @@ def feasible_ranks(dims, target):
     for k in range(n - 2, -1, -1):
         ranks[k] = min(ranks[k], ranks[k + 1] * dims[k + 1])
     return ranks
+
+
+def brute_pairwise_sq_dists(d_mat):
+    """Per-column loop of squared distances between columns (test oracle)."""
+    d_mat = np.asarray(d_mat, dtype=np.float64)
+    n = d_mat.shape[1]
+    out = np.empty((n, n))
+    for i in range(n):
+        diff = d_mat - d_mat[:, i:i + 1]
+        out[i] = np.einsum("dj,dj->j", diff, diff)
+        out[i, i] = 0.0
+    return out
+
+
+def brute_knn_sets(sq_dists, k):
+    """Per-row full sort for the K nearest, self excluded, ties to the smaller index (test oracle)."""
+    n = sq_dists.shape[0]
+    neighbors = np.empty((n, k), dtype=np.intp)
+    idx = np.arange(n)
+    for i in range(n):
+        row = sq_dists[i].copy()
+        row[i] = np.inf
+        neighbors[i] = np.lexsort((idx, row))[:k]
+    return neighbors
+
+
+def brute_knn_classify(train_coords, train_labels, test_coords, k):
+    """Per-query loop K-NN vote (test oracle).
+
+    Returns (predictions, neighbors, neighbor squared distances), neighbors
+    nearest first with ties to the smaller index; vote ties go to the tied
+    class of the nearest neighbor.
+    """
+    train_coords = np.asarray(train_coords, dtype=np.float64)
+    test_coords = np.asarray(test_coords, dtype=np.float64)
+    train_labels = np.asarray(train_labels)
+    idx = np.arange(train_coords.shape[0])
+    n_test = test_coords.shape[0]
+    preds = np.empty(n_test, dtype=train_labels.dtype)
+    neighbors = np.empty((n_test, k), dtype=np.intp)
+    nbr_dists = np.empty((n_test, k))
+    for t in range(n_test):
+        diff = train_coords - test_coords[t]
+        dists = np.einsum("ij,ij->i", diff, diff)
+        order = np.lexsort((idx, dists))[:k]
+        neighbors[t] = order
+        nbr_dists[t] = dists[order]
+        votes = train_labels[order]
+        labels, counts = np.unique(votes, return_counts=True)
+        best = counts.max()
+        tied = set(labels[counts == best])
+        if len(tied) == 1:
+            preds[t] = tied.pop()
+        else:
+            for neighbor_label in votes:
+                if neighbor_label in tied:
+                    preds[t] = neighbor_label
+                    break
+    return preds, neighbors, nbr_dists

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_orthonormal_chain
 from ttnpe.classifier import evaluate, knn_classify
+from ttnpe.errors import DataError
 from ttnpe.tt_subspace import tt_svd
 
 
@@ -63,6 +64,17 @@ class TestKnnClassify:
         b = knn_classify(train @ q, labels, test @ q, 3)
         assert np.array_equal(a, b)
 
+    def test_nan_query_rejected(self):
+        # the per-query loop gave a NaN query the label of training index 0
+        train = np.array([[0.0], [1.0]])
+        with pytest.raises(DataError, match="test coordinates"):
+            knn_classify(train, np.array([3, 7]), np.array([[np.nan]]), 1)
+
+    def test_infinite_training_point_rejected(self):
+        train = np.array([[0.0], [np.inf]])
+        with pytest.raises(DataError, match="training coordinates"):
+            knn_classify(train, np.array([3, 7]), np.array([[0.5]]), 1)
+
 
 class TestEvaluate:
     def clustered(self, rng, per_class=5, dims=(2, 2, 2)):
@@ -119,3 +131,10 @@ class TestEvaluate:
         res = evaluate(chain, data, labels, data, labels, 1)
         assert res.compression_ratio < 1.0
         assert res.n_test == 10
+
+    def test_nan_test_data_rejected(self, rng):
+        data, labels = self.clustered(rng)
+        test = data.copy()
+        test[0, 1, 0, 2] = np.nan
+        with pytest.raises(DataError, match="NaN or infinite"):
+            evaluate(None, data, labels, test, labels, 1)

@@ -95,6 +95,13 @@ class TestCsv:
         with pytest.raises(DataError, match="non-numeric"):
             load_csv(p, 0)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"1,2\n3,{cell}\n")
+        with pytest.raises(DataError, match="row 2"):
+            load_csv(p, 0)
+
     def test_header_only(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,c\n")

@@ -254,6 +254,14 @@ class TestCli:
         cfg, _ = self.write_config(tmp_path, rng, n_train_per_class=50)
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 2
 
+    def test_nan_csv_exit_code(self, tmp_path, rng):
+        cfg, raw = self.write_config(tmp_path, rng)
+        path = raw["dataset"]["path"]
+        lines = open(path).read().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+        open(path, "w").write("\n".join(lines) + "\n")
+        assert main(["experiment", "--config", str(cfg)]) == 2
+
     def test_missing_out_for_fit(self, tmp_path, rng):
         cfg, _ = self.write_config(tmp_path, rng)
         assert main(["fit", "--config", str(cfg)]) == 1

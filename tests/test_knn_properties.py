@@ -1,0 +1,153 @@
+"""Property tests: the screened KNN graph and classifier against the loop oracles.
+
+Inputs are drawn to stress the screen's rounding bound and the tie rules:
+duplicate samples, exact distance ties, values on the 1/255 pixel grid,
+sample norms that differ by 1e6, K = N - 1, and both memory layouts. Block
+sizes down to one entry exercise the blocked screens and chunked re-ranking.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from conftest import brute_knn_classify, brute_knn_sets, brute_pairwise_sq_dists
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ttnpe import nearest
+from ttnpe.classifier import knn_classify, knn_search
+from ttnpe.errors import DataError
+from ttnpe.neighborhood_graph import (
+    AffinityConfig,
+    affinity,
+    build_weight_matrix,
+    knn_sets,
+    pairwise_sq_dists,
+    resolve_epsilon,
+    symmetrize_normalize,
+)
+
+KINDS = ("gaussian", "grid255", "duplicates", "lattice_ties", "norms_1e6")
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+BLOCKS = st.sampled_from([1, 2, 5, 16, nearest.BLOCK_ELEMENTS])
+
+
+def blocks_of(entries):
+    return mock.patch.object(nearest, "BLOCK_ELEMENTS", entries)
+
+
+def samples(rng, kind, n, d):
+    """An (n, d) array of samples, one per row, of the given kind."""
+    if kind == "gaussian":
+        return rng.standard_normal((n, d))
+    if kind == "grid255":
+        return rng.integers(0, 256, (n, d)) / 255.0
+    if kind == "duplicates":
+        base = rng.integers(0, 256, (max(1, n // 3), d)) / 255.0
+        return base[rng.integers(0, len(base), n)]
+    if kind == "lattice_ties":
+        return rng.integers(-1, 2, (n, d)).astype(np.float64)
+    scale = np.ones((n, 1))
+    scale[::2] = 1e6
+    return scale * rng.standard_normal((n, d))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def layout(a, order):
+    return np.asfortranarray(a) if order == "F" else np.ascontiguousarray(a)
+
+
+@st.composite
+def graph_problems(draw):
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 16))
+    k = draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d_mat = samples(rng, draw(st.sampled_from(KINDS)), n, d).T
+    return layout(d_mat, draw(st.sampled_from("CF"))), k
+
+
+@st.composite
+def classify_problems(draw):
+    n_train = draw(st.integers(1, 16))
+    n_new = draw(st.integers(0, 24))
+    d = draw(st.integers(1, 16))
+    k = draw(st.one_of(st.just(n_train), st.integers(1, n_train)))
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    both = samples(rng, kind, n_train + n_new, d)
+    train = both[:n_train]
+    # copies of training points give zero distances and exact ties
+    test = np.concatenate([both[n_train:], train[rng.integers(0, n_train, rng.integers(0, 4))]])
+    labels = rng.integers(0, 3, n_train)
+    return (layout(train, draw(st.sampled_from("CF"))), labels,
+            layout(test, draw(st.sampled_from("CF"))), k)
+
+
+@PROPERTY_SETTINGS
+@given(graph_problems(), BLOCKS)
+def test_graph_knn_sets_and_distances_match_loop(problem, block):
+    d_mat, k = problem
+    expected_sq = brute_pairwise_sq_dists(d_mat)
+    expected = brute_knn_sets(expected_sq, k)
+    sq = pairwise_sq_dists(d_mat)
+    with blocks_of(block):
+        neighbors = knn_sets(sq, k, d_mat)
+    rows = np.arange(d_mat.shape[1])[:, None]
+    assert np.array_equal(neighbors, expected)
+    assert np.array_equal(bits(sq[rows, neighbors]), bits(expected_sq[rows, expected]))
+
+
+@PROPERTY_SETTINGS
+@given(graph_problems(), BLOCKS)
+def test_weight_matrix_matches_loop(problem, block):
+    # the median-distance epsilon reads the retained distances; a zero median
+    # or an underflowing heat kernel must fail on both sides alike
+    d_mat, k = problem
+    cfg = AffinityConfig(k)
+    sq = brute_pairwise_sq_dists(d_mat)
+    neighbors = brute_knn_sets(sq, k)
+    try:
+        expected = symmetrize_normalize(affinity(sq, neighbors, resolve_epsilon(sq, neighbors, cfg)))
+    except DataError:
+        with pytest.raises(DataError), blocks_of(block):
+            build_weight_matrix(d_mat, cfg)
+        return
+    with blocks_of(block):
+        assert np.array_equal(bits(build_weight_matrix(d_mat, cfg)), bits(expected))
+
+
+@PROPERTY_SETTINGS
+@given(classify_problems(), BLOCKS)
+def test_knn_search_matches_loop(problem, block):
+    train, labels, test, k = problem
+    _, expected, expected_dists = brute_knn_classify(train, labels, test, k)
+    with blocks_of(block):
+        neighbors, dists = knn_search(train, test, k)
+    assert np.array_equal(neighbors, expected)
+    assert np.array_equal(bits(dists), bits(expected_dists))
+
+
+@PROPERTY_SETTINGS
+@given(classify_problems(), BLOCKS)
+def test_knn_classify_matches_loop(problem, block):
+    train, labels, test, k = problem
+    expected, _, _ = brute_knn_classify(train, labels, test, k)
+    with blocks_of(block):
+        assert np.array_equal(knn_classify(train, labels, test, k), expected)
+
+
+def test_lone_window_pair_summed_in_loop_order():
+    # a query whose window holds one training point: the pair is still summed
+    # in the loop's order when training points are the fastest-varying index
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        train = np.asfortranarray(rng.standard_normal((4, 16)))
+        test = train[:1] + 1e-3 * rng.standard_normal((1, 16))
+        _, expected, expected_dists = brute_knn_classify(train, np.arange(4), test, 1)
+        neighbors, dists = knn_search(train, test, 1)
+        assert np.array_equal(neighbors, expected)
+        assert np.array_equal(bits(dists), bits(expected_dists))

@@ -48,6 +48,10 @@ class TestKNN:
         d = pairwise_sq_dists(columns([0.0], [-1.0], [1.0]))
         assert knn_sets(d, 1)[0].tolist() == [1]
 
+    def test_squared_norm_overflow_rejected(self):
+        with pytest.raises(DataError, match="too large"):
+            pairwise_sq_dists(columns([0.0], [1e160]))
+
 
 class TestAffinity:
     def test_identical_neighbors_weight_one(self):

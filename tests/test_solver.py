@@ -329,3 +329,11 @@ class TestFit:
         from ttnpe.errors import DataError
         with pytest.raises(DataError):
             fit(rng.standard_normal((2, 2, 1)), AffinityConfig(1), tau=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, rng, bad):
+        from ttnpe.errors import DataError
+        data, _ = self.separable_data(rng)
+        data[1, 0, 1, 3] = bad
+        with pytest.raises(DataError, match="NaN or infinite"):
+            fit(data, AffinityConfig(3), tau=0.3)
