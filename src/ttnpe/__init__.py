@@ -6,7 +6,7 @@ solver (TN), a relaxed approximate solver (ATN), KNN classification in the
 embedded space, and compression accounting.
 """
 
-from ttnpe.errors import ConfigError, DataError, NumericError, TNMemoryError
+from ttnpe.errors import ConfigError, DataError, NumericError
 from ttnpe.tt_subspace import TTChain, tt_svd, left_orthogonalize, contract_chain, project
 from ttnpe.neighborhood_graph import AffinityConfig, build_weight_matrix, build_gram
 from ttnpe.solver import fit, SolverReport
@@ -16,7 +16,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "NumericError",
-    "TNMemoryError",
     "TTChain",
     "tt_svd",
     "left_orthogonalize",

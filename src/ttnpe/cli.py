@@ -14,7 +14,7 @@ import numpy as np
 
 from ttnpe.classifier import knn_classify
 from ttnpe.errors import ConfigError, DataError, NumericError
-from ttnpe.harness import ExperimentConfig, load_dataset, run_convergence, run_experiment, split_per_class, _graph_config
+from ttnpe.harness import ExperimentConfig, load_dataset, run_convergence, run_experiment, trial_split, _graph_config
 from ttnpe.solver import fit as fit_chain
 from ttnpe.tt_subspace import load_chain, project_many, save_chain
 
@@ -55,19 +55,11 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _trial0_split(config):
-    samples, labels = load_dataset(config)
-    rng = np.random.default_rng(config.seed)
-    train_idx, test_idx = split_per_class(
-        labels, config.n_train_per_class, config.n_test_per_class, rng
-    )
-    return samples, labels, train_idx, test_idx
-
-
 def _cmd_fit(args, config) -> None:
     if args.out is None:
         raise ConfigError("fit requires --out for the model path")
-    samples, labels, train_idx, _ = _trial0_split(config)
+    samples, labels = load_dataset(config)
+    train_idx, _ = trial_split(config, labels)
     chain, _report = fit_chain(
         samples[..., train_idx], _graph_config(config), config.tau_list[0],
         variant=config.variant, max_sweeps=config.max_sweeps, rank_cap=config.rank_cap,
@@ -89,7 +81,8 @@ def _cmd_embed(args, config) -> None:
 
 def _cmd_classify(args, config) -> None:
     chain = load_chain(args.model)
-    samples, labels, train_idx, test_idx = _trial0_split(config)
+    samples, labels = load_dataset(config)
+    train_idx, test_idx = trial_split(config, labels)
     train_coords = project_many(chain, samples[..., train_idx])
     test_coords = project_many(chain, samples[..., test_idx])
     preds = knn_classify(train_coords, labels[train_idx], test_coords, config.k_classify)

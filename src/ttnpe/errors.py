@@ -15,10 +15,6 @@ class NumericError(RuntimeError):
     """Numerical failure during optimization or decomposition (exit code 3)."""
 
 
-class TNMemoryError(NumericError):
-    """The exact TN core update would exceed the intermediate-memory budget."""
-
-
 def require_finite(array, what: str) -> None:
     """Raise DataError when ``array`` holds NaN or infinite entries."""
     if not np.all(np.isfinite(array)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,15 +29,15 @@ _CONFIG_KEYS = {
 }
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
+    # Field order is the key order of the report's "config" object.
     dataset: dict
+    class_filter: list | None = None
     reshape: list[int]
     n_train_per_class: int
     n_test_per_class: int
     tau_list: list[float]
-    output_path: str
-    class_filter: list | None = None
     variant: str = "atn"
     k_graph: int = 5
     k_classify: int = 5
@@ -47,14 +47,27 @@ class ExperimentConfig:
     seed: int = 0
     max_sweeps: int = 50
     rank_cap: int | None = None
+    output_path: str
 
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not self.tau_list:
             raise ConfigError("tau_list must be nonempty")
+        if not all(_is_number(t) and 0.0 < t <= 1.0 for t in self.tau_list):
+            raise ConfigError(f"every tau must lie in (0, 1], got {self.tau_list}")
         if self.variant not in ("tn", "atn"):
             raise ConfigError(f"variant must be 'tn' or 'atn', got {self.variant!r}")
+        if not self.reshape or not all(_is_int(i) and i >= 1 for i in self.reshape):
+            raise ConfigError(f"reshape must be a list of positive ints, got {self.reshape!r}")
+        for name in ("n_train_per_class", "n_test_per_class", "k_classify"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"{name} must be an int >= 1, got {value!r}")
+        try:
+            _graph_config(self)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid k_graph/epsilon: {exc}") from exc
         unknown = set(self.dataset) - _DATASET_KEYS
         if unknown:
             raise ConfigError(f"unknown dataset keys: {sorted(unknown)}")
@@ -82,26 +95,6 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(raw)
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "class_filter": self.class_filter,
-            "reshape": list(self.reshape),
-            "n_train_per_class": self.n_train_per_class,
-            "n_test_per_class": self.n_test_per_class,
-            "tau_list": list(self.tau_list),
-            "variant": self.variant,
-            "k_graph": self.k_graph,
-            "k_classify": self.k_classify,
-            "epsilon": self.epsilon,
-            "noise_snr_db": self.noise_snr_db,
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_sweeps": self.max_sweeps,
-            "rank_cap": self.rank_cap,
-            "output_path": self.output_path,
-        }
 
 
 def load_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -149,6 +142,21 @@ def split_per_class(labels: np.ndarray, n_train: int, n_test: int,
     return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def trial_split(config: ExperimentConfig, labels: np.ndarray,
+                trial: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded per-class (train_idx, test_idx) split of one trial."""
+    rng = np.random.default_rng(config.seed + trial)
+    return split_per_class(labels, config.n_train_per_class, config.n_test_per_class, rng)
+
+
 def _graph_config(config: ExperimentConfig) -> AffinityConfig:
     return AffinityConfig(k_neighbors=config.k_graph, epsilon=config.epsilon)
 
@@ -173,10 +181,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     baselines = []
     timings = []
     for trial in range(config.trials):
-        rng = np.random.default_rng(config.seed + trial)
-        train_idx, test_idx = split_per_class(
-            labels, config.n_train_per_class, config.n_test_per_class, rng
-        )
+        train_idx, test_idx = trial_split(config, labels, trial)
         for snr_db in snr_list:
             noisy = add_noise(samples, snr_db, _noise_seed(config.seed, trial, snr_db))
             train = noisy[..., train_idx]
@@ -236,7 +241,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             aggregates.append(entry)
 
     report_doc = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "cells": cells,
         "baselines": baselines,
         "aggregates": aggregates,
@@ -260,14 +265,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
 def run_convergence(config: ExperimentConfig, output_path=None) -> dict:
     """Run both solver variants on the trial-0 training split and record traces.
 
-    A variant failing (e.g. TN exceeding its memory budget) is recorded with
-    its reason; the other variant still runs.
+    A variant failing (e.g. a numeric failure in its sweeps) is recorded
+    with its reason; the other variant still runs.
     """
     samples, labels = load_dataset(config)
-    rng = np.random.default_rng(config.seed)
-    train_idx, _ = split_per_class(
-        labels, config.n_train_per_class, config.n_test_per_class, rng
-    )
+    train_idx, _ = trial_split(config, labels)
     train = samples[..., train_idx]
     tau = config.tau_list[0]
     graph_cfg = _graph_config(config)
@@ -289,7 +291,7 @@ def run_convergence(config: ExperimentConfig, output_path=None) -> dict:
         except Exception as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         traces[variant] = entry
-    doc = {"config": config.to_dict(), "tau": tau, "traces": traces}
+    doc = {"config": asdict(config), "tau": tau, "traces": traces}
     out = output_path or config.output_path
     with open(out, "w") as fh:
         json.dump(doc, fh, separators=(",", ":"))

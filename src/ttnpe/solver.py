@@ -3,8 +3,8 @@ approximate updates (ATN), orchestrated by an alternating sweep loop.
 
 Both variants minimize tr(E^T Z E) over chains with left-orthonormal cores,
 where E is the contracted chain matrix and Z the neighborhood Gram target.
-TN builds the exact quadratic form for each core by contracting the
-2n-mode reshape of Z with the fixed prefix/suffix chains; ATN instead fits
+TN builds the exact quadratic form for each core from the prefix form
+P^T Z P (P = I (x) prefix chain) and the suffix Gram Q Q^T; ATN instead fits
 the chain to the smallest-eigenvector matrix of Z through Procrustes-like
 subproblems ||P X Q - C||_F^2.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ttnpe.errors import DataError, NumericError, TNMemoryError, require_finite
+from ttnpe.errors import DataError, NumericError, require_finite
 from ttnpe.neighborhood_graph import (
     AffinityConfig,
     build_gram,
@@ -24,22 +24,18 @@ from ttnpe.neighborhood_graph import (
     build_weight_matrix,
 )
 from ttnpe.stiefel import OptimizerConfig, minimize
-from ttnpe.tensor_core import kronecker, left_unfold, merge_product, partial_trace, reshape, right_unfold
+from ttnpe.tensor_core import kronecker, left_unfold, reshape, right_unfold
 from ttnpe.tt_subspace import TTChain, contract_chain, suffix_tensor, tt_svd
-
-DEFAULT_TN_MEMORY_BUDGET = 2 * 1024 ** 3  # bytes of intermediates per build_A
 
 
 @dataclass
 class TTNPEProblem:
-    """One fitting instance: Gram target, its 2n-mode reshape, and the iterate."""
+    """One fitting instance: Gram target, mode dims, variant and the iterate."""
 
     z: np.ndarray
     mode_dims: tuple[int, ...]
     chain: TTChain
     variant: str = "atn"
-    tn_memory_budget: int = DEFAULT_TN_MEMORY_BUDGET
-    zt: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.mode_dims = tuple(int(i) for i in self.mode_dims)
@@ -50,7 +46,6 @@ class TTNPEProblem:
             raise DataError("chain mode dims do not match the Gram target")
         if self.variant not in ("tn", "atn"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        self.zt = reshape(self.z, self.mode_dims + self.mode_dims)
 
 
 @dataclass
@@ -71,71 +66,50 @@ def objective(problem: TTNPEProblem) -> float:
     return float(np.trace(e.T @ problem.z @ e))
 
 
-def _prefix_tensor(problem: TTNPEProblem, k: int) -> np.ndarray:
-    """Cores 1..k-1 contracted as an (I_1, ..., I_{k-1}, R_{k-1}) tensor.
+def _prefix_form(problem: TTNPEProblem, k: int) -> np.ndarray:
+    """W = P^T Z P with P = I_{I_k * d_post} (x) prefix, as a 6-mode tensor.
 
-    For k = 1 the prefix is empty and a shape-(1,) tensor is returned, whose
-    outer-product merges reproduce the singleton R_0 mode.
+    Axes are (d_post, I_k, R_{k-1}, d_post', I_k', R_{k-1}'), where the
+    prefix is cores 1..k-1 contracted (d_pre x R_{k-1}) and d_post is the
+    product of the mode dims after k. Row a + d_pre * j of Z (a over the
+    prefix modes) is row (j, a) of Z's C-order view, so both prefix
+    contractions are plain matrix products with no intermediate larger
+    than Z.
     """
-    mat = contract_chain(problem.chain, upto=k - 1)
-    dims = problem.mode_dims[:k - 1]
-    return reshape(mat, dims + (mat.shape[1],))
-
-
-def _estimate_build_a_memory(problem: TTNPEProblem, k: int) -> int:
-    dims = problem.mode_dims
-    n = len(dims)
-    ranks = (1,) + problem.chain.ranks
-    r_prev, r_k, r_n = ranks[k - 1], ranks[k], ranks[n]
-    d = int(np.prod(dims))
-    d_pre = int(np.prod(dims[:k]))
-    sizes = [
-        d * d_pre * r_k * r_n,                        # A_b
-        d * r_k * r_n * r_prev,                       # A_c (I_k already in d)
-        d_pre * dims[k - 1] * (r_k * r_n) ** 2 * r_prev,  # A_d
-        (r_prev * dims[k - 1] * r_k * r_n) ** 2,      # A_e and the spec's estimate
-    ]
-    return 8 * max(sizes)
+    prefix = contract_chain(problem.chain, upto=k - 1)
+    d_pre, r_prev = prefix.shape
+    i_k = problem.mode_dims[k - 1]
+    d_rest = problem.z.shape[0] // d_pre
+    w = problem.z.reshape(-1, d_pre) @ prefix       # ((j, a, j'), R_{k-1}')
+    w = prefix.T @ w.reshape(d_rest, d_pre, -1)     # (j, R_{k-1}, (j', R_{k-1}'))
+    d_post = d_rest // i_k
+    return w.reshape(d_post, i_k, r_prev, d_post, i_k, r_prev)
 
 
 def build_A(problem: TTNPEProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact quadratic form for core k < n: the 6-mode tensor and its matricization.
 
-    Follows the fixed contraction path: Z merged with the suffix twice and
-    the prefix twice, then the two dangling R_n modes traced against each
-    other. The matrix A satisfies vec(U_k)^T A vec(U_k) = tr(E^T Z E).
+    With E = P L(U_k) Q, P = I (x) prefix and Q the suffix's right
+    unfolding, the prefix form W = P^T Z P is contracted over its two
+    d_post modes with Q Q^T. The tensor has modes
+    (R_{k-1}, I_k, R_k, R_{k-1}', I_k', R_k') and the matrix A satisfies
+    vec(U_k)^T A vec(U_k) = tr(E^T Z E).
     """
     n = len(problem.mode_dims)
     if not 1 <= k <= n - 1:
         raise ValueError(f"build_A requires 1 <= k <= n-1, got k={k}, n={n}")
-    need = _estimate_build_a_memory(problem, k)
-    if need > problem.tn_memory_budget:
-        raise TNMemoryError(
-            f"TN memory budget exceeded for core {k}: needs ~{need} bytes "
-            f"of intermediates (budget {problem.tn_memory_budget}); consider the ATN variant"
-        )
-    t1 = _prefix_tensor(problem, k)
-    tn = suffix_tensor(problem.chain, k)
-    # Mode bookkeeping below uses the merge convention "a's surviving modes
-    # in order, then b's surviving modes in order".
-    a_b = merge_product(problem.zt, tn,
-                        list(range(n + k + 1, 2 * n + 1)), list(range(2, n - k + 2)))
-    # a_b: (I_1..I_n, I_1..I_k, R_k', R_n')
-    a_c = merge_product(a_b, t1,
-                        list(range(n + 1, n + k)), list(range(1, k)))
-    # a_c: (I_1..I_n, I_k', R_k', R_n', R_{k-1}')
-    a_d = merge_product(a_c, tn,
-                        list(range(k + 1, n + 1)), list(range(2, n - k + 2)))
-    # a_d: (I_1..I_k, I_k', R_k', R_n', R_{k-1}', R_k, R_n)
-    a_e = merge_product(a_d, t1,
-                        list(range(1, k)), list(range(1, k)))
-    # a_e: (I_k, I_k', R_k', R_n', R_{k-1}', R_k, R_n, R_{k-1})
-    traced = partial_trace(a_e, 4, 7)
-    # traced: (I_k, I_k', R_k', R_{k-1}', R_k, R_{k-1})
-    a_tensor = np.transpose(traced, (5, 0, 4, 3, 1, 2))
-    # a_tensor: (R_{k-1}, I_k, R_k, R_{k-1}', I_k', R_k')
-    m = a_tensor.shape[0] * a_tensor.shape[1] * a_tensor.shape[2]
-    a_mat = reshape(a_tensor, (m, m))
+    w = _prefix_form(problem, k)
+    d_post, i_k, r_prev = w.shape[:3]
+    suffix = suffix_tensor(problem.chain, k)
+    r_k = suffix.shape[0]
+    q = reshape(suffix, (r_k * d_post, suffix.shape[-1]))  # rows (R_k, d_post), R_k fastest
+    qq = reshape(q @ q.T, (r_k, d_post, r_k, d_post))
+    # Contract (d_post, d_post'): axes (I_k, R_{k-1}, I_k', R_{k-1}', R_k, R_k').
+    a = np.tensordot(w, qq, axes=([0, 3], [1, 3]))
+    m = r_prev * i_k * r_k
+    # C-order (R_k, I_k, R_{k-1}) rows are the mode-1-fastest vec(U_k) index.
+    a_mat = np.transpose(a, (4, 0, 1, 5, 2, 3)).reshape(m, m)
+    a_tensor = reshape(a_mat, (r_prev, i_k, r_k) * 2)
     a_mat = (a_mat + a_mat.T) / 2.0
     return a_tensor, a_mat
 
@@ -143,20 +117,16 @@ def build_A(problem: TTNPEProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
 def build_B(problem: TTNPEProblem) -> tuple[np.ndarray, np.ndarray]:
     """Exact quadratic form for the last core: 4-mode tensor and matricization.
 
-    B satisfies tr(L(U_n)^T B L(U_n)) = tr(E^T Z E).
+    The prefix form W with no modes after n. The tensor has modes
+    (R_{n-1}, I_n, R_{n-1}', I_n') and B satisfies
+    tr(L(U_n)^T B L(U_n)) = tr(E^T Z E).
     """
-    n = len(problem.mode_dims)
-    t1 = _prefix_tensor(problem, n)
-    b_b = merge_product(problem.zt, t1,
-                        list(range(n + 1, 2 * n)), list(range(1, n)))
-    # b_b: (I_1..I_n, I_n', R_{n-1}')
-    b_t = merge_product(b_b, t1,
-                        list(range(1, n)), list(range(1, n)))
-    # b_t: (I_n, I_n', R_{n-1}', R_{n-1})
-    b_tensor = np.transpose(b_t, (3, 0, 2, 1))
-    # b_tensor: (R_{n-1}, I_n, R_{n-1}', I_n')
-    m = b_tensor.shape[0] * b_tensor.shape[1]
-    b_mat = reshape(b_tensor, (m, m))
+    w = _prefix_form(problem, len(problem.mode_dims))
+    _, i_n, r_prev = w.shape[:3]
+    m = i_n * r_prev
+    # C-order (I_n, R_{n-1}) rows are the left-unfolding row index.
+    b_mat = w.reshape(m, m)
+    b_tensor = reshape(b_mat, (r_prev, i_n) * 2)
     b_mat = (b_mat + b_mat.T) / 2.0
     return b_tensor, b_mat
 
@@ -256,8 +226,7 @@ def update_core_atn(problem: TTNPEProblem, k: int, v: np.ndarray,
 
 def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = "atn",
         max_sweeps: int = 50, core_change_tol: float = 1e-6, rank_cap=None,
-        opt_cfg: OptimizerConfig | None = None,
-        tn_memory_budget: int = DEFAULT_TN_MEMORY_BUDGET) -> tuple[TTChain, SolverReport]:
+        opt_cfg: OptimizerConfig | None = None) -> tuple[TTChain, SolverReport]:
     """End-to-end alternating fit.
 
     ``data`` stacks samples along the last mode, shape (I_1, ..., I_n, N).
@@ -286,8 +255,7 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
 
     t0 = time.perf_counter()
     chain = tt_svd(data, tau, rank_cap=rank_cap)
-    problem = TTNPEProblem(z=z, mode_dims=mode_dims, chain=chain, variant=variant,
-                           tn_memory_budget=tn_memory_budget)
+    problem = TTNPEProblem(z=z, mode_dims=mode_dims, chain=chain, variant=variant)
     r_n = chain.embedding_dim
     v = None
     if variant == "atn":

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ttnpe.tensor_core import left_unfold, right_unfold
 from ttnpe.tt_subspace import TTChain, left_orthogonalize
 
 
@@ -68,6 +69,26 @@ def random_orthonormal_chain(rng, dims, ranks):
         cores.append(rng.standard_normal((r_prev, i_k, r_k)))
         r_prev = r_k
     return left_orthogonalize(TTChain(cores))
+
+
+def brute_core_form(chain, z, k):
+    """Kronecker oracle for core k's quadratic form, J^T (I_{R_n} (x) Z) J.
+
+    J = Q^T (x) P maps vec(L(U_k)) to vec(E) for E = P L(U_k) Q, with
+    P = I_{I_k} (x) prefix and Q the suffix's right unfolding, each built
+    from explicit Kronecker products. For k = n, Q = I and the form is
+    I_{R_n} (x) B.
+    """
+    cores = chain.cores
+    prefix = np.ones((1, 1))
+    for core in cores[:k - 1]:
+        prefix = np.kron(np.eye(core.shape[1]), prefix) @ left_unfold(core)
+    q = np.eye(chain.embedding_dim)
+    for core in reversed(cores[k:]):
+        q = right_unfold(core) @ np.kron(q, np.eye(core.shape[1]))
+    p = np.kron(np.eye(cores[k - 1].shape[1]), prefix)
+    j = np.kron(q.T, p)
+    return j.T @ np.kron(np.eye(chain.embedding_dim), z) @ j
 
 
 def random_psd(rng, d, rank=None):

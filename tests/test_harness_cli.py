@@ -139,6 +139,16 @@ class TestRunExperiment:
         b2 = (tmp_path / "r2.json").read_bytes()
         assert b1.replace(b"r1.json", b"") == b2.replace(b"r2.json", b"")
 
+    def test_config_key_order_pinned(self, tmp_path, rng):
+        config = ExperimentConfig.from_dict(base_config(tmp_path, rng))
+        run_experiment(config)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert list(doc["config"]) == [
+            "dataset", "class_filter", "reshape", "n_train_per_class", "n_test_per_class",
+            "tau_list", "variant", "k_graph", "k_classify", "epsilon", "noise_snr_db",
+            "trials", "seed", "max_sweeps", "rank_cap", "output_path",
+        ]
+
     def test_timings_sidecar_and_csv(self, tmp_path, rng):
         config = ExperimentConfig.from_dict(base_config(tmp_path, rng))
         run_experiment(config)
@@ -248,6 +258,24 @@ class TestCli:
         p = tmp_path / "config.json"
         p.write_text(json.dumps(raw))
         assert main(["experiment", "--config", str(p)]) == 1
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("tau_list", [1.5], "tau"),
+        ("tau_list", [0.0], "tau"),
+        ("k_graph", 0, "k_neighbors"),
+        ("k_classify", 0, "k_classify"),
+        ("epsilon", "mean", "epsilon"),
+        ("n_train_per_class", 0, "n_train_per_class"),
+        ("n_test_per_class", 0, "n_test_per_class"),
+        ("reshape", "abc", "reshape"),
+        ("reshape", [2, 0, 4], "reshape"),
+    ])
+    def test_bad_config_value_exit_code(self, tmp_path, rng, capsys, key, value, message):
+        cfg, _ = self.write_config(tmp_path, rng, **{key: value})
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_data_error_exit_code(self, tmp_path, rng):
         # too few samples per class for the requested split

@@ -1,8 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import random_orthonormal_chain, random_psd
-from ttnpe.errors import TNMemoryError
+from conftest import brute_core_form, random_orthonormal_chain, random_psd
 from ttnpe.neighborhood_graph import AffinityConfig
 from ttnpe.solver import (
     TTNPEProblem,
@@ -89,16 +90,32 @@ class TestBuildA:
             vals = np.linalg.eigvalsh(a_mat)
             assert vals[0] > -1e-8 * max(1.0, np.abs(vals).max())
 
-    def test_memory_budget(self, rng):
-        problem = make_problem(rng)
-        problem.tn_memory_budget = 64
-        with pytest.raises(TNMemoryError, match="memory budget"):
-            build_A(problem, 1)
-
     def test_k_range(self, rng):
         problem = make_problem(rng)
         with pytest.raises(ValueError):
             build_A(problem, 3)
+
+    def test_kronecker_oracle(self, rng):
+        problem = make_problem(rng, dims=(3, 4, 3, 4), ranks=(2, 5, 7, 3))
+        scale = np.abs(problem.z).max()
+        for k in (1, 2, 3):
+            _, a_mat = build_A(problem, k)
+            oracle = brute_core_form(problem.chain, problem.z, k)
+            assert np.max(np.abs(a_mat - oracle)) < 1e-12 * scale
+        _, b_mat = build_B(problem)
+        oracle = brute_core_form(problem.chain, problem.z, 4)
+        assert np.max(np.abs(np.kron(np.eye(3), b_mat) - oracle)) < 1e-12 * scale
+
+    def test_peak_memory_bounded_by_gram(self, rng):
+        problem = make_problem(rng, dims=(4, 7, 4, 7), ranks=(3, 7, 12, 10))
+        for k in (1, 2, 3):
+            tracemalloc.start()
+            try:
+                build_A(problem, k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * problem.z.nbytes, k
 
 
 class TestBuildB:
