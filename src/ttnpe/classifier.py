@@ -37,6 +37,7 @@ class EvalResult:
     compression_ratio: float
     embed_seconds: float
     classify_seconds: float
+    predictions: np.ndarray
 
 
 def knn_search(train_coords: np.ndarray, test_coords: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,4 +138,5 @@ def evaluate(chain: TTChain | None, train_data: np.ndarray, train_labels: np.nda
         compression_ratio=rho,
         embed_seconds=embed_seconds,
         classify_seconds=classify_seconds,
+        predictions=preds,
     )

@@ -10,9 +10,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from ttnpe.classifier import knn_classify
+from ttnpe.classifier import evaluate
 from ttnpe.errors import ConfigError, DataError, NumericError
 from ttnpe.harness import ExperimentConfig, load_dataset, run_convergence, run_experiment, trial_split, _graph_config
 from ttnpe.solver import fit as fit_chain
@@ -83,17 +81,14 @@ def _cmd_classify(args, config) -> None:
     chain = load_chain(args.model)
     samples, labels = load_dataset(config)
     train_idx, test_idx = trial_split(config, labels)
-    train_coords = project_many(chain, samples[..., train_idx])
-    test_coords = project_many(chain, samples[..., test_idx])
-    preds = knn_classify(train_coords, labels[train_idx], test_coords, config.k_classify)
-    truth = labels[test_idx]
-    wrong = int(np.count_nonzero(preds != truth))
+    result = evaluate(chain, samples[..., train_idx], labels[train_idx],
+                      samples[..., test_idx], labels[test_idx], config.k_classify)
     doc = {
-        "n_test": len(truth),
-        "n_wrong": wrong,
-        "error_rate": wrong / len(truth),
-        "predictions": preds.tolist(),
-        "labels": truth.tolist(),
+        "n_test": result.n_test,
+        "n_wrong": result.n_wrong,
+        "error_rate": result.error_rate,
+        "predictions": result.predictions.tolist(),
+        "labels": labels[test_idx].tolist(),
     }
     text = json.dumps(doc, separators=(",", ":")) + "\n"
     if args.out:

@@ -17,7 +17,6 @@ IDX_LABELS_MAGIC = 0x00000801
 def _read_idx(path, expected_magic: int) -> np.ndarray:
     with open(path, "rb") as fh:
         raw = fh.read()
-    header = 4 * (1 + (expected_magic & 0xFF))
     if len(raw) < 8:
         raise DataError(f"{path}: truncated header")
     magic = struct.unpack(">i", raw[:4])[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from ttnpe.classifier import evaluate
 from ttnpe.datasets import add_noise, load_csv, load_idx
-from ttnpe.errors import ConfigError, DataError
+from ttnpe.errors import ConfigError, DataError, NumericError
 from ttnpe.neighborhood_graph import AffinityConfig
 from ttnpe.solver import fit
 
@@ -46,12 +46,15 @@ class ExperimentConfig:
     trials: int = 1
     seed: int = 0
     max_sweeps: int = 50
-    rank_cap: int | None = None
+    rank_cap: int | list | None = None
     output_path: str
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        for name, low in (("trials", 1), ("seed", 0), ("max_sweeps", 0), ("k_classify", 1),
+                          ("n_train_per_class", 1), ("n_test_per_class", 1)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
         if not self.tau_list:
             raise ConfigError("tau_list must be nonempty")
         if not all(_is_number(t) and 0.0 < t <= 1.0 for t in self.tau_list):
@@ -60,10 +63,15 @@ class ExperimentConfig:
             raise ConfigError(f"variant must be 'tn' or 'atn', got {self.variant!r}")
         if not self.reshape or not all(_is_int(i) and i >= 1 for i in self.reshape):
             raise ConfigError(f"reshape must be a list of positive ints, got {self.reshape!r}")
-        for name in ("n_train_per_class", "n_test_per_class", "k_classify"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ConfigError(f"{name} must be an int >= 1, got {value!r}")
+        per_mode = isinstance(self.rank_cap, (list, tuple))
+        caps = self.rank_cap if per_mode else [self.rank_cap]
+        if (per_mode and len(caps) != len(self.reshape)
+                or not all(c is None or _is_int(c) and c >= 1 for c in caps)):
+            raise ConfigError(f"rank_cap must be null, an int >= 1 or a list of "
+                              f"{len(self.reshape)} of those, got {self.rank_cap!r}")
+        snr = [] if self.noise_snr_db is None else self.noise_snr_db
+        if not isinstance(snr, (list, tuple)) or not all(s is None or _is_number(s) for s in snr):
+            raise ConfigError(f"noise_snr_db must be null or a list of numbers/nulls, got {snr!r}")
         try:
             _graph_config(self)
         except (TypeError, ValueError) as exc:
@@ -73,6 +81,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dataset keys: {sorted(unknown)}")
         if self.dataset.get("format") not in ("idx", "csv"):
             raise ConfigError("dataset.format must be 'idx' or 'csv'")
+        if self.dataset["format"] == "csv" and not _is_int(self.dataset.get("label_column")):
+            raise ConfigError("a csv dataset needs an int label_column")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -109,7 +119,7 @@ def load_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         images, labels = load_idx(ds["image_path"], ds["label_path"])
         flat = images.reshape(images.shape[0], -1)  # row-major pixels
     else:
-        flat, labels = load_csv(ds.get("path") or ds["image_path"], int(ds["label_column"]))
+        flat, labels = load_csv(ds.get("path") or ds["image_path"], ds["label_column"])
     dims = tuple(int(i) for i in config.reshape)
     d = int(np.prod(dims))
     if flat.shape[1] != d:
@@ -169,9 +179,11 @@ def _noise_seed(base_seed: int, trial: int, snr_db) -> int:
 def run_experiment(config: ExperimentConfig) -> dict:
     """Fit/evaluate over every (snr, tau, trial) cell and write the report.
 
-    A failing cell records its error message and the run continues. Writes
-    the deterministic report to ``output_path``, timings to
-    ``output_path + '.timings.json'``, and a flat CSV of
+    A cell that fails with a library error (``ValueError``, which covers
+    ``ConfigError``, ``DataError`` and ``LinAlgError``, or ``NumericError``)
+    records its message and the run continues; any other exception is a
+    bug and propagates. Writes the deterministic report to ``output_path``,
+    timings to ``output_path + '.timings.json'``, and a flat CSV of
     (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``.
     """
     samples, labels = load_dataset(config)
@@ -222,7 +234,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                         "embedding": result.embed_seconds,
                         "classification": result.classify_seconds,
                     })
-                except Exception as exc:  # recorded, run continues
+                except (ValueError, NumericError) as exc:  # recorded, run continues
                     cell["error"] = f"{type(exc).__name__}: {exc}"
                 cells.append(cell)
 
@@ -265,8 +277,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
 def run_convergence(config: ExperimentConfig, output_path=None) -> dict:
     """Run both solver variants on the trial-0 training split and record traces.
 
-    A variant failing (e.g. a numeric failure in its sweeps) is recorded
-    with its reason; the other variant still runs.
+    A variant failing with a library error (as in ``run_experiment``) is
+    recorded with its reason; the other variant still runs.
     """
     samples, labels = load_dataset(config)
     train_idx, _ = trial_split(config, labels)
@@ -288,7 +300,7 @@ def run_convergence(config: ExperimentConfig, output_path=None) -> dict:
                 "termination": report.termination_reason,
                 "ranks": list(chain.ranks),
             })
-        except Exception as exc:
+        except (ValueError, NumericError) as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         traces[variant] = entry
     doc = {"config": asdict(config), "tau": tau, "traces": traces}

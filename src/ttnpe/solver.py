@@ -5,8 +5,9 @@ Both variants minimize tr(E^T Z E) over chains with left-orthonormal cores,
 where E is the contracted chain matrix and Z the neighborhood Gram target.
 TN builds the exact quadratic form for each core from the prefix form
 P^T Z P (P = I (x) prefix chain) and the suffix Gram Q Q^T; ATN instead fits
-the chain to the smallest-eigenvector matrix of Z through Procrustes-like
-subproblems ||P X Q - C||_F^2.
+the chain to the smallest-eigenvector matrix of Z, solving each core's
+subproblem min ||P X Q - C||_F^2 in closed form as the polar factor of
+P^T C Q^T (orthogonal Procrustes).
 """
 
 from __future__ import annotations
@@ -205,23 +206,17 @@ def update_core_tn(problem: TTNPEProblem, k: int, opt_cfg: OptimizerConfig | Non
     return new_core, result
 
 
-def update_core_atn(problem: TTNPEProblem, k: int, v: np.ndarray,
-                    opt_cfg: OptimizerConfig | None = None):
-    """One relaxed step on core k: minimize ||P X Q - C||_F^2 over orthonormal X."""
-    core = problem.chain.cores[k - 1]
-    r_prev, i_k, r_k = core.shape
+def update_core_atn(problem: TTNPEProblem, k: int, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """One relaxed step on core k: minimize ||P X Q - C||_F^2 over orthonormal X.
+
+    As P^T P = X^T X = I, this is orthogonal Procrustes, solved exactly by the
+    polar factor of P^T C Q^T. Returns the new core and the residual there.
+    """
+    r_prev, i_k, _ = problem.chain.cores[k - 1].shape
     p, q, c = build_PQC(problem, k, v)
-
-    def f(x):
-        res = p @ x @ q - c
-        return float(np.sum(res * res))
-
-    def g(x):
-        return 2.0 * p.T @ (p @ x @ q - c) @ q.T
-
-    result = minimize(f, g, left_unfold(core), opt_cfg)
-    new_core = _core_from_left_unfold(result.x, r_prev, i_k)
-    return new_core, result
+    u, _, vt = np.linalg.svd(p.T @ c @ q.T, full_matrices=False)
+    x = u @ vt
+    return _core_from_left_unfold(x, r_prev, i_k), float(np.sum((p @ x @ q - c) ** 2))
 
 
 def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = "atn",
@@ -233,7 +228,8 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     Builds the affinity graph and Gram target, initializes the chain by
     TT-SVD with threshold ``tau``, then sweeps cores 1..n with the chosen
     variant's update until the largest per-core change drops below
-    ``core_change_tol`` or ``max_sweeps`` is reached.
+    ``core_change_tol`` or ``max_sweeps`` is reached. ``opt_cfg`` configures
+    the TN core solves only; each ATN core update is closed-form.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim < 2:
@@ -277,8 +273,8 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
             if variant == "tn":
                 new_core, result = update_core_tn(problem, k, opt_cfg)
             else:
-                new_core, result = update_core_atn(problem, k, v, opt_cfg)
-                surrogates.append(result.f_trace[-1])
+                new_core, surrogate = update_core_atn(problem, k, v)
+                surrogates.append(surrogate)
             problem.chain = problem.chain.replace_core(k - 1, new_core)
         obj = objective(problem)
         report.objective_trace.append(obj)

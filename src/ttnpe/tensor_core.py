@@ -14,11 +14,6 @@ from collections.abc import Sequence
 import numpy as np
 
 
-def as_tensor(a) -> np.ndarray:
-    """Coerce input to a float64 ndarray."""
-    return np.asarray(a, dtype=np.float64)
-
-
 def vectorize(t: np.ndarray) -> np.ndarray:
     """Flatten a tensor in mode-1-fastest order."""
     return np.asarray(t).reshape(-1, order="F")

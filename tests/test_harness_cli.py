@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ttnpe import harness
 from ttnpe.cli import main
 from ttnpe.errors import ConfigError, DataError
 from ttnpe.harness import (
@@ -63,6 +64,11 @@ class TestConfig:
         raw["dataset"]["format"] = "hdf5"
         with pytest.raises(ConfigError, match="format"):
             ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("rank_cap", [None, 2, [2, None, 1], (3, 3, 3)])
+    def test_valid_rank_cap_accepted(self, tmp_path, rng, rank_cap):
+        config = ExperimentConfig.from_dict(base_config(tmp_path, rng, rank_cap=rank_cap))
+        assert config.rank_cap == rank_cap
 
     def test_invalid_json_file(self, tmp_path):
         p = tmp_path / "c.json"
@@ -168,6 +174,18 @@ class TestRunExperiment:
         assert all("error" in c for c in doc["cells"])
         assert all(a["n_ok"] == 0 for a in doc["aggregates"])
 
+    def test_programming_error_propagates(self, tmp_path, rng, monkeypatch):
+        # only library errors become cell errors; a TypeError is a bug
+        def broken_fit(*args, **kwargs):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(harness, "fit", broken_fit)
+        config = ExperimentConfig.from_dict(base_config(tmp_path, rng))
+        with pytest.raises(TypeError, match="bug"):
+            run_experiment(config)
+        with pytest.raises(TypeError, match="bug"):
+            run_convergence(config)
+
     def test_noise_sweep_cells(self, tmp_path, rng):
         config = ExperimentConfig.from_dict(
             base_config(tmp_path, rng, noise_snr_db=[30.0, 10.0])
@@ -269,6 +287,19 @@ class TestCli:
         ("n_test_per_class", 0, "n_test_per_class"),
         ("reshape", "abc", "reshape"),
         ("reshape", [2, 0, 4], "reshape"),
+        ("trials", "2", "trials"),
+        ("seed", "x", "seed"),
+        ("seed", -1, "seed"),
+        ("max_sweeps", -1, "max_sweeps"),
+        ("max_sweeps", 1.5, "max_sweeps"),
+        ("rank_cap", "x", "rank_cap"),
+        ("rank_cap", 0, "rank_cap"),
+        ("rank_cap", [2, 2], "rank_cap"),
+        ("rank_cap", [2, None, "x"], "rank_cap"),
+        ("noise_snr_db", ["a"], "noise_snr_db"),
+        ("noise_snr_db", 30.0, "noise_snr_db"),
+        ("dataset", {"format": "csv", "path": "data.csv"}, "label_column"),
+        ("dataset", {"format": "csv", "path": "data.csv", "label_column": "0"}, "label_column"),
     ])
     def test_bad_config_value_exit_code(self, tmp_path, rng, capsys, key, value, message):
         cfg, _ = self.write_config(tmp_path, rng, **{key: value})

@@ -16,7 +16,7 @@ from ttnpe.solver import (
     update_core_atn,
     update_core_tn,
 )
-from ttnpe.stiefel import OptimizerConfig, check_gradient
+from ttnpe.stiefel import OptimizerConfig, check_gradient, minimize
 from ttnpe.tensor_core import left_unfold, vectorize
 from ttnpe.tt_subspace import TTChain, contract_chain
 
@@ -273,24 +273,46 @@ class TestCoreUpdates:
         chain = random_orthonormal_chain(rng, dims, (2,))
         problem = TTNPEProblem(z=z, mode_dims=dims, chain=chain, variant="atn")
         _, v = smallest_eigvecs(z, 2)
-        cfg = OptimizerConfig(max_inner_iters=5000, grad_tol=1e-10)
-        new_core, result = update_core_atn(problem, 1, v, cfg)
-        assert result.f_trace[-1] < 1e-8
+        new_core, surrogate = update_core_atn(problem, 1, v)
+        assert surrogate < 1e-8
+        assert np.max(np.abs(left_unfold(new_core) - v)) < 1e-12
 
     def test_atn_stationary_start_no_move(self, rng):
         problem = make_problem(rng, variant="atn")
-        # target already realized by the current chain: zero gradient at start
+        # target already realized by the current chain: the old core is optimal
         v = contract_chain(problem.chain)
-        _, result = update_core_atn(problem, 2, v)
-        assert result.n_accepted == 0
+        new_core, _ = update_core_atn(problem, 2, v)
+        assert np.max(np.abs(new_core - problem.chain.cores[1])) < 1e-12
 
     def test_atn_surrogate_descends(self, rng):
         problem = make_problem(rng, variant="atn")
         _, v = smallest_eigvecs(problem.z, problem.chain.embedding_dim)
         for k in (1, 2, 3):
-            _, result = update_core_atn(problem, k, v)
-            trace = result.f_trace
-            assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+            p, q, c = build_PQC(problem, k, v)
+            x = left_unfold(problem.chain.cores[k - 1])
+            before = float(np.sum((p @ x @ q - c) ** 2))
+            _, surrogate = update_core_atn(problem, k, v)
+            assert surrogate <= before + 1e-12
+
+    def test_atn_update_no_worse_than_stiefel_descent(self, rng):
+        # Procrustes oracle: no feasible descent on criterion 5's f/g does better
+        cfg = OptimizerConfig(max_inner_iters=3000, grad_tol=1e-10)
+        for _ in range(20):
+            problem = make_problem(rng, dims=(3, 4, 3), ranks=(3, 4, 2), variant="atn")
+            _, v = smallest_eigvecs(problem.z, problem.chain.embedding_dim)
+            for k in (1, 2, 3):
+                p, q, c = build_PQC(problem, k, v)
+
+                def f(x):
+                    return float(np.sum((p @ x @ q - c) ** 2))
+
+                def g(x):
+                    return 2.0 * p.T @ (p @ x @ q - c) @ q.T
+
+                new_core, surrogate = update_core_atn(problem, k, v)
+                descent = minimize(f, g, left_unfold(problem.chain.cores[k - 1]), cfg)
+                assert surrogate <= descent.f_trace[-1] + 1e-10
+                assert abs(surrogate - f(left_unfold(new_core))) < 1e-12
 
 
 class TestFit:
@@ -341,6 +363,12 @@ class TestFit:
         _, report = fit(data, AffinityConfig(3), tau=0.3, variant="atn", max_sweeps=5)
         assert len(report.surrogate_trace) == report.sweeps_run
         assert all(len(entry) == 3 for entry in report.surrogate_trace)
+
+    def test_atn_surrogate_trace_never_increases(self, rng):
+        data, _ = self.separable_data(rng)
+        _, report = fit(data, AffinityConfig(3), tau=0.3, variant="atn", max_sweeps=5)
+        flat = [s for entry in report.surrogate_trace for s in entry]
+        assert all(b <= a + 1e-12 for a, b in zip(flat, flat[1:]))
 
     def test_too_few_samples(self, rng):
         from ttnpe.errors import DataError
