@@ -76,13 +76,23 @@ class ExperimentConfig:
             _graph_config(self)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid k_graph/epsilon: {exc}") from exc
-        unknown = set(self.dataset) - _DATASET_KEYS
+        if not isinstance(self.dataset, dict):
+            raise ConfigError(f"dataset must be an object, got {self.dataset!r}")
+        ds = self.dataset
+        unknown = set(ds) - _DATASET_KEYS
         if unknown:
             raise ConfigError(f"unknown dataset keys: {sorted(unknown)}")
-        if self.dataset.get("format") not in ("idx", "csv"):
+        if ds.get("format") not in ("idx", "csv"):
             raise ConfigError("dataset.format must be 'idx' or 'csv'")
-        if self.dataset["format"] == "csv" and not _is_int(self.dataset.get("label_column")):
-            raise ConfigError("a csv dataset needs an int label_column")
+        if ds["format"] == "idx":
+            for key in ("image_path", "label_path"):
+                if not isinstance(ds.get(key), str):
+                    raise ConfigError(f"an idx dataset needs a string {key}")
+        else:
+            if not isinstance(ds.get("path") or ds.get("image_path"), str):
+                raise ConfigError("a csv dataset needs a string path or image_path")
+            if not _is_int(ds.get("label_column")):
+                raise ConfigError("a csv dataset needs an int label_column")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -183,7 +193,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     ``ConfigError``, ``DataError`` and ``LinAlgError``, or ``NumericError``)
     records its message and the run continues; any other exception is a
     bug and propagates. Writes the deterministic report to ``output_path``,
-    timings to ``output_path + '.timings.json'``, and a flat CSV of
+    timings to ``output_path + '.timings.json'`` (per fitted cell: subspace
+    learning, embedding and classification, plus the solver's per-stage
+    ``wall_time``), and a flat CSV of
     (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``.
     """
     samples, labels = load_dataset(config)
@@ -233,6 +245,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                         "subspace_learning": learn_seconds,
                         "embedding": result.embed_seconds,
                         "classification": result.classify_seconds,
+                        **report.wall_time,
                     })
                 except (ValueError, NumericError) as exc:  # recorded, run continues
                     cell["error"] = f"{type(exc).__name__}: {exc}"

@@ -5,9 +5,16 @@ Both variants minimize tr(E^T Z E) over chains with left-orthonormal cores,
 where E is the contracted chain matrix and Z the neighborhood Gram target.
 TN builds the exact quadratic form for each core from the prefix form
 P^T Z P (P = I (x) prefix chain) and the suffix Gram Q Q^T; ATN instead fits
-the chain to the smallest-eigenvector matrix of Z, solving each core's
+the chain to the smallest-eigenvector matrix V of Z, solving each core's
 subproblem min ||P X Q - C||_F^2 in closed form as the polar factor of
 P^T C Q^T (orthogonal Procrustes).
+
+An ATN sweep never forms P or the prefix. It carries two environments, as
+in ALS/MALS: the suffix right unfoldings Q_k, built once per sweep from
+right to left (Q_n = I), and the left-projected target L_k = P^T C, carried
+from left to right (L_1 = V reshaped, L_{k+1} = X_k^T L_k reshaped, with
+X_k the just-solved core). As P^T P = I, the residual of core k is
+||X Q_k - L_k||^2 + ||V||^2 - ||L_k||^2.
 """
 
 from __future__ import annotations
@@ -51,6 +58,9 @@ class TTNPEProblem:
 
 @dataclass
 class SolverReport:
+    """Traces of one fit. ``wall_time`` holds seconds per stage ("graph",
+    "tt_svd", "eigensolve", "sweeps") and is the only non-deterministic field."""
+
     objective_trace: list[float] = field(default_factory=list)
     surrogate_trace: list[list[float]] = field(default_factory=list)
     core_change_trace: list[float] = field(default_factory=list)
@@ -206,17 +216,70 @@ def update_core_tn(problem: TTNPEProblem, k: int, opt_cfg: OptimizerConfig | Non
     return new_core, result
 
 
+def _right_environments(chain: TTChain) -> list[np.ndarray]:
+    """Suffix right unfoldings Q_1..Q_n, Q_k = R(cores k+1..n) of shape R_k x (I_{k+1}...I_n R_n)."""
+    q = np.eye(chain.embedding_dim)
+    envs = [q]
+    for core in reversed(chain.cores[1:]):
+        q = (left_unfold(core) @ q).reshape(core.shape[0], -1, order="F")
+        envs.append(q)
+    return envs[::-1]
+
+
+def _project_left(left: np.ndarray, x: np.ndarray, i_next: int) -> np.ndarray:
+    """L_{k+1} from L_k and core k's left unfolding X: X^T L_k, regrouped."""
+    return (x.T @ left).reshape(x.shape[1] * i_next, -1, order="F")
+
+
+def _procrustes_step(left: np.ndarray, q: np.ndarray, target_sq: float) -> tuple[np.ndarray, float]:
+    """Polar factor X of H = L Q^T and the residual ||X Q - L||^2 + ||C||^2 - ||L||^2."""
+    u, _, vt = np.linalg.svd(left @ q.T, full_matrices=False)
+    x = u @ vt
+    surrogate = float(np.sum((x @ q - left) ** 2)) + target_sq - float(np.sum(left * left))
+    return x, surrogate
+
+
 def update_core_atn(problem: TTNPEProblem, k: int, v: np.ndarray) -> tuple[np.ndarray, float]:
     """One relaxed step on core k: minimize ||P X Q - C||_F^2 over orthonormal X.
 
     As P^T P = X^T X = I, this is orthogonal Procrustes, solved exactly by the
-    polar factor of P^T C Q^T. Returns the new core and the residual there.
+    polar factor of P^T C Q^T. Builds the environments L_k = P^T C and Q_k
+    from scratch, by the recursions an ATN sweep carries, and takes the same
+    step. Returns the new core and the residual there.
     """
-    r_prev, i_k, _ = problem.chain.cores[k - 1].shape
-    p, q, c = build_PQC(problem, k, v)
-    u, _, vt = np.linalg.svd(p.T @ c @ q.T, full_matrices=False)
-    x = u @ vt
-    return _core_from_left_unfold(x, r_prev, i_k), float(np.sum((p @ x @ q - c) ** 2))
+    n = len(problem.mode_dims)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    cores = problem.chain.cores
+    left = v.reshape(problem.mode_dims[0], -1, order="F")
+    for j in range(1, k):
+        left = _project_left(left, left_unfold(cores[j - 1]), problem.mode_dims[j])
+    q = _right_environments(problem.chain)[k - 1]
+    x, surrogate = _procrustes_step(left, q, float(np.sum(v * v)))
+    r_prev, i_k, _ = cores[k - 1].shape
+    return _core_from_left_unfold(x, r_prev, i_k), surrogate
+
+
+def sweep_atn(problem: TTNPEProblem, v: np.ndarray) -> list[float]:
+    """One left-to-right ATN sweep over cores 1..n on carried environments.
+
+    Replaces ``problem.chain`` core by core, each with the step
+    :func:`update_core_atn` takes, and returns the residual after each core.
+    """
+    dims = problem.mode_dims
+    target_sq = float(np.sum(v * v))
+    envs = _right_environments(problem.chain)
+    left = v.reshape(dims[0], -1, order="F")
+    surrogates = []
+    for k in range(1, len(dims) + 1):
+        x, surrogate = _procrustes_step(left, envs[k - 1], target_sq)
+        surrogates.append(surrogate)
+        r_prev, i_k, _ = problem.chain.cores[k - 1].shape
+        core = _core_from_left_unfold(x, r_prev, i_k)
+        problem.chain = problem.chain.replace_core(k - 1, core)
+        if k < len(dims):
+            left = _project_left(left, left_unfold(core), dims[k])
+    return surrogates
 
 
 def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = "atn",
@@ -251,6 +314,9 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
 
     t0 = time.perf_counter()
     chain = tt_svd(data, tau, rank_cap=rank_cap)
+    report.wall_time["tt_svd"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     problem = TTNPEProblem(z=z, mode_dims=mode_dims, chain=chain, variant=variant)
     r_n = chain.embedding_dim
     v = None
@@ -259,7 +325,7 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     else:
         eigvals = np.linalg.eigvalsh(z)[:r_n]
     report.kyfan_bound = float(np.sum(eigvals))
-    report.wall_time["init"] = time.perf_counter() - t0
+    report.wall_time["eigensolve"] = time.perf_counter() - t0
 
     n = len(mode_dims)
     scale = max(1.0, float(np.linalg.norm(z)))
@@ -268,18 +334,14 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     termination = "max_sweeps"
     for sweep in range(max_sweeps):
         old_cores = [c.copy() for c in problem.chain.cores]
-        surrogates = []
-        for k in range(1, n + 1):
-            if variant == "tn":
-                new_core, result = update_core_tn(problem, k, opt_cfg)
-            else:
-                new_core, surrogate = update_core_atn(problem, k, v)
-                surrogates.append(surrogate)
-            problem.chain = problem.chain.replace_core(k - 1, new_core)
+        if variant == "tn":
+            for k in range(1, n + 1):
+                new_core, _ = update_core_tn(problem, k, opt_cfg)
+                problem.chain = problem.chain.replace_core(k - 1, new_core)
+        else:
+            report.surrogate_trace.append(sweep_atn(problem, v))
         obj = objective(problem)
         report.objective_trace.append(obj)
-        if variant == "atn":
-            report.surrogate_trace.append(surrogates)
         if obj < report.kyfan_bound - 1e-8 * scale:
             raise NumericError(
                 f"objective {obj} violates the spectral lower bound {report.kyfan_bound}"

@@ -74,24 +74,28 @@ class TTChain:
         return defect
 
 
-def _fix_svd_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fix_svd_signs(u: np.ndarray) -> np.ndarray:
     # Largest-magnitude entry of each left singular vector made positive,
     # so decompositions are deterministic across runs.
     for c in range(u.shape[1]):
         j = int(np.argmax(np.abs(u[:, c])))
         if u[j, c] < 0:
             u[:, c] = -u[:, c]
-            vt[c, :] = -vt[c, :]
-    return u, vt
+    return u
 
 
 def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None) -> TTChain:
     """Sequential-SVD TT decomposition of a dataset stacked along the last mode.
 
     ``dataset`` has shape (I_1, ..., I_n, N). At each of the n splits,
-    singular values sigma_j >= tau * sigma_max are kept (at least one).
-    The trailing R_n x N coefficient factor is discarded; only the
-    left-orthonormal cores (the subspace) are returned.
+    singular values sigma_j >= tau * sigma_max of the (R_{k-1} I_k) x rest
+    unfolding are kept (at least one). The unfolding's left singular pairs
+    are those of R^T, with R the triangular factor of the QR of its
+    transpose, so only that at most (R_{k-1} I_k)-square factor is
+    decomposed and the wide right factor V^T is never formed. The kept left
+    vectors U_r become core k, and U_r^T times the unfolding is carried into
+    the next split. The trailing R_n x N coefficient factor is discarded;
+    only the left-orthonormal cores (the subspace) are returned.
 
     ``rank_cap`` optionally caps the rank at each split: an int applies to
     every split, a sequence gives per-split caps.
@@ -116,18 +120,19 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None) -> TTChain:
     r_prev = 1
     mat = dataset.reshape(r_prev * dims[0], -1, order="F")
     for k in range(n):
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        # mat = R^T Q^T, so mat and R^T share their left singular pairs.
+        tri = np.linalg.qr(mat.T, mode="r")
+        u, s, _ = np.linalg.svd(tri.T, full_matrices=False)
         if s[0] > 0:
             r = max(1, int(np.count_nonzero(s >= tau * s[0])))
         else:
             r = 1
         if caps[k] is not None:
             r = min(r, max(1, caps[k]))
-        u, vt = _fix_svd_signs(u[:, :r], vt[:r, :])
+        u = _fix_svd_signs(u[:, :r])
         cores.append(u.reshape(r_prev, dims[k], r, order="F"))
-        carry = s[:r, None] * vt
         if k + 1 < n:
-            mat = carry.reshape(r * dims[k + 1], -1, order="F")
+            mat = (u.T @ mat).reshape(r * dims[k + 1], -1, order="F")
         r_prev = r
     return TTChain(cores, tau=float(tau))
 

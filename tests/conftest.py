@@ -91,6 +91,40 @@ def brute_core_form(chain, z, k):
     return j.T @ np.kron(np.eye(chain.embedding_dim), z) @ j
 
 
+def brute_tt_svd(dataset, tau, rank_cap=None):
+    """Sequential TT-SVD by full SVDs of each unfolding (test oracle).
+
+    Keeps sigma_j >= tau * sigma_max at each split (at least one, then
+    capped), makes the largest-magnitude entry of each kept left singular
+    vector positive, and carries s_r V_r^T into the next split.
+    """
+    dataset = np.asarray(dataset, dtype=np.float64)
+    n = dataset.ndim - 1
+    dims = dataset.shape[:n]
+    if rank_cap is None or np.isscalar(rank_cap):
+        caps = [rank_cap] * n
+    else:
+        caps = list(rank_cap)
+    cores = []
+    r_prev = 1
+    mat = dataset.reshape(dims[0], -1, order="F")
+    for k in range(n):
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        r = max(1, int(np.count_nonzero(s >= tau * s[0]))) if s[0] > 0 else 1
+        if caps[k] is not None:
+            r = min(r, max(1, int(caps[k])))
+        u, vt = u[:, :r].copy(), vt[:r].copy()
+        for c in range(r):
+            j = int(np.argmax(np.abs(u[:, c])))
+            if u[j, c] < 0:
+                u[:, c], vt[c] = -u[:, c], -vt[c]
+        cores.append(u.reshape(r_prev, dims[k], r, order="F"))
+        if k + 1 < n:
+            mat = (s[:r, None] * vt).reshape(r * dims[k + 1], -1, order="F")
+        r_prev = r
+    return TTChain(cores, tau=float(tau))
+
+
 def random_psd(rng, d, rank=None):
     y = rng.standard_normal((d, rank or d))
     z = y @ y.T

@@ -164,6 +164,22 @@ class TestRunExperiment:
         assert lines[0] == "tau,trial,snr_db,rho,error"
         assert len(lines) == 2
 
+    def test_timings_carry_solver_stages(self, tmp_path, rng):
+        config = ExperimentConfig.from_dict(base_config(tmp_path, rng, tau_list=[0.3, 0.1], trials=2))
+        run_experiment(config)
+        first = (tmp_path / "report.json").read_bytes()
+        timings = json.loads((tmp_path / "report.json.timings.json").read_text())
+        assert len(timings) == 4
+        for entry in timings:
+            stages = [entry[key] for key in ("graph", "tt_svd", "eigensolve", "sweeps")]
+            assert all(isinstance(t, float) and t >= 0.0 for t in stages)
+        for cell in json.loads(first)["cells"]:
+            assert list(cell) == ["tau", "trial", "snr_db", "ranks", "rho", "error_rate", "n_wrong",
+                                  "n_test", "objective_trace", "sweeps", "termination"]
+            assert isinstance(cell["sweeps"], int)
+        run_experiment(config)
+        assert (tmp_path / "report.json").read_bytes() == first
+
     def test_failing_cell_recorded_run_continues(self, tmp_path, rng):
         # k_graph >= training N makes the graph construction fail in every cell
         config = ExperimentConfig.from_dict(
@@ -300,6 +316,12 @@ class TestCli:
         ("noise_snr_db", 30.0, "noise_snr_db"),
         ("dataset", {"format": "csv", "path": "data.csv"}, "label_column"),
         ("dataset", {"format": "csv", "path": "data.csv", "label_column": "0"}, "label_column"),
+        ("dataset", {"format": "csv", "label_column": 0}, "path"),
+        ("dataset", {"format": "csv", "path": 5, "label_column": 0}, "path"),
+        ("dataset", {"format": "idx", "image_path": "images"}, "label_path"),
+        ("dataset", {"format": "idx", "label_path": "labels"}, "image_path"),
+        ("dataset", {"format": "idx", "image_path": "images", "label_path": ["labels"]}, "label_path"),
+        ("dataset", 5, "dataset must be an object"),
     ])
     def test_bad_config_value_exit_code(self, tmp_path, rng, capsys, key, value, message):
         cfg, _ = self.write_config(tmp_path, rng, **{key: value})

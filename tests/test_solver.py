@@ -13,6 +13,7 @@ from ttnpe.solver import (
     fit,
     objective,
     smallest_eigvecs,
+    sweep_atn,
     update_core_atn,
     update_core_tn,
 )
@@ -313,6 +314,58 @@ class TestCoreUpdates:
                 descent = minimize(f, g, left_unfold(problem.chain.cores[k - 1]), cfg)
                 assert surrogate <= descent.f_trace[-1] + 1e-10
                 assert abs(surrogate - f(left_unfold(new_core))) < 1e-12
+
+
+def explicit_atn_sweep(problem, v):
+    """Per-core ATN path with explicit Kronecker P, Q and C (test oracle).
+
+    Each core becomes the polar factor of P^T C Q^T, and its residual is
+    ||P X Q - C||_F^2 computed from the full matrices.
+    """
+    surrogates = []
+    for k in range(1, len(problem.mode_dims) + 1):
+        p, q, c = build_PQC(problem, k, v)
+        u, _, vt = np.linalg.svd(p.T @ c @ q.T, full_matrices=False)
+        x = u @ vt
+        surrogates.append(float(np.sum((p @ x @ q - c) ** 2)))
+        core = x.reshape(problem.chain.cores[k - 1].shape, order="F")
+        problem.chain = problem.chain.replace_core(k - 1, core)
+    return surrogates
+
+
+class TestSweepATN:
+    SHAPES = [((3, 4, 3), (3, 4, 2)), ((2, 3, 2, 3), (2, 4, 4, 3))]
+
+    def problems(self, rng, count=5):
+        for dims, ranks in self.SHAPES:
+            for _ in range(count):
+                z = random_psd(rng, int(np.prod(dims)))  # full rank
+                problem = make_problem(rng, dims=dims, ranks=ranks, variant="atn", z=z)
+                _, v = smallest_eigvecs(z, ranks[-1])
+                yield problem, v
+
+    def test_matches_explicit_kronecker_path(self, rng):
+        for problem, v in self.problems(rng):
+            oracle = TTNPEProblem(z=problem.z, mode_dims=problem.mode_dims,
+                                  chain=problem.chain, variant="atn")
+            expected = explicit_atn_sweep(oracle, v)
+            surrogates = sweep_atn(problem, v)
+            assert np.max(np.abs(np.subtract(surrogates, expected))) < 1e-12
+            for core, want in zip(problem.chain.cores, oracle.chain.cores):
+                assert np.max(np.abs(core - want)) < 1e-12
+
+    def test_update_core_atn_takes_the_sweep_step(self, rng):
+        for problem, v in self.problems(rng, count=2):
+            stepwise = TTNPEProblem(z=problem.z, mode_dims=problem.mode_dims,
+                                    chain=problem.chain, variant="atn")
+            expected = []
+            for k in range(1, len(problem.mode_dims) + 1):
+                core, surrogate = update_core_atn(stepwise, k, v)
+                stepwise.chain = stepwise.chain.replace_core(k - 1, core)
+                expected.append(surrogate)
+            assert sweep_atn(problem, v) == expected
+            for core, want in zip(problem.chain.cores, stepwise.chain.cores):
+                assert np.array_equal(core, want)
 
 
 class TestFit:

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from conftest import brute_tt_svd, random_orthonormal_chain
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_orthonormal_chain
 from ttnpe.errors import DataError
 from ttnpe.tensor_core import kronecker, left_unfold, merge_product, vectorize
 from ttnpe.tt_subspace import (
@@ -86,6 +88,93 @@ class TestTTSVD:
         b = tt_svd(data, 0.2)
         for ca, cb in zip(a.cores, b.cores):
             assert np.array_equal(ca, cb)
+
+
+def low_rank_dataset(rng, dims, n_samples, rank):
+    pixels = rng.standard_normal((int(np.prod(dims)), rank))
+    return (pixels @ rng.standard_normal((rank, n_samples))).reshape(dims + (n_samples,), order="F")
+
+
+class TestTTSVDOracle:
+    """The R-factor splits against full SVDs of every unfolding."""
+
+    CASES = {
+        "random": (lambda rng: rng.standard_normal((3, 4, 5, 20)), 0.1, None),
+        "random_5mode": (lambda rng: rng.standard_normal((2, 3, 2, 3, 30)), 0.05, None),
+        "rank_deficient": (lambda rng: low_rank_dataset(rng, (3, 4, 5), 9, 3), 0.01, None),
+        "all_zero": (lambda rng: np.zeros((3, 4, 5, 7)), 0.3, None),
+        "rank_cap_int": (lambda rng: rng.standard_normal((3, 4, 5, 20)), 1e-12, 2),
+        "rank_cap_list": (lambda rng: rng.standard_normal((3, 4, 5, 20)), 0.05, [2, None, 3]),
+        "tau_one": (lambda rng: rng.standard_normal((3, 4, 5, 20)), 1.0, None),
+        # last split is 60 x 7: more rows than columns (N < R_2 * I_3)
+        "tall_last_split": (lambda rng: rng.standard_normal((3, 4, 5, 7)), 1e-14, None),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_full_svd_oracle(self, rng, case):
+        make, tau, cap = self.CASES[case]
+        data = make(rng)
+        chain = tt_svd(data, tau, rank_cap=cap)
+        oracle = brute_tt_svd(data, tau, rank_cap=cap)
+        assert chain.ranks == oracle.ranks
+        for core, expected in zip(chain.cores, oracle.cores):
+            assert core.shape == expected.shape
+            assert np.max(np.abs(core - expected)) < 1e-12
+
+    def test_cases_reach_their_regimes(self, rng):
+        ranks = {name: tt_svd(make(rng), tau, rank_cap=cap).ranks
+                 for name, (make, tau, cap) in self.CASES.items()}
+        assert ranks["rank_deficient"][-1] == 3
+        assert ranks["all_zero"] == ranks["tau_one"] == (1, 1, 1)
+        assert ranks["rank_cap_int"] == (2, 2, 2)
+        assert ranks["rank_cap_list"][0] == 2 and ranks["rank_cap_list"][2] <= 3
+        assert ranks["tall_last_split"] == (3, 12, 7)
+
+
+@st.composite
+def tt_datasets(draw):
+    """A (I_1, ..., I_n, N) dataset of a drawn kind, with a tau and a rank cap."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    n_samples = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "low_rank", "grid255", "zeros"]))
+    shape = dims + (n_samples,)
+    if kind == "gaussian":
+        data = rng.standard_normal(shape)
+    elif kind == "low_rank":
+        data = low_rank_dataset(rng, dims, n_samples, draw(st.integers(1, 3)))
+    elif kind == "grid255":
+        data = rng.integers(0, 256, shape) / 255.0
+    else:
+        data = np.zeros(shape)
+    tau = draw(st.floats(1e-12, 1.0))
+    cap = draw(st.one_of(st.none(), st.integers(1, 6)))
+    return data, tau, cap
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(tt_datasets())
+def test_tt_svd_cores_left_orthonormal(case):
+    data, tau, cap = case
+    chain = tt_svd(data, tau, rank_cap=cap)
+    assert chain.orthonormality_defect() < 1e-12
+    assert chain.embedding_dim <= min(int(np.prod(data.shape[:-1])), data.shape[-1])
+
+
+@PROPERTY_SETTINGS
+@given(tt_datasets())
+def test_project_many_equals_project(case):
+    data, tau, cap = case
+    chain = tt_svd(data, tau, rank_cap=cap)
+    coords = project_many(chain, data)
+    assert coords.shape == (data.shape[-1], chain.embedding_dim)
+    for i in range(data.shape[-1]):
+        sample = data[..., i]
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(sample)))
+        assert np.max(np.abs(coords[i] - project(chain, sample))) <= tol
 
 
 class TestLeftOrthogonalize:
