@@ -69,6 +69,10 @@ class ExperimentConfig:
                 or not all(c is None or _is_int(c) and c >= 1 for c in caps)):
             raise ConfigError(f"rank_cap must be null, an int >= 1 or a list of "
                               f"{len(self.reshape)} of those, got {self.rank_cap!r}")
+        labels = self.class_filter
+        if labels is not None and not (isinstance(labels, list) and labels
+                                       and all(_is_number(c) for c in labels)):
+            raise ConfigError(f"class_filter must be null or a nonempty list of labels, got {labels!r}")
         snr = [] if self.noise_snr_db is None else self.noise_snr_db
         if not isinstance(snr, (list, tuple)) or not all(s is None or _is_number(s) for s in snr):
             raise ConfigError(f"noise_snr_db must be null or a list of numbers/nulls, got {snr!r}")
@@ -137,10 +141,11 @@ def load_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
             f"reshape {list(dims)} has {d} elements but samples have {flat.shape[1]}"
         )
     if config.class_filter is not None:
-        keep = np.isin(labels, np.asarray(config.class_filter))
+        absent = [c for c in config.class_filter if not np.any(labels == c)]
+        if absent:
+            raise ConfigError(f"class_filter labels {absent} are not in the dataset")
+        keep = np.isin(labels, config.class_filter)
         flat, labels = flat[keep], labels[keep]
-        if flat.shape[0] == 0:
-            raise DataError("class_filter removed every sample")
     samples = flat.T.reshape(dims + (flat.shape[0],), order="F")
     return samples, labels
 
@@ -194,8 +199,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     records its message and the run continues; any other exception is a
     bug and propagates. Writes the deterministic report to ``output_path``,
     timings to ``output_path + '.timings.json'`` (per fitted cell: subspace
-    learning, embedding and classification, plus the solver's per-stage
-    ``wall_time``), and a flat CSV of
+    learning, embedding and classification, the solver's per-stage
+    ``wall_time`` and its TN ``core_solves``), and a flat CSV of
     (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``.
     """
     samples, labels = load_dataset(config)
@@ -246,6 +251,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                         "embedding": result.embed_seconds,
                         "classification": result.classify_seconds,
                         **report.wall_time,
+                        "core_solves": report.core_solves,
                     })
                 except (ValueError, NumericError) as exc:  # recorded, run continues
                     cell["error"] = f"{type(exc).__name__}: {exc}"

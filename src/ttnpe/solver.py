@@ -4,7 +4,11 @@ approximate updates (ATN), orchestrated by an alternating sweep loop.
 Both variants minimize tr(E^T Z E) over chains with left-orthonormal cores,
 where E is the contracted chain matrix and Z the neighborhood Gram target.
 TN builds the exact quadratic form for each core from the prefix form
-P^T Z P (P = I (x) prefix chain) and the suffix Gram Q Q^T; ATN instead fits
+P^T Z P (P = I (x) prefix chain) and the suffix Gram Q Q^T. The last core's
+form is tr(X^T B X), minimized exactly by B's smallest eigenvectors; every
+other core is solved by the generalized power iteration on its form
+vec(X)^T A vec(X), whose polar-factor steps never raise the objective and,
+unlike a descent curve on the manifold, can change det(X). ATN instead fits
 the chain to the smallest-eigenvector matrix V of Z, solving each core's
 subproblem min ||P X Q - C||_F^2 in closed form as the polar factor of
 P^T C Q^T (orthogonal Procrustes).
@@ -31,7 +35,7 @@ from ttnpe.neighborhood_graph import (
     build_residual,
     build_weight_matrix,
 )
-from ttnpe.stiefel import OptimizerConfig, minimize
+from ttnpe.stiefel import OptimizeResult, OptimizerConfig, minimize_quadratic
 from ttnpe.tensor_core import kronecker, left_unfold, reshape, right_unfold
 from ttnpe.tt_subspace import TTChain, contract_chain, suffix_tensor, tt_svd
 
@@ -59,7 +63,9 @@ class TTNPEProblem:
 @dataclass
 class SolverReport:
     """Traces of one fit. ``wall_time`` holds seconds per stage ("graph",
-    "tt_svd", "eigensolve", "sweeps") and is the only non-deterministic field."""
+    "tt_svd", "eigensolve", "sweeps") and is the only non-deterministic field.
+    ``core_solves`` holds, per TN sweep, each core solve's step count and stop
+    reason (``{"steps": int, "stop": str}``); it stays empty for ATN."""
 
     objective_trace: list[float] = field(default_factory=list)
     surrogate_trace: list[list[float]] = field(default_factory=list)
@@ -68,6 +74,7 @@ class SolverReport:
     sweeps_run: int = 0
     termination_reason: str = ""
     wall_time: dict = field(default_factory=dict)
+    core_solves: list[list[dict]] = field(default_factory=list)
     ranks: tuple[int, ...] = ()
 
 
@@ -85,15 +92,17 @@ def _prefix_form(problem: TTNPEProblem, k: int) -> np.ndarray:
     product of the mode dims after k. Row a + d_pre * j of Z (a over the
     prefix modes) is row (j, a) of Z's C-order view, so both prefix
     contractions are plain matrix products with no intermediate larger
-    than Z.
+    than Z. At k = 1 the prefix is [[1.0]], and W is Z itself.
     """
-    prefix = contract_chain(problem.chain, upto=k - 1)
-    d_pre, r_prev = prefix.shape
+    w, r_prev = problem.z, 1
+    if k > 1:
+        prefix = contract_chain(problem.chain, upto=k - 1)
+        d_pre, r_prev = prefix.shape
+        d_rest = problem.z.shape[0] // d_pre
+        w = problem.z.reshape(-1, d_pre) @ prefix       # ((j, a, j'), R_{k-1}')
+        w = prefix.T @ w.reshape(d_rest, d_pre, -1)     # (j, R_{k-1}, (j', R_{k-1}'))
     i_k = problem.mode_dims[k - 1]
-    d_rest = problem.z.shape[0] // d_pre
-    w = problem.z.reshape(-1, d_pre) @ prefix       # ((j, a, j'), R_{k-1}')
-    w = prefix.T @ w.reshape(d_rest, d_pre, -1)     # (j, R_{k-1}, (j', R_{k-1}'))
-    d_post = d_rest // i_k
+    d_post = int(np.prod(problem.mode_dims[k:]))
     return w.reshape(d_post, i_k, r_prev, d_post, i_k, r_prev)
 
 
@@ -185,8 +194,13 @@ def _core_from_left_unfold(x: np.ndarray, r_prev: int, i_k: int) -> np.ndarray:
 def update_core_tn(problem: TTNPEProblem, k: int, opt_cfg: OptimizerConfig | None = None):
     """One exact alternating-minimization step on core k (1-based).
 
-    Optimizes the quadratic form over the left unfolding of the core with
-    orthonormal columns; the shared objective cannot increase.
+    Minimizes the core's quadratic form over left unfoldings with
+    orthonormal columns. The last core's form is tr(X^T B X), so B's
+    smallest eigenvectors are optimal (Ky Fan; termination "exact"). A core
+    k < n takes generalized power-iteration steps on vec(X)^T A vec(X),
+    bounded by ``opt_cfg``'s ``max_inner_iters`` and ``grad_tol``. The shared
+    objective cannot increase, and a core that already attains the optimum
+    is kept. Returns the new core and the solve's ``OptimizeResult``.
     """
     n = len(problem.mode_dims)
     core = problem.chain.cores[k - 1]
@@ -194,24 +208,16 @@ def update_core_tn(problem: TTNPEProblem, k: int, opt_cfg: OptimizerConfig | Non
     x0 = left_unfold(core)
     if k < n:
         _, a_mat = build_A(problem, k)
-
-        def f(x):
-            vec = x.reshape(-1, order="F")
-            return float(vec @ a_mat @ vec)
-
-        def g(x):
-            vec = x.reshape(-1, order="F")
-            return (2.0 * (a_mat @ vec)).reshape(x.shape, order="F")
+        result = minimize_quadratic(a_mat, x0, opt_cfg)
     else:
         _, b_mat = build_B(problem)
-
-        def f(x):
-            return float(np.trace(x.T @ b_mat @ x))
-
-        def g(x):
-            return 2.0 * (b_mat @ x)
-
-    result = minimize(f, g, x0, opt_cfg)
+        f0 = float(np.sum(x0 * (b_mat @ x0)))
+        _, x = smallest_eigvecs(b_mat, r_k)
+        f = float(np.sum(x * (b_mat @ x)))
+        if f < f0:
+            result = OptimizeResult(x=x, f_trace=[f0, f], termination="exact", n_accepted=1)
+        else:
+            result = OptimizeResult(x=x0, f_trace=[f0], termination="exact", n_accepted=0)
     new_core = _core_from_left_unfold(result.x, r_prev, i_k)
     return new_core, result
 
@@ -291,8 +297,10 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     Builds the affinity graph and Gram target, initializes the chain by
     TT-SVD with threshold ``tau``, then sweeps cores 1..n with the chosen
     variant's update until the largest per-core change drops below
-    ``core_change_tol`` or ``max_sweeps`` is reached. ``opt_cfg`` configures
-    the TN core solves only; each ATN core update is closed-form.
+    ``core_change_tol`` or ``max_sweeps`` is reached. ``opt_cfg`` bounds
+    the power iteration on TN cores 1..n-1 through its ``max_inner_iters``
+    and ``grad_tol``; the last TN core and every ATN core update are solved
+    in closed form.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim < 2:
@@ -323,7 +331,10 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     if variant == "atn":
         eigvals, v = smallest_eigvecs(z, r_n)
     else:
-        eigvals = np.linalg.eigvalsh(z)[:r_n]
+        # Z = Y Y^T has the spectrum of the smaller Gram Y^T Y, padded with zeros.
+        gram = y.T @ y if n_samples < d else z
+        spectrum = np.concatenate([np.linalg.eigvalsh(gram), np.zeros(d - gram.shape[0])])
+        eigvals = np.sort(spectrum)[:r_n]
     report.kyfan_bound = float(np.sum(eigvals))
     report.wall_time["eigensolve"] = time.perf_counter() - t0
 
@@ -335,9 +346,12 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     for sweep in range(max_sweeps):
         old_cores = [c.copy() for c in problem.chain.cores]
         if variant == "tn":
+            solves = []
             for k in range(1, n + 1):
-                new_core, _ = update_core_tn(problem, k, opt_cfg)
+                new_core, result = update_core_tn(problem, k, opt_cfg)
                 problem.chain = problem.chain.replace_core(k - 1, new_core)
+                solves.append({"steps": result.n_accepted, "stop": result.termination})
+            report.core_solves.append(solves)
         else:
             report.surrogate_trace.append(sweep_atn(problem, v))
         obj = objective(problem)

@@ -96,8 +96,8 @@ class TestLoadDataset:
         assert np.all(labels == 1)
 
     def test_class_filter_empty(self, tmp_path, rng):
-        config = ExperimentConfig.from_dict(base_config(tmp_path, rng, class_filter=[99]))
-        with pytest.raises(DataError, match="class_filter"):
+        config = ExperimentConfig.from_dict(base_config(tmp_path, rng, class_filter=[1, 99]))
+        with pytest.raises(ConfigError, match=r"class_filter labels \[99\]"):
             load_dataset(config)
 
 
@@ -173,12 +173,23 @@ class TestRunExperiment:
         for entry in timings:
             stages = [entry[key] for key in ("graph", "tt_svd", "eigensolve", "sweeps")]
             assert all(isinstance(t, float) and t >= 0.0 for t in stages)
+            assert entry["core_solves"] == []  # ATN solves every core in closed form
         for cell in json.loads(first)["cells"]:
             assert list(cell) == ["tau", "trial", "snr_db", "ranks", "rho", "error_rate", "n_wrong",
                                   "n_test", "objective_trace", "sweeps", "termination"]
             assert isinstance(cell["sweeps"], int)
         run_experiment(config)
         assert (tmp_path / "report.json").read_bytes() == first
+
+    def test_timings_carry_tn_core_solves(self, tmp_path, rng):
+        config = ExperimentConfig.from_dict(base_config(tmp_path, rng, variant="tn", max_sweeps=2))
+        doc = run_experiment(config)
+        entry = json.loads((tmp_path / "report.json.timings.json").read_text())[0]
+        assert len(entry["core_solves"]) == doc["cells"][0]["sweeps"]
+        for solves in entry["core_solves"]:
+            assert len(solves) == 3 and solves[-1]["stop"] == "exact"
+            assert all(isinstance(s["steps"], int) for s in solves)
+        assert "core_solves" not in (tmp_path / "report.json").read_text()
 
     def test_failing_cell_recorded_run_continues(self, tmp_path, rng):
         # k_graph >= training N makes the graph construction fail in every cell
@@ -322,6 +333,11 @@ class TestCli:
         ("dataset", {"format": "idx", "label_path": "labels"}, "image_path"),
         ("dataset", {"format": "idx", "image_path": "images", "label_path": ["labels"]}, "label_path"),
         ("dataset", 5, "dataset must be an object"),
+        ("class_filter", "x", "class_filter"),
+        ("class_filter", [1, "a"], "class_filter"),
+        ("class_filter", [[1]], "class_filter"),
+        ("class_filter", [], "class_filter"),
+        ("class_filter", [9], "class_filter labels [9] are not in the dataset"),
     ])
     def test_bad_config_value_exit_code(self, tmp_path, rng, capsys, key, value, message):
         cfg, _ = self.write_config(tmp_path, rng, **{key: value})

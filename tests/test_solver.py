@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import brute_core_form, random_orthonormal_chain, random_psd
-from ttnpe.neighborhood_graph import AffinityConfig
+from ttnpe import solver
+from ttnpe.neighborhood_graph import AffinityConfig, build_gram, build_residual, build_weight_matrix
 from ttnpe.solver import (
     TTNPEProblem,
     build_A,
@@ -117,6 +118,29 @@ class TestBuildA:
             finally:
                 tracemalloc.stop()
             assert peak <= 4 * problem.z.nbytes, k
+
+
+def product_prefix_form(problem, k):
+    """The prefix form by its general product formula, also at k = 1 (test oracle)."""
+    prefix = contract_chain(problem.chain, upto=k - 1)
+    d_pre, r_prev = prefix.shape
+    i_k = problem.mode_dims[k - 1]
+    d_rest = problem.z.shape[0] // d_pre
+    w = problem.z.reshape(-1, d_pre) @ prefix
+    w = prefix.T @ w.reshape(d_rest, d_pre, -1)
+    d_post = d_rest // i_k
+    return w.reshape(d_post, i_k, r_prev, d_post, i_k, r_prev)
+
+
+def test_first_core_forms_bit_identical_to_product_formula(rng, monkeypatch):
+    # at k = 1 the prefix is [[1.0]]: W = Z itself, exactly what the two products give
+    problem = make_problem(rng, dims=(2, 3, 2), ranks=(2, 2, 3))
+    one_mode = TTNPEProblem(z=random_psd(rng, 6), mode_dims=(6,),
+                            chain=random_orthonormal_chain(rng, (6,), (2,)), variant="tn")
+    got = build_A(problem, 1) + build_B(one_mode)
+    monkeypatch.setattr(solver, "_prefix_form", product_prefix_form)
+    want = build_A(problem, 1) + build_B(one_mode)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestBuildB:
@@ -267,6 +291,25 @@ class TestCoreUpdates:
         problem.chain = problem.chain.replace_core(0, new_core)
         assert objective(problem) == 0.0
 
+    def test_optimal_cores_are_kept(self, rng):
+        problem = make_problem(rng, z=np.zeros((8, 8)))
+        for k in (1, 2, 3):
+            new_core, result = update_core_tn(problem, k)
+            assert result.n_accepted == 0
+            assert np.array_equal(new_core, problem.chain.cores[k - 1])
+
+    def test_last_core_attains_ky_fan_sum(self, rng):
+        for dims, ranks in (((2, 3, 2), (2, 3, 2)), ((3, 4, 3), (3, 4, 2)), ((2, 2), (2, 3))):
+            problem = make_problem(rng, dims=dims, ranks=ranks)
+            _, b_mat = build_B(problem)
+            new_core, result = update_core_tn(problem, len(dims))
+            assert result.termination == "exact"
+            x = left_unfold(new_core)
+            expected = np.sum(np.linalg.eigvalsh(b_mat)[:ranks[-1]])
+            tol = 1e-10 * max(1.0, float(np.linalg.norm(b_mat)))
+            assert abs(np.trace(x.T @ b_mat @ x) - expected) < tol
+            assert np.max(np.abs(x.T @ x - np.eye(ranks[-1]))) < 1e-12
+
     def test_atn_identity_wings_recover_target(self, rng):
         # P = I, Q = I, orthonormal C: the unique feasible minimizer is X = C
         dims = (6,)
@@ -398,6 +441,28 @@ class TestFit:
         _, report = fit(data, AffinityConfig(3), tau=0.3, variant="tn")
         trace = report.objective_trace
         assert all(b <= a + 1e-10 for a, b in zip(trace, trace[1:]))
+
+    def test_tn_core_solves_recorded(self, rng):
+        data, _ = self.separable_data(rng)
+        _, report = fit(data, AffinityConfig(3), tau=0.3, variant="tn", max_sweeps=3)
+        assert len(report.core_solves) == report.sweeps_run
+        for solves in report.core_solves:
+            assert [set(s) for s in solves] == [{"steps", "stop"}] * 3
+            assert solves[-1]["stop"] == "exact" and solves[-1]["steps"] in (0, 1)
+            assert all(s["stop"] in ("gradient", "max_iters", "no_decrease") for s in solves[:-1])
+        _, report = fit(data, AffinityConfig(3), tau=0.3, variant="atn", max_sweeps=3)
+        assert report.core_solves == []
+
+    @pytest.mark.parametrize("per_class", [3, 6])
+    def test_tn_kyfan_bound_is_the_gram_spectrum(self, rng, per_class):
+        # 6 samples (N < d = 8) take the N x N Gram, 12 samples take Z itself
+        data, _ = self.separable_data(rng, per_class=per_class)
+        graph = AffinityConfig(2)
+        chain, report = fit(data, graph, tau=0.3, variant="tn", max_sweeps=1)
+        d_mat = data.reshape(8, -1, order="F")
+        z = build_gram(build_residual(d_mat, build_weight_matrix(d_mat, graph)))
+        expected = np.sum(np.linalg.eigvalsh(z)[:chain.embedding_dim])
+        assert abs(report.kyfan_bound - expected) < 1e-10 * max(1.0, float(np.linalg.norm(z)))
 
     def test_kyfan_bound_holds(self, rng):
         data, _ = self.separable_data(rng)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import random_psd
 from ttnpe.errors import NumericError
 from ttnpe.stiefel import (
     OptimizerConfig,
     check_gradient,
     feasibility_defect,
     minimize,
+    minimize_quadratic,
     project_tangent,
     projected_grad_norm,
 )
@@ -148,6 +150,71 @@ class TestMinimize:
             OptimizerConfig(backtrack_factor=1.5)
         with pytest.raises(ValueError):
             OptimizerConfig(grad_tol=-1.0)
+
+
+def polar(c):
+    u, _, vt = np.linalg.svd(c)
+    return u @ vt
+
+
+class TestMinimizeQuadratic:
+    @pytest.mark.parametrize("p, q", [(6, 1), (5, 2), (4, 3), (3, 3)])
+    def test_trace_decreases_and_stays_feasible(self, rng, p, q):
+        for _ in range(5):
+            result = minimize_quadratic(random_psd(rng, p * q), random_stiefel(rng, p, q),
+                                        OptimizerConfig(max_inner_iters=200, grad_tol=1e-12))
+            trace = result.f_trace
+            assert all(b < a for a, b in zip(trace, trace[1:]))
+            assert len(trace) == result.n_accepted + 1
+            assert feasibility_defect(result.x) < 1e-8
+
+    def test_block_diagonal_form_reaches_ky_fan_optimum(self, rng):
+        # vec(X)^T (I_q (x) M) vec(X) = tr(X^T M X), minimized by M's q smallest eigenvectors
+        m = np.diag(np.arange(1.0, 7.0))
+        result = minimize_quadratic(np.kron(np.eye(2), m), random_stiefel(rng, 6, 2),
+                                    OptimizerConfig(max_inner_iters=2000, grad_tol=1e-10))
+        assert result.termination in ("gradient", "no_decrease")
+        assert abs(result.f_trace[-1] - 3.0) < 1e-8
+
+    def test_optimal_start_takes_no_step(self):
+        x0 = np.eye(4)[:, :2]
+        a = np.kron(np.eye(2), np.diag([1.0, 2.0, 5.0, 9.0]))
+        tiny = float(np.finfo(np.float64).tiny)
+        for form in (a, np.zeros_like(a)):
+            result = minimize_quadratic(form, x0, OptimizerConfig(grad_tol=tiny))
+            assert result.termination == "gradient" and result.n_accepted == 0
+            assert np.array_equal(result.x, x0)
+
+    def test_crosses_determinant_sign_on_square_x(self, rng):
+        # f(X) = -<C, X>^2 on 2 x 2 orthogonal X is minimized at +-polar(C), which share
+        # one determinant sign; from the other component the Cayley curve cannot get there
+        for _ in range(10):
+            c = rng.standard_normal((2, 2))
+            a = -np.outer(c.reshape(-1, order="F"), c.reshape(-1, order="F"))
+            s = np.linalg.svd(c, compute_uv=False)
+            x0 = random_stiefel(rng, 2, 2)
+            if np.linalg.det(x0) * np.linalg.det(polar(c)) > 0:
+                x0[:, 0] = -x0[:, 0]
+            optimum = -float(np.sum(s)) ** 2
+            cfg = OptimizerConfig(max_inner_iters=3000, grad_tol=1e-12)
+            result = minimize_quadratic(a, x0, cfg)
+            assert abs(result.f_trace[-1] - optimum) < 1e-10 * max(1.0, float(np.linalg.norm(a)))
+            assert np.linalg.det(result.x) * np.linalg.det(x0) < 0
+
+            def f(x):
+                vec = x.reshape(-1, order="F")
+                return float(vec @ a @ vec)
+
+            def g(x):
+                return (2.0 * a @ x.reshape(-1, order="F")).reshape(x.shape, order="F")
+
+            descent = minimize(f, g, x0, cfg)
+            assert descent.f_trace[-1] >= -float(s[0] - s[1]) ** 2 - 1e-9
+            assert descent.f_trace[-1] > optimum + float(s[0] * s[1])
+
+    def test_infeasible_start_rejected(self, rng):
+        with pytest.raises(NumericError, match="feasible"):
+            minimize_quadratic(np.eye(8), 2.0 * random_stiefel(rng, 4, 2))
 
 
 class TestGradientAudit:
