@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ttnpe.errors import require_finite
+from ttnpe.errors import ConfigError, require_finite
 from ttnpe.nearest import (
     k_nearest,
     reference_sq_dists,
@@ -57,7 +57,7 @@ def knn_search(train_coords: np.ndarray, test_coords: np.ndarray, k: int) -> tup
     require_finite(test_coords, "test coordinates")
     n_train = train_coords.shape[0]
     if not 1 <= k <= n_train:
-        raise ValueError(f"K must be <= number of training points, got K={k}, N={n_train}")
+        raise ConfigError(f"K must be <= number of training points, got K={k}, N={n_train}")
     train_norms = sq_norms(train_coords)
     test_norms = sq_norms(test_coords)
     n_test = test_coords.shape[0]

@@ -12,9 +12,17 @@ import sys
 
 from ttnpe.classifier import evaluate
 from ttnpe.errors import ConfigError, DataError, NumericError
-from ttnpe.harness import ExperimentConfig, load_dataset, run_convergence, run_experiment, trial_split, _graph_config
+from ttnpe.harness import (
+    ExperimentConfig,
+    _graph_config,
+    load_dataset,
+    open_output,
+    run_convergence,
+    run_experiment,
+    trial_split,
+)
 from ttnpe.solver import fit as fit_chain
-from ttnpe.tt_subspace import load_chain, project_many, save_chain
+from ttnpe.tt_subspace import TTChain, load_chain, project_many, save_chain
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,24 +70,32 @@ def _cmd_fit(args, config) -> None:
         samples[..., train_idx], _graph_config(config), config.tau_list[0],
         variant=config.variant, max_sweeps=config.max_sweeps, rank_cap=config.rank_cap,
     )
+    open_output(args.out).close()  # an unwritable path is a config error, not an OSError
     save_chain(chain, args.out)
+
+
+def _load_model(path, samples) -> TTChain:
+    chain = load_chain(path)
+    if chain.mode_dims != samples.shape[:-1]:
+        raise DataError(f"model mode dims {list(chain.mode_dims)} do not match the "
+                        f"configured reshape {list(samples.shape[:-1])}")
+    return chain
 
 
 def _cmd_embed(args, config) -> None:
     if args.out is None:
         raise ConfigError("embed requires --out for the coordinates CSV")
-    chain = load_chain(args.model)
     samples, labels = load_dataset(config)
-    coords = project_many(chain, samples)
-    with open(args.out, "w") as fh:
+    coords = project_many(_load_model(args.model, samples), samples)
+    with open_output(args.out) as fh:
         fh.write("index,label," + ",".join(f"t{i}" for i in range(coords.shape[1])) + "\n")
         for i, (lab, row) in enumerate(zip(labels.tolist(), coords)):
             fh.write(f"{i},{lab}," + ",".join(repr(v) for v in row.tolist()) + "\n")
 
 
 def _cmd_classify(args, config) -> None:
-    chain = load_chain(args.model)
     samples, labels = load_dataset(config)
+    chain = _load_model(args.model, samples)
     train_idx, test_idx = trial_split(config, labels)
     result = evaluate(chain, samples[..., train_idx], labels[train_idx],
                       samples[..., test_idx], labels[test_idx], config.k_classify)
@@ -92,7 +108,7 @@ def _cmd_classify(args, config) -> None:
     }
     text = json.dumps(doc, separators=(",", ":")) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with open_output(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -15,8 +15,11 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 def _read_idx(path, expected_magic: int) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise DataError(f"{path}: cannot read: {exc}") from exc
     if len(raw) < 8:
         raise DataError(f"{path}: truncated header")
     magic = struct.unpack(">i", raw[:4])[0]
@@ -55,8 +58,11 @@ def load_csv(path, label_column: int) -> tuple[np.ndarray, np.ndarray]:
     The label column is extracted; remaining values become float64 features
     (no scaling). A non-numeric first row is treated as a header.
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError covers bad UTF-8
+        raise DataError(f"{path}: cannot read CSV: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty CSV")
 

@@ -10,6 +10,7 @@ report bytes stay reproducible.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -55,13 +56,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < low:
                 raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
-        if not self.tau_list:
-            raise ConfigError("tau_list must be nonempty")
+        if not isinstance(self.tau_list, list) or not self.tau_list:
+            raise ConfigError(f"tau_list must be a nonempty list, got {self.tau_list!r}")
         if not all(_is_number(t) and 0.0 < t <= 1.0 for t in self.tau_list):
             raise ConfigError(f"every tau must lie in (0, 1], got {self.tau_list}")
         if self.variant not in ("tn", "atn"):
             raise ConfigError(f"variant must be 'tn' or 'atn', got {self.variant!r}")
-        if not self.reshape or not all(_is_int(i) and i >= 1 for i in self.reshape):
+        if (not isinstance(self.reshape, list) or not self.reshape
+                or not all(_is_int(i) and i >= 1 for i in self.reshape)):
             raise ConfigError(f"reshape must be a list of positive ints, got {self.reshape!r}")
         per_mode = isinstance(self.rank_cap, (list, tuple))
         caps = self.rank_cap if per_mode else [self.rank_cap]
@@ -74,8 +76,11 @@ class ExperimentConfig:
                                        and all(_is_number(c) for c in labels)):
             raise ConfigError(f"class_filter must be null or a nonempty list of labels, got {labels!r}")
         snr = [] if self.noise_snr_db is None else self.noise_snr_db
-        if not isinstance(snr, (list, tuple)) or not all(s is None or _is_number(s) for s in snr):
-            raise ConfigError(f"noise_snr_db must be null or a list of numbers/nulls, got {snr!r}")
+        if not isinstance(snr, (list, tuple)) or not all(
+                s is None or _is_number(s) and math.isfinite(s) for s in snr):
+            raise ConfigError(f"noise_snr_db must be null or a list of finite numbers/nulls, got {snr!r}")
+        if not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         try:
             _graph_config(self)
         except (TypeError, ValueError) as exc:
@@ -114,7 +119,7 @@ class ExperimentConfig:
         try:
             with open(path) as fh:
                 raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
             raise ConfigError(f"{path}: invalid config document: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
@@ -184,6 +189,14 @@ def trial_split(config: ExperimentConfig, labels: np.ndarray,
 
 def _graph_config(config: ExperimentConfig) -> AffinityConfig:
     return AffinityConfig(k_neighbors=config.k_graph, epsilon=config.epsilon)
+
+
+def open_output(path):
+    """``open(path, "w")``; a path that cannot be written raises ConfigError."""
+    try:
+        return open(path, "w")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
 
 def _noise_seed(base_seed: int, trial: int, snr_db) -> int:
@@ -278,13 +291,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "aggregates": aggregates,
     }
     out = config.output_path
-    with open(out, "w") as fh:
+    with open_output(out) as fh:
         json.dump(report_doc, fh, separators=(",", ":"))
         fh.write("\n")
-    with open(str(out) + ".timings.json", "w") as fh:
+    with open_output(str(out) + ".timings.json") as fh:
         json.dump(timings, fh, indent=1)
         fh.write("\n")
-    with open(str(out) + ".csv", "w") as fh:
+    with open_output(str(out) + ".csv") as fh:
         fh.write("tau,trial,snr_db,rho,error\n")
         for c in cells:
             if "error_rate" in c:
@@ -293,7 +306,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return report_doc
 
 
-def run_convergence(config: ExperimentConfig, output_path=None) -> dict:
+def run_convergence(config: ExperimentConfig) -> dict:
     """Run both solver variants on the trial-0 training split and record traces.
 
     A variant failing with a library error (as in ``run_experiment``) is
@@ -323,8 +336,7 @@ def run_convergence(config: ExperimentConfig, output_path=None) -> dict:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         traces[variant] = entry
     doc = {"config": asdict(config), "tau": tau, "traces": traces}
-    out = output_path or config.output_path
-    with open(out, "w") as fh:
+    with open_output(config.output_path) as fh:
         json.dump(doc, fh, separators=(",", ":"))
         fh.write("\n")
     return doc

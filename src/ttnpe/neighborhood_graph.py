@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ttnpe.errors import DataError
+from ttnpe.errors import ConfigError, DataError
 from ttnpe.nearest import (
     k_nearest,
     reference_sq_dists,
@@ -47,13 +47,14 @@ class AffinityConfig:
     epsilon: float | str = "median-knn-sq-dist"
 
     def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise ValueError("k_neighbors must be >= 1")
+        k = self.k_neighbors
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"k_neighbors must be an int >= 1, got {k!r}")
         if isinstance(self.epsilon, str):
             if self.epsilon not in ("median-knn-sq-dist", "median"):
                 raise ValueError(f"unknown epsilon policy {self.epsilon!r}")
-        elif self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        elif not 0.0 < self.epsilon < float("inf"):
+            raise ValueError("epsilon must be positive and finite")
 
 
 def pairwise_sq_dists(d_mat: np.ndarray) -> np.ndarray:
@@ -87,7 +88,7 @@ def knn_sets(sq_dists: np.ndarray, k: int, d_mat: np.ndarray | None = None) -> n
     """
     n = sq_dists.shape[0]
     if k >= n:
-        raise ValueError(f"K must be < number of samples, got K={k}, N={n}")
+        raise ConfigError(f"K must be < number of samples, got K={k}, N={n}")
     if d_mat is not None:
         points = np.asarray(d_mat, dtype=np.float64).T
         norms = sq_norms(points)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ttnpe.errors import DataError, NumericError, require_finite
+from ttnpe.errors import ConfigError, DataError, NumericError, require_finite
 from ttnpe.neighborhood_graph import (
     AffinityConfig,
     build_gram,
@@ -36,8 +36,8 @@ from ttnpe.neighborhood_graph import (
     build_weight_matrix,
 )
 from ttnpe.stiefel import OptimizeResult, OptimizerConfig, minimize_quadratic
-from ttnpe.tensor_core import kronecker, left_unfold, reshape, right_unfold
-from ttnpe.tt_subspace import TTChain, contract_chain, suffix_tensor, tt_svd
+from ttnpe.tensor_core import kronecker, left_unfold, reshape
+from ttnpe.tt_subspace import TTChain, contract_chain, tt_svd
 
 
 @dataclass
@@ -106,12 +106,22 @@ def _prefix_form(problem: TTNPEProblem, k: int) -> np.ndarray:
     return w.reshape(d_post, i_k, r_prev, d_post, i_k, r_prev)
 
 
+def _right_environments(chain: TTChain) -> list[np.ndarray]:
+    """Suffix right unfoldings Q_1..Q_n, Q_k = R(cores k+1..n) of shape R_k x (I_{k+1}...I_n R_n)."""
+    q = np.eye(chain.embedding_dim)
+    envs = [q]
+    for core in reversed(chain.cores[1:]):
+        q = (left_unfold(core) @ q).reshape(core.shape[0], -1, order="F")
+        envs.append(q)
+    return envs[::-1]
+
+
 def build_A(problem: TTNPEProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact quadratic form for core k < n: the 6-mode tensor and its matricization.
 
-    With E = P L(U_k) Q, P = I (x) prefix and Q the suffix's right
-    unfolding, the prefix form W = P^T Z P is contracted over its two
-    d_post modes with Q Q^T. The tensor has modes
+    With E = P L(U_k) Q, P = I (x) prefix and Q = Q_k the right environment
+    of :func:`_right_environments`, the prefix form W = P^T Z P is
+    contracted over its two d_post modes with Q Q^T. The tensor has modes
     (R_{k-1}, I_k, R_k, R_{k-1}', I_k', R_k') and the matrix A satisfies
     vec(U_k)^T A vec(U_k) = tr(E^T Z E).
     """
@@ -120,9 +130,9 @@ def build_A(problem: TTNPEProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"build_A requires 1 <= k <= n-1, got k={k}, n={n}")
     w = _prefix_form(problem, k)
     d_post, i_k, r_prev = w.shape[:3]
-    suffix = suffix_tensor(problem.chain, k)
-    r_k = suffix.shape[0]
-    q = reshape(suffix, (r_k * d_post, suffix.shape[-1]))  # rows (R_k, d_post), R_k fastest
+    env = _right_environments(problem.chain)[k - 1]
+    r_k = env.shape[0]
+    q = reshape(env, (r_k * d_post, problem.chain.embedding_dim))  # rows (R_k, d_post), R_k fastest
     qq = reshape(q @ q.T, (r_k, d_post, r_k, d_post))
     # Contract (d_post, d_post'): axes (I_k, R_{k-1}, I_k', R_{k-1}', R_k, R_k').
     a = np.tensordot(w, qq, axes=([0, 3], [1, 3]))
@@ -172,16 +182,16 @@ def smallest_eigvecs(z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
 def build_PQC(problem: TTNPEProblem, k: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factors of the relaxed subproblem ||P L(U_k) Q - C||_F^2 for core k.
 
-    P = I_{I_k} (x) L(prefix), Q = R(suffix), and C is the pure reshape of
-    the eigenvector target to (I_1...I_k) x (I_{k+1}...I_n R_n).
+    P = I_{I_k} (x) L(prefix), Q = Q_k the right environment of
+    :func:`_right_environments`, and C is the pure reshape of the
+    eigenvector target to (I_1...I_k) x (I_{k+1}...I_n R_n).
     """
     n = len(problem.mode_dims)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     prefix = contract_chain(problem.chain, upto=k - 1)
     p = kronecker(np.eye(problem.mode_dims[k - 1]), prefix)
-    suf = suffix_tensor(problem.chain, k)
-    q = right_unfold(suf)
+    q = _right_environments(problem.chain)[k - 1]
     rows = int(np.prod(problem.mode_dims[:k]))
     c = reshape(v, (rows, v.size // rows))
     return p, q, c
@@ -222,16 +232,6 @@ def update_core_tn(problem: TTNPEProblem, k: int, opt_cfg: OptimizerConfig | Non
     return new_core, result
 
 
-def _right_environments(chain: TTChain) -> list[np.ndarray]:
-    """Suffix right unfoldings Q_1..Q_n, Q_k = R(cores k+1..n) of shape R_k x (I_{k+1}...I_n R_n)."""
-    q = np.eye(chain.embedding_dim)
-    envs = [q]
-    for core in reversed(chain.cores[1:]):
-        q = (left_unfold(core) @ q).reshape(core.shape[0], -1, order="F")
-        envs.append(q)
-    return envs[::-1]
-
-
 def _project_left(left: np.ndarray, x: np.ndarray, i_next: int) -> np.ndarray:
     """L_{k+1} from L_k and core k's left unfolding X: X^T L_k, regrouped."""
     return (x.T @ left).reshape(x.shape[1] * i_next, -1, order="F")
@@ -245,32 +245,11 @@ def _procrustes_step(left: np.ndarray, q: np.ndarray, target_sq: float) -> tuple
     return x, surrogate
 
 
-def update_core_atn(problem: TTNPEProblem, k: int, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """One relaxed step on core k: minimize ||P X Q - C||_F^2 over orthonormal X.
-
-    As P^T P = X^T X = I, this is orthogonal Procrustes, solved exactly by the
-    polar factor of P^T C Q^T. Builds the environments L_k = P^T C and Q_k
-    from scratch, by the recursions an ATN sweep carries, and takes the same
-    step. Returns the new core and the residual there.
-    """
-    n = len(problem.mode_dims)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    cores = problem.chain.cores
-    left = v.reshape(problem.mode_dims[0], -1, order="F")
-    for j in range(1, k):
-        left = _project_left(left, left_unfold(cores[j - 1]), problem.mode_dims[j])
-    q = _right_environments(problem.chain)[k - 1]
-    x, surrogate = _procrustes_step(left, q, float(np.sum(v * v)))
-    r_prev, i_k, _ = cores[k - 1].shape
-    return _core_from_left_unfold(x, r_prev, i_k), surrogate
-
-
 def sweep_atn(problem: TTNPEProblem, v: np.ndarray) -> list[float]:
     """One left-to-right ATN sweep over cores 1..n on carried environments.
 
-    Replaces ``problem.chain`` core by core, each with the step
-    :func:`update_core_atn` takes, and returns the residual after each core.
+    Replaces ``problem.chain`` core by core, each with the polar factor of
+    L_k Q_k^T, and returns the residual after each core.
     """
     dims = problem.mode_dims
     target_sq = float(np.sum(v * v))
@@ -302,6 +281,8 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     and ``grad_tol``; the last TN core and every ATN core update are solved
     in closed form.
     """
+    if variant not in ("tn", "atn"):
+        raise ConfigError(f"variant must be 'tn' or 'atn', got {variant!r}")
     data = np.asarray(data, dtype=np.float64)
     if data.ndim < 2:
         raise DataError("data must stack samples along a trailing mode")

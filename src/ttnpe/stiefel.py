@@ -23,23 +23,24 @@ from ttnpe.errors import NumericError
 FEASIBILITY_TOL = 1e-8
 POLISH_TRIGGER = 1e-10
 
+# Armijo backtracking of ``minimize``'s Cayley steps.
+INITIAL_STEP = 1e-2
+BACKTRACK_FACTOR = 0.5
+SUFFICIENT_DECREASE = 1e-4
+MIN_STEP = 1e-12
+MAX_STEP = 1e2
+
 
 @dataclass
 class OptimizerConfig:
+    """Stopping rule of both solvers: an iteration cap and a relative gradient tolerance."""
+
     max_inner_iters: int = 200
     grad_tol: float = 1e-6
-    initial_step: float = 1e-2
-    backtrack_factor: float = 0.5
-    sufficient_decrease: float = 1e-4
-    min_step: float = 1e-12
-    max_step: float = 1e2
 
     def __post_init__(self):
-        if min(self.max_inner_iters, self.grad_tol, self.initial_step,
-               self.sufficient_decrease, self.min_step, self.max_step) <= 0:
+        if min(self.max_inner_iters, self.grad_tol) <= 0:
             raise ValueError("optimizer parameters must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack factor must lie in (0, 1)")
 
 
 @dataclass
@@ -103,7 +104,7 @@ def minimize(f, grad, x0: np.ndarray, cfg: OptimizerConfig | None = None) -> Opt
     if not np.isfinite(fx):
         raise NumericError("objective is not finite at the initial point")
     trace = [fx]
-    step = cfg.initial_step
+    step = INITIAL_STEP
     termination = "max_iters"
     accepted = 0
     for _ in range(cfg.max_inner_iters):
@@ -114,24 +115,24 @@ def minimize(f, grad, x0: np.ndarray, cfg: OptimizerConfig | None = None) -> Opt
         if pg_norm <= cfg.grad_tol * (1.0 + abs(fx)):
             termination = "gradient"
             break
-        t = min(max(step, cfg.min_step), cfg.max_step)
+        t = min(max(step, MIN_STEP), MAX_STEP)
         moved = False
-        while t >= cfg.min_step:
+        while t >= MIN_STEP:
             cand = _cayley_point(x, g, t)
             fc = float(f(cand))
             if not np.isfinite(fc):
                 raise NumericError(f"objective is not finite after {accepted} accepted steps")
-            if fc <= fx - cfg.sufficient_decrease * t * pg_norm * pg_norm:
+            if fc <= fx - SUFFICIENT_DECREASE * t * pg_norm * pg_norm:
                 moved = True
                 break
-            t *= cfg.backtrack_factor
+            t *= BACKTRACK_FACTOR
         if not moved:
             termination = "step_underflow"
             break
         x, fx = cand, fc
         trace.append(fx)
         accepted += 1
-        step = min(t / cfg.backtrack_factor, cfg.max_step)
+        step = min(t / BACKTRACK_FACTOR, MAX_STEP)
     return OptimizeResult(x=x, f_trace=trace, termination=termination, n_accepted=accepted)
 
 
@@ -148,7 +149,7 @@ def minimize_quadratic(a: np.ndarray, x0: np.ndarray, cfg: OptimizerConfig | Non
     of :func:`minimize` ("gradient"), after ``cfg.max_inner_iters`` steps
     ("max_iters"), or when a step would not lower f ("no_decrease"); a step
     that does not lower f is never taken, so an optimal x0 is returned as
-    is. Only ``max_inner_iters`` and ``grad_tol`` of ``cfg`` apply.
+    is.
     """
     cfg = cfg or OptimizerConfig()
     x = np.array(x0, dtype=np.float64)

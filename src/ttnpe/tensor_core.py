@@ -3,8 +3,8 @@
 All tensors are plain float64 numpy arrays. The linearization convention is
 mode-1-fastest (column-major / Fortran order) throughout: element
 (i_1, ..., i_m) sits at flat offset i_1 + I_1*(i_2 + I_2*(i_3 + ...)).
-Mode indices passed to ``merge_product`` and ``partial_trace`` are 1-based,
-matching the usual mathematical notation for tensor contractions.
+Mode indices passed to ``merge_product`` are 1-based, matching the usual
+mathematical notation for tensor contractions.
 """
 
 from __future__ import annotations
@@ -19,28 +19,12 @@ def vectorize(t: np.ndarray) -> np.ndarray:
     return np.asarray(t).reshape(-1, order="F")
 
 
-def fold(v: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`vectorize` for the given shape."""
-    v = np.asarray(v)
-    if v.size != int(np.prod(shape)):
-        raise ValueError(f"cannot fold {v.size} elements into shape {tuple(shape)}")
-    return v.reshape(shape, order="F")
-
-
 def left_unfold(t: np.ndarray) -> np.ndarray:
     """Matricize grouping all modes but the last into rows, (I_1...I_{m-1}) x I_m."""
     t = np.asarray(t)
     if t.ndim < 2:
         raise ValueError("unfolding requires >=2 modes")
     return t.reshape(-1, t.shape[-1], order="F")
-
-
-def right_unfold(t: np.ndarray) -> np.ndarray:
-    """Matricize with the first mode as rows, I_1 x (I_2...I_m)."""
-    t = np.asarray(t)
-    if t.ndim < 2:
-        raise ValueError("unfolding requires >=2 modes")
-    return t.reshape(t.shape[0], -1, order="F")
 
 
 def _check_mode_list(g: Sequence[int], ndim: int, name: str) -> list[int]:
@@ -75,19 +59,6 @@ def merge_product(a: np.ndarray, b: np.ndarray, g1: Sequence[int], g2: Sequence[
     axes_a = [p - 1 for p in g1]
     axes_b = [q - 1 for q in g2]
     return np.tensordot(a, b, axes=(axes_a, axes_b))
-
-
-def partial_trace(t: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Trace out the (equal-dimension) 1-based modes ``i`` and ``j``."""
-    t = np.asarray(t)
-    if i == j:
-        raise ValueError("partial trace requires two distinct modes")
-    _check_mode_list([i, j], t.ndim, "trace modes")
-    if t.shape[i - 1] != t.shape[j - 1]:
-        raise ValueError(
-            f"cannot trace modes {i} and {j} with dims {t.shape[i - 1]} != {t.shape[j - 1]}"
-        )
-    return np.trace(t, axis1=i - 1, axis2=j - 1)
 
 
 def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -189,23 +189,6 @@ def contract_chain(chain: TTChain, upto: int | None = None) -> np.ndarray:
     return b
 
 
-def suffix_tensor(chain: TTChain, k: int) -> np.ndarray:
-    """Contract cores k+1..n (1-based k) into a (R_k, I_{k+1}, ..., I_n, R_n) tensor.
-
-    For k = n the suffix is empty and the R_n x R_n identity is returned as a
-    2-mode tensor.
-    """
-    if not 1 <= k <= chain.n_modes:
-        raise ValueError(f"k must lie in [1, {chain.n_modes}], got {k}")
-    if k == chain.n_modes:
-        r = chain.embedding_dim
-        return np.eye(r)
-    t = chain.cores[k]
-    for core in chain.cores[k + 1:]:
-        t = np.tensordot(t, core, axes=([t.ndim - 1], [0]))
-    return t
-
-
 def project(chain: TTChain, sample: np.ndarray) -> np.ndarray:
     """Embed a sample: t = E^T V(sample), via sequential core contractions."""
     sample = np.asarray(sample, dtype=np.float64)
@@ -290,22 +273,32 @@ def save_chain(chain: TTChain, path) -> None:
 
 
 def load_chain(path) -> TTChain:
-    """Load a chain saved by :func:`save_chain`."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Load a chain saved by :func:`save_chain`; an unreadable or malformed model raises DataError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise DataError(f"{path}: cannot read model: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: model must be a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format_version {version!r}")
-    cores = []
-    for entry in doc["cores"]:
-        if entry.get("order") != "mode1-fastest":
-            raise DataError(f"unsupported core data order {entry.get('order')!r}")
-        shape = tuple(entry["shape"])
-        data = np.asarray(entry["data"], dtype=np.float64)
-        if data.size != int(np.prod(shape)):
-            raise DataError(f"core payload size {data.size} inconsistent with shape {shape}")
-        cores.append(data.reshape(shape, order="F"))
-    chain = TTChain(cores, tau=doc.get("tau"))
-    if list(chain.mode_dims) != list(doc["mode_dims"]) or list(chain.ranks) != list(doc["ranks"]):
-        raise DataError("model metadata inconsistent with core shapes")
+    try:
+        cores = []
+        for entry in doc["cores"]:
+            if entry.get("order") != "mode1-fastest":
+                raise DataError(f"unsupported core data order {entry.get('order')!r}")
+            shape = tuple(entry["shape"])
+            data = np.asarray(entry["data"], dtype=np.float64)
+            if data.size != int(np.prod(shape)):
+                raise DataError(f"core payload size {data.size} inconsistent with shape {shape}")
+            cores.append(data.reshape(shape, order="F"))
+        chain = TTChain(cores, tau=doc.get("tau"))
+        if list(chain.mode_dims) != list(doc["mode_dims"]) or list(chain.ranks) != list(doc["ranks"]):
+            raise DataError("model metadata inconsistent with core shapes")
+    except DataError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed model: {type(exc).__name__}: {exc}") from exc
     return chain

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ttnpe.tensor_core import left_unfold, right_unfold
+from ttnpe.tensor_core import left_unfold
 from ttnpe.tt_subspace import TTChain, left_orthogonalize
 
 
@@ -43,24 +43,6 @@ def brute_merge(a, b, g1, g2):
     return out if out_shape else out.reshape(())
 
 
-def brute_partial_trace(t, i, j):
-    """Loop oracle for the partial trace over 1-based modes i and j."""
-    t = np.asarray(t)
-    keep = [m for m in range(t.ndim) if m not in (i - 1, j - 1)]
-    out = np.zeros([t.shape[m] for m in keep])
-    for idx in itertools.product(*(range(t.shape[m]) for m in keep)):
-        total = 0.0
-        for d in range(t.shape[i - 1]):
-            full = [0] * t.ndim
-            for m, v in zip(keep, idx):
-                full[m] = v
-            full[i - 1] = d
-            full[j - 1] = d
-            total += t[tuple(full)]
-        out[idx] = total
-    return out
-
-
 def random_orthonormal_chain(rng, dims, ranks):
     """Random TT chain with left-orthonormal cores and the given bond ranks."""
     cores = []
@@ -85,7 +67,7 @@ def brute_core_form(chain, z, k):
         prefix = np.kron(np.eye(core.shape[1]), prefix) @ left_unfold(core)
     q = np.eye(chain.embedding_dim)
     for core in reversed(cores[k:]):
-        q = right_unfold(core) @ np.kron(q, np.eye(core.shape[1]))
+        q = core.reshape(core.shape[0], -1, order="F") @ np.kron(q, np.eye(core.shape[1]))
     p = np.kron(np.eye(cores[k - 1].shape[1]), prefix)
     j = np.kron(q.T, p)
     return j.T @ np.kron(np.eye(chain.embedding_dim), z) @ j

@@ -338,6 +338,13 @@ class TestCli:
         ("class_filter", [[1]], "class_filter"),
         ("class_filter", [], "class_filter"),
         ("class_filter", [9], "class_filter labels [9] are not in the dataset"),
+        ("tau_list", 5, "tau_list"),
+        ("reshape", 8, "reshape"),
+        ("k_graph", True, "k_neighbors"),
+        ("epsilon", float("nan"), "epsilon"),
+        ("noise_snr_db", [float("inf")], "noise_snr_db"),
+        ("output_path", 5, "output_path"),
+        ("k_classify", 11, "K must be"),
     ])
     def test_bad_config_value_exit_code(self, tmp_path, rng, capsys, key, value, message):
         cfg, _ = self.write_config(tmp_path, rng, **{key: value})
@@ -358,6 +365,53 @@ class TestCli:
         lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
         open(path, "w").write("\n".join(lines) + "\n")
         assert main(["experiment", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command", ["embed", "classify"])
+    def test_model_reshape_mismatch_exit_code(self, tmp_path, rng, capsys, command):
+        cfg, _ = self.write_config(tmp_path, rng)
+        model = tmp_path / "model.json"
+        assert main(["fit", "--config", str(cfg), "--out", str(model)]) == 0
+        other, _ = self.write_config(tmp_path, rng, reshape=[2, 4])
+        assert main([command, "--config", str(other), "--model", str(model),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "mode dims [2, 2, 2]" in err
+
+    @pytest.mark.parametrize("text", ["{not json", '{"format_version": 1}', "[1, 2]",
+                                      '{"format_version": 1, "cores": [5]}'])
+    def test_malformed_model_exit_code(self, tmp_path, rng, capsys, text):
+        cfg, _ = self.write_config(tmp_path, rng)
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        assert main(["classify", "--config", str(cfg), "--model", str(model)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+
+    @pytest.mark.parametrize("missing, code", [("config", 1), ("model", 2), ("dataset", 2)])
+    def test_missing_file_exit_code(self, tmp_path, rng, capsys, missing, code):
+        cfg, raw = self.write_config(tmp_path, rng)
+        model = tmp_path / "model.json"
+        assert main(["fit", "--config", str(cfg), "--out", str(model)]) == 0
+        gone = {"config": cfg, "model": model, "dataset": raw["dataset"]["path"]}[missing]
+        (tmp_path / gone).unlink()
+        assert main(["classify", "--config", str(cfg), "--model", str(model)]) == code
+        assert "No such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["experiment", "convergence", "fit", "embed", "classify"])
+    def test_unwritable_output_exit_code(self, tmp_path, rng, capsys, command):
+        cfg, _ = self.write_config(tmp_path, rng)
+        model = tmp_path / "model.json"
+        assert main(["fit", "--config", str(cfg), "--out", str(model)]) == 0
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "no-such-dir" / "out")]
+        if command in ("embed", "classify"):
+            args += ["--model", str(model)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output") and "no-such-dir" in err
+
+    def test_graph_k_beyond_split_exit_code(self, tmp_path, rng, capsys):
+        cfg, _ = self.write_config(tmp_path, rng, k_graph=10)
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err.startswith("config error: K must be")
 
     def test_missing_out_for_fit(self, tmp_path, rng):
         cfg, _ = self.write_config(tmp_path, rng)

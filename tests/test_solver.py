@@ -15,11 +15,10 @@ from ttnpe.solver import (
     objective,
     smallest_eigvecs,
     sweep_atn,
-    update_core_atn,
     update_core_tn,
 )
 from ttnpe.stiefel import OptimizerConfig, check_gradient, minimize
-from ttnpe.tensor_core import left_unfold, vectorize
+from ttnpe.tensor_core import left_unfold, merge_product, vectorize
 from ttnpe.tt_subspace import TTChain, contract_chain
 
 
@@ -311,32 +310,36 @@ class TestCoreUpdates:
             assert np.max(np.abs(x.T @ x - np.eye(ranks[-1]))) < 1e-12
 
     def test_atn_identity_wings_recover_target(self, rng):
-        # P = I, Q = I, orthonormal C: the unique feasible minimizer is X = C
+        # one core: P = I, Q = I, orthonormal C, so the unique feasible minimizer is X = C
         dims = (6,)
         z = random_psd(rng, 6)
         chain = random_orthonormal_chain(rng, dims, (2,))
         problem = TTNPEProblem(z=z, mode_dims=dims, chain=chain, variant="atn")
         _, v = smallest_eigvecs(z, 2)
-        new_core, surrogate = update_core_atn(problem, 1, v)
+        [surrogate] = sweep_atn(problem, v)
         assert surrogate < 1e-8
-        assert np.max(np.abs(left_unfold(new_core) - v)) < 1e-12
+        assert np.max(np.abs(left_unfold(problem.chain.cores[0]) - v)) < 1e-12
 
     def test_atn_stationary_start_no_move(self, rng):
         problem = make_problem(rng, variant="atn")
-        # target already realized by the current chain: the old core is optimal
+        # target already realized by the current chain: every old core is optimal
         v = contract_chain(problem.chain)
-        new_core, _ = update_core_atn(problem, 2, v)
-        assert np.max(np.abs(new_core - problem.chain.cores[1])) < 1e-12
+        old_cores = problem.chain.cores
+        sweep_atn(problem, v)
+        for new, old in zip(problem.chain.cores, old_cores):
+            assert np.max(np.abs(new - old)) < 1e-12
 
     def test_atn_surrogate_descends(self, rng):
         problem = make_problem(rng, variant="atn")
         _, v = smallest_eigvecs(problem.z, problem.chain.embedding_dim)
-        for k in (1, 2, 3):
-            p, q, c = build_PQC(problem, k, v)
-            x = left_unfold(problem.chain.cores[k - 1])
-            before = float(np.sum((p @ x @ q - c) ** 2))
-            _, surrogate = update_core_atn(problem, k, v)
-            assert surrogate <= before + 1e-12
+        old_cores = problem.chain.cores
+        oracle = TTNPEProblem(z=problem.z, mode_dims=problem.mode_dims,
+                              chain=problem.chain, variant="atn")
+        _, factors = explicit_atn_sweep(oracle, v)
+        surrogates = sweep_atn(problem, v)
+        for (p, q, c), core, surrogate in zip(factors, old_cores, surrogates):
+            x = left_unfold(core)
+            assert surrogate <= float(np.sum((p @ x @ q - c) ** 2)) + 1e-12
 
     def test_atn_update_no_worse_than_stiefel_descent(self, rng):
         # Procrustes oracle: no feasible descent on criterion 5's f/g does better
@@ -344,8 +347,12 @@ class TestCoreUpdates:
         for _ in range(20):
             problem = make_problem(rng, dims=(3, 4, 3), ranks=(3, 4, 2), variant="atn")
             _, v = smallest_eigvecs(problem.z, problem.chain.embedding_dim)
-            for k in (1, 2, 3):
-                p, q, c = build_PQC(problem, k, v)
+            old_cores = problem.chain.cores
+            oracle = TTNPEProblem(z=problem.z, mode_dims=problem.mode_dims,
+                                  chain=problem.chain, variant="atn")
+            _, factors = explicit_atn_sweep(oracle, v)
+            surrogates = sweep_atn(problem, v)
+            for k, (p, q, c) in enumerate(factors):
 
                 def f(x):
                     return float(np.sum((p @ x @ q - c) ** 2))
@@ -353,27 +360,28 @@ class TestCoreUpdates:
                 def g(x):
                     return 2.0 * p.T @ (p @ x @ q - c) @ q.T
 
-                new_core, surrogate = update_core_atn(problem, k, v)
-                descent = minimize(f, g, left_unfold(problem.chain.cores[k - 1]), cfg)
-                assert surrogate <= descent.f_trace[-1] + 1e-10
-                assert abs(surrogate - f(left_unfold(new_core))) < 1e-12
+                descent = minimize(f, g, left_unfold(old_cores[k]), cfg)
+                assert surrogates[k] <= descent.f_trace[-1] + 1e-10
+                assert abs(surrogates[k] - f(left_unfold(problem.chain.cores[k]))) < 1e-12
 
 
 def explicit_atn_sweep(problem, v):
     """Per-core ATN path with explicit Kronecker P, Q and C (test oracle).
 
     Each core becomes the polar factor of P^T C Q^T, and its residual is
-    ||P X Q - C||_F^2 computed from the full matrices.
+    ||P X Q - C||_F^2 computed from the full matrices. Returns the residuals
+    and each core's (P, Q, C), built from the chain just before that core.
     """
-    surrogates = []
+    surrogates, factors = [], []
     for k in range(1, len(problem.mode_dims) + 1):
         p, q, c = build_PQC(problem, k, v)
+        factors.append((p, q, c))
         u, _, vt = np.linalg.svd(p.T @ c @ q.T, full_matrices=False)
         x = u @ vt
         surrogates.append(float(np.sum((p @ x @ q - c) ** 2)))
         core = x.reshape(problem.chain.cores[k - 1].shape, order="F")
         problem.chain = problem.chain.replace_core(k - 1, core)
-    return surrogates
+    return surrogates, factors
 
 
 class TestSweepATN:
@@ -391,24 +399,19 @@ class TestSweepATN:
         for problem, v in self.problems(rng):
             oracle = TTNPEProblem(z=problem.z, mode_dims=problem.mode_dims,
                                   chain=problem.chain, variant="atn")
-            expected = explicit_atn_sweep(oracle, v)
+            expected, _ = explicit_atn_sweep(oracle, v)
             surrogates = sweep_atn(problem, v)
             assert np.max(np.abs(np.subtract(surrogates, expected))) < 1e-12
             for core, want in zip(problem.chain.cores, oracle.chain.cores):
                 assert np.max(np.abs(core - want)) < 1e-12
 
-    def test_update_core_atn_takes_the_sweep_step(self, rng):
-        for problem, v in self.problems(rng, count=2):
-            stepwise = TTNPEProblem(z=problem.z, mode_dims=problem.mode_dims,
-                                    chain=problem.chain, variant="atn")
-            expected = []
-            for k in range(1, len(problem.mode_dims) + 1):
-                core, surrogate = update_core_atn(stepwise, k, v)
-                stepwise.chain = stepwise.chain.replace_core(k - 1, core)
-                expected.append(surrogate)
-            assert sweep_atn(problem, v) == expected
-            for core, want in zip(problem.chain.cores, stepwise.chain.cores):
-                assert np.array_equal(core, want)
+    def test_right_environments_are_suffix_unfoldings(self, rng):
+        chain = random_orthonormal_chain(rng, (2, 3, 2), (2, 3, 2))
+        q1, q2, q3 = solver._right_environments(chain)
+        suffix = merge_product(chain.cores[1], chain.cores[2], [3], [1])  # (R_1, I_2, I_3, R_3)
+        assert np.max(np.abs(q1 - suffix.reshape(2, -1, order="F"))) < 1e-12
+        assert np.array_equal(q2, chain.cores[2].reshape(3, -1, order="F"))
+        assert np.array_equal(q3, np.eye(2))
 
 
 class TestFit:
@@ -487,6 +490,17 @@ class TestFit:
         _, report = fit(data, AffinityConfig(3), tau=0.3, variant="atn", max_sweeps=5)
         flat = [s for entry in report.surrogate_trace for s in entry]
         assert all(b <= a + 1e-12 for a, b in zip(flat, flat[1:]))
+
+    def test_unknown_variant_rejected_before_any_work(self, rng, monkeypatch):
+        from ttnpe.errors import ConfigError
+
+        def no_graph(*args):
+            raise AssertionError("graph built for an unknown variant")
+
+        monkeypatch.setattr(solver, "build_weight_matrix", no_graph)
+        data, _ = self.separable_data(rng)
+        with pytest.raises(ConfigError, match="variant"):
+            fit(data, AffinityConfig(3), tau=0.3, variant="xxx")
 
     def test_too_few_samples(self, rng):
         from ttnpe.errors import DataError

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -146,8 +148,9 @@ class TestMinimize:
             assert abs(result.f_trace[-1] - expected) < 1e-5
 
     def test_config_validation(self):
+        assert [f.name for f in fields(OptimizerConfig)] == ["max_inner_iters", "grad_tol"]
         with pytest.raises(ValueError):
-            OptimizerConfig(backtrack_factor=1.5)
+            OptimizerConfig(max_inner_iters=0)
         with pytest.raises(ValueError):
             OptimizerConfig(grad_tol=-1.0)
 

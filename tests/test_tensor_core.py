@@ -1,17 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import brute_merge, brute_partial_trace
-from ttnpe.tensor_core import (
-    fold,
-    kronecker,
-    left_unfold,
-    merge_product,
-    partial_trace,
-    reshape,
-    right_unfold,
-    vectorize,
-)
+from conftest import brute_merge
+from ttnpe.tensor_core import kronecker, left_unfold, merge_product, reshape, vectorize
 
 
 class TestVectorize:
@@ -27,7 +18,7 @@ class TestVectorize:
 
     def test_fold_round_trip(self, rng):
         t = rng.standard_normal((3, 2, 4))
-        assert np.array_equal(fold(vectorize(t), t.shape), t)
+        assert np.array_equal(reshape(vectorize(t), t.shape), t)
 
 
 class TestUnfoldings:
@@ -44,29 +35,13 @@ class TestUnfoldings:
                 for i3 in range(4):
                     assert m[i1 + 2 * i2, i3] == t[i1, i2, i3]
 
-    def test_right_unfold_trivial(self, rng):
-        t = rng.standard_normal((2, 1, 1))
-        assert np.array_equal(right_unfold(t), t.reshape(2, 1))
-
-    def test_right_unfold_index_formula(self, rng):
-        t = rng.standard_normal((2, 3, 4))
-        m = right_unfold(t)
-        assert m.shape == (2, 12)
-        for i1 in range(2):
-            for i2 in range(3):
-                for i3 in range(4):
-                    assert m[i1, i2 + 3 * i3] == t[i1, i2, i3]
-
     def test_unfold_requires_two_modes(self):
         with pytest.raises(ValueError, match="requires >=2 modes"):
             left_unfold(np.ones(3))
-        with pytest.raises(ValueError, match="requires >=2 modes"):
-            right_unfold(np.ones(3))
 
     def test_unfold_vectorize_same_flat_order(self, rng):
         t = rng.standard_normal((2, 3, 2))
         assert np.array_equal(vectorize(left_unfold(t)), vectorize(t))
-        assert np.array_equal(vectorize(right_unfold(t)), vectorize(t))
 
 
 class TestMergeProduct:
@@ -78,7 +53,7 @@ class TestMergeProduct:
         a = rng.standard_normal((2, 2, 3))
         b = rng.standard_normal((2, 3, 2))
         out = merge_product(a, b, [2, 3], [1, 2])
-        expected = right_unfold(a) @ b.reshape(6, 2, order="F")
+        expected = a.reshape(2, 6, order="F") @ b.reshape(6, 2, order="F")
         assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_brute_force_oracle(self, rng):
@@ -95,24 +70,6 @@ class TestMergeProduct:
         a = rng.standard_normal((2, 2))
         with pytest.raises(ValueError, match="repeated"):
             merge_product(a, a, [1, 1], [1, 2])
-
-
-class TestPartialTrace:
-    def test_identity_slices(self):
-        t = np.zeros((2, 3, 2))
-        for i2 in range(3):
-            t[:, i2, :] = np.eye(2)
-        assert np.array_equal(partial_trace(t, 1, 3), [2, 2, 2])
-
-    def test_loop_oracle(self, rng):
-        t = rng.standard_normal((2, 2, 2, 2))
-        out = partial_trace(t, 1, 3)
-        assert out.shape == (2, 2)
-        assert np.max(np.abs(out - brute_partial_trace(t, 1, 3))) < 1e-12
-
-    def test_unequal_dims_rejected(self, rng):
-        with pytest.raises(ValueError, match="cannot trace"):
-            partial_trace(rng.standard_normal((2, 3, 4)), 1, 3)
 
 
 class TestKronecker:
@@ -162,10 +119,3 @@ class TestProperties:
             expected = a.reshape(m, -1, order="F") @ b.reshape(-1, n, order="F")
             assert np.max(np.abs(out - expected)) < 1e-12
 
-    def test_trace_commutes_with_disjoint_merge(self, rng):
-        # tracing modes 1,2 of `a` commutes with merging mode 3 against `b`
-        a = rng.standard_normal((2, 2, 3))
-        b = rng.standard_normal((3, 2))
-        first_trace = merge_product(partial_trace(a, 1, 2), b, [1], [1])
-        first_merge = partial_trace(merge_product(a, b, [3], [1]), 1, 2)
-        assert np.max(np.abs(first_trace - first_merge)) < 1e-12

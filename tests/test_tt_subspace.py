@@ -18,7 +18,6 @@ from ttnpe.tt_subspace import (
     project_many,
     save_chain,
     storage_count,
-    suffix_tensor,
     tt_svd,
 )
 
@@ -233,14 +232,6 @@ class TestContractChain:
         for core in chain.cores[1:]:
             b = kronecker(np.eye(core.shape[1]), b) @ left_unfold(core)
         assert np.max(np.abs(b - contract_chain(chain))) < 1e-12
-
-    def test_suffix_tensor_shape_and_values(self, rng):
-        chain = random_orthonormal_chain(rng, (2, 3, 2), (2, 3, 2))
-        suf = suffix_tensor(chain, 1)
-        assert suf.shape == (2, 3, 2, 2)
-        oracle = merge_product(chain.cores[1], chain.cores[2], [3], [1])
-        assert np.max(np.abs(suf - oracle)) < 1e-12
-        assert np.array_equal(suffix_tensor(chain, 3), np.eye(2))
 
 
 class TestProject:
