@@ -2,11 +2,10 @@
 
 Tie rules are total so predictions are deterministic: equal distances break
 toward the smaller training index, and vote ties break toward the class of
-the nearest neighbor among the tied classes. Neighbors are found by a
-Gram-identity screen and exact re-ranking of each query's candidate window
-(``ttnpe.nearest``); the window is wide enough, by a rigorous bound on the
-screen's rounding error, to hold every training point that ranks among the
-K nearest on the reference distance.
+the nearest neighbor among the tied classes. Neighbors come from
+``ttnpe.nearest.knn_search``, the one KNN search the affinity graph uses
+too: it returns exactly the K nearest training points on the reference
+distance.
 """
 
 from __future__ import annotations
@@ -16,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ttnpe.errors import ConfigError, require_finite
-from ttnpe.nearest import (
-    k_nearest,
-    reference_sq_dists,
-    row_blocks,
-    screen_slack,
-    screen_sq_dists,
-    sq_norms,
-)
+from ttnpe.nearest import knn_search
 from ttnpe.tt_subspace import TTChain, compression_ratio, project_many
 
 
@@ -33,46 +24,10 @@ class EvalResult:
     error_rate: float
     n_test: int
     n_wrong: int
-    confusion: dict
     compression_ratio: float
     embed_seconds: float
     classify_seconds: float
     predictions: np.ndarray
-
-
-def knn_search(train_coords: np.ndarray, test_coords: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k nearest training points of each test point, nearest first.
-
-    Returns (n_test, k) training indices and their squared distances.
-    Equal distances rank the smaller index first. Test points are screened
-    in row blocks (``nearest.row_blocks``), so no temporary exceeds
-    ``nearest.BLOCK_ELEMENTS`` entries. Each query's candidate window is
-    re-ranked on the reference distance ``einsum("ij,ij->i", diff, diff)``
-    with ``diff = train_coords - query`` (see ``ttnpe.nearest``), so the
-    result is that of ranking every training point by that distance.
-    """
-    train_coords = np.asarray(train_coords, dtype=np.float64)
-    test_coords = np.asarray(test_coords, dtype=np.float64)
-    require_finite(train_coords, "training coordinates")
-    require_finite(test_coords, "test coordinates")
-    n_train = train_coords.shape[0]
-    if not 1 <= k <= n_train:
-        raise ConfigError(f"K must be <= number of training points, got K={k}, N={n_train}")
-    train_norms = sq_norms(train_coords)
-    test_norms = sq_norms(test_coords)
-    n_test = test_coords.shape[0]
-    neighbors = np.empty((n_test, k), dtype=np.intp)
-    dists = np.empty((n_test, k))
-    for block in row_blocks(n_test, n_train):
-        queries = test_coords[block]
-        screen = screen_sq_dists(queries, test_norms[block], train_coords, train_norms)
-        slack = screen_slack(test_norms[block], train_norms, train_coords.shape[1])
-
-        def reference(rows, cols):
-            return reference_sq_dists(train_coords, queries, cols, rows)
-
-        neighbors[block], dists[block] = k_nearest(screen, k, slack, reference)
-    return neighbors, dists
 
 
 def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
@@ -125,16 +80,11 @@ def evaluate(chain: TTChain | None, train_data: np.ndarray, train_labels: np.nda
 
     test_labels = np.asarray(test_labels)
     wrong = int(np.count_nonzero(preds != test_labels))
-    confusion: dict = {}
-    for truth, pred in zip(test_labels.tolist(), preds.tolist()):
-        key = (truth, pred)
-        confusion[key] = confusion.get(key, 0) + 1
     rho = 1.0 if chain is None else compression_ratio(chain, n_train)
     return EvalResult(
         error_rate=wrong / len(test_labels),
         n_test=len(test_labels),
         n_wrong=wrong,
-        confusion=confusion,
         compression_ratio=rho,
         embed_seconds=embed_seconds,
         classify_seconds=classify_seconds,

@@ -66,11 +66,11 @@ def _cmd_fit(args, config) -> None:
         raise ConfigError("fit requires --out for the model path")
     samples, labels = load_dataset(config)
     train_idx, _ = trial_split(config, labels)
+    open_output(args.out).close()  # an unwritable path fails before the fit
     chain, _report = fit_chain(
         samples[..., train_idx], _graph_config(config), config.tau_list[0],
         variant=config.variant, max_sweeps=config.max_sweeps, rank_cap=config.rank_cap,
     )
-    open_output(args.out).close()  # an unwritable path is a config error, not an OSError
     save_chain(chain, args.out)
 
 

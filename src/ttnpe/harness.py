@@ -214,9 +214,20 @@ def run_experiment(config: ExperimentConfig) -> dict:
     timings to ``output_path + '.timings.json'`` (per fitted cell: subspace
     learning, embedding and classification, the solver's per-stage
     ``wall_time`` and its TN ``core_solves``), and a flat CSV of
-    (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``.
+    (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``. Before
+    the first fit, ``k_classify`` is checked against the training split and
+    all three output paths are opened, so a bad value or an unwritable path
+    fails fast.
     """
     samples, labels = load_dataset(config)
+    n_train = config.n_train_per_class * len(np.unique(labels))
+    if config.k_classify > n_train:
+        raise ConfigError(f"K must be <= number of training points, "
+                          f"got K={config.k_classify}, N={n_train}")
+    out = str(config.output_path)
+    outputs = (out, out + ".timings.json", out + ".csv")
+    for path in outputs:
+        open_output(path).close()
     snr_list = config.noise_snr_db if config.noise_snr_db else [None]
     graph_cfg = _graph_config(config)
     cells = []
@@ -290,14 +301,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "baselines": baselines,
         "aggregates": aggregates,
     }
-    out = config.output_path
-    with open_output(out) as fh:
+    report_path, timings_path, csv_path = outputs
+    with open_output(report_path) as fh:
         json.dump(report_doc, fh, separators=(",", ":"))
         fh.write("\n")
-    with open_output(str(out) + ".timings.json") as fh:
+    with open_output(timings_path) as fh:
         json.dump(timings, fh, indent=1)
         fh.write("\n")
-    with open_output(str(out) + ".csv") as fh:
+    with open_output(csv_path) as fh:
         fh.write("tau,trial,snr_db,rho,error\n")
         for c in cells:
             if "error_rate" in c:
@@ -317,6 +328,7 @@ def run_convergence(config: ExperimentConfig) -> dict:
     train = samples[..., train_idx]
     tau = config.tau_list[0]
     graph_cfg = _graph_config(config)
+    open_output(config.output_path).close()  # an unwritable path fails before the first fit
     traces = {}
     for variant in ("tn", "atn"):
         entry = {}

@@ -1,5 +1,7 @@
-"""Exact K-nearest-neighbor selection by Gram-identity screening and exact
-re-ranking, shared by the affinity graph and the classifier.
+"""Exact K-nearest-neighbor search by Gram-identity screening and exact
+re-ranking. ``knn_search`` is the one KNN driver of the library: the
+affinity graph (``neighborhood_graph.knn_graph``) and the classifier
+(``classifier.knn_classify``) both call it.
 
 Points are the rows of 2-D arrays. The reference squared distance from
 point p to anchor q is the per-anchor loop value
@@ -16,12 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ttnpe.errors import DataError
+from ttnpe.errors import ConfigError, DataError, require_finite
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
-# Entries per temporary block (1 MiB of float64): below the N x N distance
-# matrix the graph holds for N >= 363, and large enough that the Python cost
-# per block stays negligible.
+# Entries per temporary block (1 MiB of float64): small next to the data,
+# and large enough that the Python cost per block stays negligible.
 BLOCK_ELEMENTS = 1 << 17
 
 
@@ -99,10 +100,9 @@ def k_nearest(screen: np.ndarray, k: int, slack: np.ndarray, reference):
     """Each screen row's k nearest columns under (reference distance, index).
 
     ``screen`` holds squared distances within ``slack[row]`` of the
-    reference; +inf marks an excluded pair, and there must be at least k
-    others per row. ``reference(rows, cols)`` returns the reference distances
-    of the window pairs. Returns the (rows, k) neighbor indices, nearest
-    first, and their reference distances.
+    reference, at least k per row. ``reference(rows, cols)`` returns the
+    reference distances of the window pairs. Returns the (rows, k) neighbor
+    indices, nearest first, and their reference distances.
     """
     kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
     rows, cols = np.nonzero(screen <= (kth + 2.0 * slack)[:, None])
@@ -113,3 +113,38 @@ def k_nearest(screen: np.ndarray, k: int, slack: np.ndarray, reference):
     order = np.lexsort((cols, dists, rows))
     picks = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
     return cols[picks], dists[picks]
+
+
+def knn_search(train_coords: np.ndarray, test_coords: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest training points of each test point, nearest first.
+
+    Returns (n_test, k) training indices and their squared distances.
+    Equal distances rank the smaller index first. Test points are screened
+    in row blocks (``row_blocks``), so no temporary exceeds
+    ``BLOCK_ELEMENTS`` entries. Each query's candidate window is re-ranked
+    on the reference distance ``einsum("ij,ij->i", diff, diff)`` with
+    ``diff = train_coords - query``, so the result is that of ranking every
+    training point by that distance.
+    """
+    train_coords = np.asarray(train_coords, dtype=np.float64)
+    test_coords = np.asarray(test_coords, dtype=np.float64)
+    require_finite(train_coords, "training coordinates")
+    require_finite(test_coords, "test coordinates")
+    n_train = train_coords.shape[0]
+    if not 1 <= k <= n_train:
+        raise ConfigError(f"K must be <= number of training points, got K={k}, N={n_train}")
+    train_norms = sq_norms(train_coords)
+    test_norms = sq_norms(test_coords)
+    n_test = test_coords.shape[0]
+    neighbors = np.empty((n_test, k), dtype=np.intp)
+    dists = np.empty((n_test, k))
+    for block in row_blocks(n_test, n_train):
+        queries = test_coords[block]
+        screen = screen_sq_dists(queries, test_norms[block], train_coords, train_norms)
+        slack = screen_slack(test_norms[block], train_norms, train_coords.shape[1])
+
+        def reference(rows, cols):
+            return reference_sq_dists(train_coords, queries, cols, rows)
+
+        neighbors[block], dists[block] = k_nearest(screen, k, slack, reference)
+    return neighbors, dists

@@ -6,15 +6,11 @@ vectorized tensor). Weight matrices are kept dense: the downstream Gram
 target is a dense d x d matrix anyway at the problem scales this library
 targets.
 
-Neighbors are found without a per-sample loop: ``pairwise_sq_dists``
-screens all pairs with the Gram identity ||a||^2 + ||b||^2 - 2 a^T b, whose
-rounding error is at most 5 g (||a||^2 + max_j ||b_j||^2) against the
-per-column reference distance, g = (d+2) u / (1 - (d+2) u) for unit
-roundoff u (see ``ttnpe.nearest.screen_slack``). ``knn_sets`` recomputes
-only the columns within twice that bound of each row's K-th screened
-distance, with the reference formula, and ranks them by (distance, index).
-The KNN sets and the distances the affinity reads are therefore exactly
-those of the per-column loop.
+Neighbors come from ``ttnpe.nearest.knn_search``, the one KNN search the
+classifier uses too: ``knn_graph`` searches each sample's K + 1 nearest
+among all samples and drops the sample itself. The KNN sets and the
+distances the affinity reads are therefore exactly those of the per-column
+loop, and no N x N distance matrix is formed.
 """
 
 from __future__ import annotations
@@ -24,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ttnpe.errors import ConfigError, DataError
-from ttnpe.nearest import (
-    k_nearest,
-    reference_sq_dists,
-    row_blocks,
-    screen_slack,
-    screen_sq_dists,
-    sq_norms,
-)
+from ttnpe.nearest import knn_search
 
 
 @dataclass
@@ -57,79 +46,44 @@ class AffinityConfig:
             raise ValueError("epsilon must be positive and finite")
 
 
-def pairwise_sq_dists(d_mat: np.ndarray) -> np.ndarray:
-    """Screen of the squared Euclidean distances between columns of ``d_mat``.
+def knn_graph(d_mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The K nearest neighbors of each column of ``d_mat``, self excluded.
 
-    Computed from the Gram identity ||a||^2 + ||b||^2 - 2 a^T b with one
-    matrix product, clamped at zero, with an exactly zero diagonal. Each
-    entry is within ``nearest.screen_slack`` of the per-column reference
-    ``einsum("dj,dj->j", diff, diff)`` with ``diff = d_mat - d_mat[:, i]``;
-    ``knn_sets`` given ``d_mat`` re-ranks on the reference values.
+    Returns (N, K) neighbor indices, nearest first with ties to the smaller
+    index, and their squared distances. A sample whose K + 1 nearest hold
+    K + 1 exact copies at smaller indices is not among them; its row keeps
+    the first K.
     """
     points = np.asarray(d_mat, dtype=np.float64).T
-    norms = sq_norms(points)
-    out = screen_sq_dists(points, norms, points, norms)
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
-def knn_sets(sq_dists: np.ndarray, k: int, d_mat: np.ndarray | None = None) -> np.ndarray:
-    """Indices of the K nearest neighbors of each sample, self excluded.
-
-    Ties are broken by smaller index. Returns an (N, K) integer array.
-
-    Without ``d_mat`` the given distances are ranked as they are. With
-    ``d_mat``, ``sq_dists`` is read as the ``pairwise_sq_dists`` screen:
-    each row's candidate window (every column within twice the screen's
-    rounding bound of its K-th smallest entry) is recomputed with the
-    reference per-column distance and ranked on those values, and the
-    entries of ``sq_dists`` at the returned neighbors are overwritten with
-    their reference values.
-    """
-    n = sq_dists.shape[0]
+    n = points.shape[0]
     if k >= n:
         raise ConfigError(f"K must be < number of samples, got K={k}, N={n}")
-    if d_mat is not None:
-        points = np.asarray(d_mat, dtype=np.float64).T
-        norms = sq_norms(points)
-        slack = screen_slack(norms, norms, points.shape[1])
-    neighbors = np.empty((n, k), dtype=np.intp)
-    for block in row_blocks(n, n):
-        rows = np.arange(n)[block]
-        screen = sq_dists[block].copy()
-        screen[np.arange(len(rows)), rows] = np.inf
-        if d_mat is None:
-            neighbors[block], _ = k_nearest(screen, k, np.zeros(len(rows)),
-                                            lambda r, c: sq_dists[rows[r], c])
-        else:
-            neighbors[block], dists = k_nearest(
-                screen, k, slack[block],
-                lambda r, c: reference_sq_dists(points, points[block], c, r))
-            sq_dists[rows[:, None], neighbors[block]] = dists
-    return neighbors
+    neighbors, sq_dists = knn_search(points, points, k + 1)
+    drop = neighbors == np.arange(n)[:, None]
+    drop[:, -1] |= ~drop.any(axis=1)
+    return neighbors[~drop].reshape(n, k), sq_dists[~drop].reshape(n, k)
 
 
-def resolve_epsilon(sq_dists: np.ndarray, neighbors: np.ndarray, config: AffinityConfig) -> float:
-    """Fixed epsilon, or the median squared distance over retained KNN pairs."""
+def resolve_epsilon(sq_dists: np.ndarray, config: AffinityConfig) -> float:
+    """Fixed epsilon, or the median of the (N, K) retained KNN squared distances."""
     if not isinstance(config.epsilon, str):
         return float(config.epsilon)
-    knn_d = sq_dists[np.arange(sq_dists.shape[0])[:, None], neighbors]
-    eps = float(np.median(knn_d))
+    eps = float(np.median(sq_dists))
     if eps <= 0:
         raise DataError("median KNN distance is zero; supply an explicit epsilon")
     return eps
 
 
-def affinity(sq_dists: np.ndarray, neighbors: np.ndarray, epsilon: float) -> np.ndarray:
-    """Unnormalized heat-kernel affinity F with F_ij = exp(-d_ij^2/eps) on KNN pairs."""
+def affinity(neighbors: np.ndarray, sq_dists: np.ndarray, epsilon: float) -> np.ndarray:
+    """Unnormalized heat-kernel affinity F with F_ij = exp(-d_ij^2/eps) on KNN pairs.
+
+    ``neighbors`` and ``sq_dists`` are the (N, K) output of ``knn_graph``.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    n = sq_dists.shape[0]
+    n = neighbors.shape[0]
     f = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), neighbors.shape[1])
-    cols = neighbors.reshape(-1)
-    f[rows, cols] = np.exp(-sq_dists[rows, cols] / epsilon)
-    np.fill_diagonal(f, 0.0)
+    f[np.arange(n)[:, None], neighbors] = np.exp(-sq_dists / epsilon)
     return f
 
 
@@ -144,10 +98,8 @@ def symmetrize_normalize(f: np.ndarray) -> np.ndarray:
 
 def build_weight_matrix(d_mat: np.ndarray, config: AffinityConfig) -> np.ndarray:
     """Full pipeline: KNN sets -> affinity F -> row-normalized S."""
-    sq = pairwise_sq_dists(d_mat)
-    neighbors = knn_sets(sq, config.k_neighbors, d_mat)
-    eps = resolve_epsilon(sq, neighbors, config)
-    return symmetrize_normalize(affinity(sq, neighbors, eps))
+    neighbors, sq_dists = knn_graph(d_mat, config.k_neighbors)
+    return symmetrize_normalize(affinity(neighbors, sq_dists, resolve_epsilon(sq_dists, config)))
 
 
 def build_residual(d_mat: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from ttnpe.neighborhood_graph import (
 )
 from ttnpe.stiefel import OptimizeResult, OptimizerConfig, minimize_quadratic
 from ttnpe.tensor_core import kronecker, left_unfold, reshape
-from ttnpe.tt_subspace import TTChain, contract_chain, tt_svd
+from ttnpe.tt_subspace import TTChain, contract_chain, fix_signs, tt_svd
 
 
 @dataclass
@@ -171,12 +171,7 @@ def smallest_eigvecs(z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= r <= d:
         raise ValueError(f"r must lie in [1, {d}], got {r}")
     vals, vecs = np.linalg.eigh(z)
-    vecs = vecs[:, :r].copy()
-    for c in range(r):
-        j = int(np.argmax(np.abs(vecs[:, c])))
-        if vecs[j, c] < 0:
-            vecs[:, c] = -vecs[:, c]
-    return vals[:r], vecs
+    return vals[:r], fix_signs(vecs[:, :r].copy())
 
 
 def build_PQC(problem: TTNPEProblem, k: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -74,9 +74,12 @@ class TTChain:
         return defect
 
 
-def _fix_svd_signs(u: np.ndarray) -> np.ndarray:
-    # Largest-magnitude entry of each left singular vector made positive,
-    # so decompositions are deterministic across runs.
+def fix_signs(u: np.ndarray) -> np.ndarray:
+    """Flip, in place, each column whose largest-magnitude entry is negative.
+
+    Singular and eigenvectors are defined up to sign; this fixes the sign so
+    decompositions are deterministic across runs. Returns ``u``.
+    """
     for c in range(u.shape[1]):
         j = int(np.argmax(np.abs(u[:, c])))
         if u[j, c] < 0:
@@ -129,7 +132,7 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None) -> TTChain:
             r = 1
         if caps[k] is not None:
             r = min(r, max(1, caps[k]))
-        u = _fix_svd_signs(u[:, :r])
+        u = fix_signs(u[:, :r])
         cores.append(u.reshape(r_prev, dims[k], r, order="F"))
         if k + 1 < n:
             mat = (u.T @ mat).reshape(r * dims[k + 1], -1, order="F")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ttnpe import harness
+from ttnpe import cli, harness
 from ttnpe.cli import main
 from ttnpe.errors import ConfigError, DataError
 from ttnpe.harness import (
@@ -407,6 +407,23 @@ class TestCli:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write output") and "no-such-dir" in err
+
+    @pytest.mark.parametrize("command, blocked", [
+        ("experiment", ""), ("experiment", ".timings.json"), ("experiment", ".csv"),
+        ("convergence", ""), ("fit", ""),
+    ])
+    def test_unwritable_output_fails_before_any_fit(self, tmp_path, rng, capsys, monkeypatch,
+                                                    command, blocked):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the output paths were checked")
+
+        monkeypatch.setattr(harness, "fit", no_fit)
+        monkeypatch.setattr(cli, "fit_chain", no_fit)
+        cfg, _ = self.write_config(tmp_path, rng)
+        out = tmp_path / "out.json"
+        (tmp_path / ("out.json" + blocked)).mkdir()  # a directory cannot be opened for writing
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot write output")
 
     def test_graph_k_beyond_split_exit_code(self, tmp_path, rng, capsys):
         cfg, _ = self.write_config(tmp_path, rng, k_graph=10)

@@ -15,14 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttnpe import nearest
-from ttnpe.classifier import knn_classify, knn_search
+from ttnpe.classifier import knn_classify
 from ttnpe.errors import DataError
+from ttnpe.nearest import knn_search
 from ttnpe.neighborhood_graph import (
     AffinityConfig,
     affinity,
     build_weight_matrix,
-    knn_sets,
-    pairwise_sq_dists,
+    knn_graph,
     resolve_epsilon,
     symmetrize_normalize,
 )
@@ -93,12 +93,11 @@ def test_graph_knn_sets_and_distances_match_loop(problem, block):
     d_mat, k = problem
     expected_sq = brute_pairwise_sq_dists(d_mat)
     expected = brute_knn_sets(expected_sq, k)
-    sq = pairwise_sq_dists(d_mat)
     with blocks_of(block):
-        neighbors = knn_sets(sq, k, d_mat)
+        neighbors, sq = knn_graph(d_mat, k)
     rows = np.arange(d_mat.shape[1])[:, None]
     assert np.array_equal(neighbors, expected)
-    assert np.array_equal(bits(sq[rows, neighbors]), bits(expected_sq[rows, expected]))
+    assert np.array_equal(bits(sq), bits(expected_sq[rows, expected]))
 
 
 @PROPERTY_SETTINGS
@@ -108,10 +107,11 @@ def test_weight_matrix_matches_loop(problem, block):
     # or an underflowing heat kernel must fail on both sides alike
     d_mat, k = problem
     cfg = AffinityConfig(k)
-    sq = brute_pairwise_sq_dists(d_mat)
-    neighbors = brute_knn_sets(sq, k)
+    all_sq = brute_pairwise_sq_dists(d_mat)
+    neighbors = brute_knn_sets(all_sq, k)
+    sq = all_sq[np.arange(d_mat.shape[1])[:, None], neighbors]
     try:
-        expected = symmetrize_normalize(affinity(sq, neighbors, resolve_epsilon(sq, neighbors, cfg)))
+        expected = symmetrize_normalize(affinity(neighbors, sq, resolve_epsilon(sq, cfg)))
     except DataError:
         with pytest.raises(DataError), blocks_of(block):
             build_weight_matrix(d_mat, cfg)

@@ -9,8 +9,7 @@ from ttnpe.neighborhood_graph import (
     build_gram,
     build_residual,
     build_weight_matrix,
-    knn_sets,
-    pairwise_sq_dists,
+    knn_graph,
     resolve_epsilon,
     symmetrize_normalize,
 )
@@ -23,73 +22,72 @@ def columns(*vectors):
 
 class TestKNN:
     def test_collinear_points(self):
-        d = pairwise_sq_dists(columns([0.0], [1.0], [10.0]))
-        nbrs = knn_sets(d, 1)
+        nbrs, sq = knn_graph(columns([0.0], [1.0], [10.0]), 1)
         assert nbrs.tolist() == [[1], [0], [1]]
+        assert sq.tolist() == [[1.0], [1.0], [81.0]]
 
     def test_duplicates_choose_each_other_first(self):
-        d = pairwise_sq_dists(columns([0.0], [0.0], [5.0]))
-        nbrs = knn_sets(d, 1)
+        nbrs, sq = knn_graph(columns([0.0], [0.0], [5.0]), 1)
         assert nbrs.tolist() == [[1], [0], [0]]
+        assert sq.tolist() == [[0.0], [0.0], [25.0]]
 
     def test_k_equals_n_minus_one(self, rng):
-        d = pairwise_sq_dists(rng.standard_normal((3, 5)))
-        nbrs = knn_sets(d, 4)
+        nbrs, _ = knn_graph(rng.standard_normal((3, 5)), 4)
         for i in range(5):
             assert sorted(nbrs[i].tolist()) == sorted(set(range(5)) - {i})
+        # every sample's K + 1 nearest are all N samples, copies or not
+        nbrs, sq = knn_graph(columns([2.0], [2.0], [2.0], [0.0]), 3)
+        assert nbrs.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+        assert sq.tolist() == [[0.0, 0.0, 4.0], [0.0, 0.0, 4.0], [0.0, 0.0, 4.0], [4.0, 4.0, 4.0]]
+
+    def test_self_beyond_k_plus_one_copies_drops_last(self):
+        # sample 3 has K + 1 = 3 exact copies at smaller indices, so it is not
+        # among its own K + 1 nearest and keeps the first K of them
+        nbrs, sq = knn_graph(columns([1.0], [1.0], [1.0], [1.0], [1.0], [9.0]), 2)
+        assert nbrs.tolist() == [[1, 2], [0, 2], [0, 1], [0, 1], [0, 1], [0, 1]]
+        assert sq[:5].tolist() == [[0.0, 0.0]] * 5
+        assert sq[5].tolist() == [64.0, 64.0]
 
     def test_k_too_large(self, rng):
-        d = pairwise_sq_dists(rng.standard_normal((2, 4)))
-        with pytest.raises(ValueError, match="K must be"):
-            knn_sets(d, 4)
+        with pytest.raises(ValueError, match="K must be < number of samples"):
+            knn_graph(rng.standard_normal((2, 4)), 4)
 
     def test_tie_broken_by_index(self):
         # points at -1 and +1 are equidistant from 0
-        d = pairwise_sq_dists(columns([0.0], [-1.0], [1.0]))
-        assert knn_sets(d, 1)[0].tolist() == [1]
+        assert knn_graph(columns([0.0], [-1.0], [1.0]), 1)[0][0].tolist() == [1]
 
     def test_squared_norm_overflow_rejected(self):
         with pytest.raises(DataError, match="too large"):
-            pairwise_sq_dists(columns([0.0], [1e160]))
+            knn_graph(columns([0.0], [1e160]), 1)
 
 
 class TestAffinity:
     def test_identical_neighbors_weight_one(self):
-        d_mat = columns([0.0], [0.0])
-        sq = pairwise_sq_dists(d_mat)
-        f = affinity(sq, knn_sets(sq, 1), epsilon=1.0)
+        f = affinity(*knn_graph(columns([0.0], [0.0]), 1), epsilon=1.0)
         assert f[0, 1] == 1.0
         assert f[1, 0] == 1.0
 
     def test_distance_equal_to_epsilon(self):
-        d_mat = columns([0.0], [2.0])
-        sq = pairwise_sq_dists(d_mat)
-        f = affinity(sq, knn_sets(sq, 1), epsilon=4.0)
+        f = affinity(*knn_graph(columns([0.0], [2.0]), 1), epsilon=4.0)
         assert abs(f[0, 1] - np.exp(-1.0)) < 1e-15
 
     def test_zero_diagonal(self, rng):
-        d_mat = rng.standard_normal((4, 6))
-        sq = pairwise_sq_dists(d_mat)
-        f = affinity(sq, knn_sets(sq, 3), epsilon=1.0)
+        f = affinity(*knn_graph(rng.standard_normal((4, 6)), 3), epsilon=1.0)
         assert np.all(np.diag(f) == 0)
 
     def test_epsilon_validation(self, rng):
-        sq = pairwise_sq_dists(rng.standard_normal((2, 4)))
         with pytest.raises(ValueError, match="epsilon"):
-            affinity(sq, knn_sets(sq, 1), epsilon=0.0)
+            affinity(*knn_graph(rng.standard_normal((2, 4)), 1), epsilon=0.0)
 
     def test_median_policy(self):
-        d_mat = columns([0.0], [1.0], [3.0])
-        sq = pairwise_sq_dists(d_mat)
-        nbrs = knn_sets(sq, 1)
+        _, sq = knn_graph(columns([0.0], [1.0], [3.0]), 1)
         # retained squared distances: 1 (0->1), 1 (1->0), 4 (2->1)
-        assert resolve_epsilon(sq, nbrs, AffinityConfig(1)) == 1.0
+        assert resolve_epsilon(sq, AffinityConfig(1)) == 1.0
 
     def test_median_zero_rejected(self):
-        d_mat = columns([1.0], [1.0], [1.0])
-        sq = pairwise_sq_dists(d_mat)
+        _, sq = knn_graph(columns([1.0], [1.0], [1.0]), 1)
         with pytest.raises(DataError, match="median"):
-            resolve_epsilon(sq, knn_sets(sq, 1), AffinityConfig(1))
+            resolve_epsilon(sq, AffinityConfig(1))
 
 
 class TestWeightMatrix:
@@ -116,8 +114,7 @@ class TestWeightMatrix:
 class TestResidualAndGram:
     def test_identical_samples_zero_residual(self):
         d_mat = np.ones((4, 3))
-        s = symmetrize_normalize(affinity(pairwise_sq_dists(d_mat),
-                                          knn_sets(pairwise_sq_dists(d_mat), 1), 1.0))
+        s = symmetrize_normalize(affinity(*knn_graph(d_mat, 1), 1.0))
         assert np.max(np.abs(build_residual(d_mat, s))) < 1e-14
 
     def test_two_sample_columns(self):
