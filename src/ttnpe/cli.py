@@ -9,19 +9,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from ttnpe.classifier import evaluate
 from ttnpe.errors import ConfigError, DataError, NumericError
 from ttnpe.harness import (
     ExperimentConfig,
-    _graph_config,
+    fit_config,
     load_dataset,
     open_output,
     run_convergence,
     run_experiment,
-    trial_split,
+    trial_data,
 )
-from ttnpe.solver import fit as fit_chain
 from ttnpe.tt_subspace import TTChain, load_chain, project_many, save_chain
 
 
@@ -29,48 +29,46 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ttnpe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=False):
+    def command(name, summary, out, seed=True, variant=False, model=False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--out", help="output path (overrides config output_path)")
-        p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--variant", choices=["tn", "atn"], help="override solver variant")
+        p.add_argument("--out", help=out)
+        if seed:
+            p.add_argument("--seed", type=int, help="override config seed")
+        if variant:
+            p.add_argument("--variant", choices=["tn", "atn"], help="override solver variant")
         if model:
             p.add_argument("--model", required=True, help="saved chain JSON")
 
-    p = sub.add_parser("fit", help="fit a chain on the trial-0 training split and save it")
-    common(p)
-    p = sub.add_parser("embed", help="embed the whole dataset with a saved chain")
-    common(p, model=True)
-    p = sub.add_parser("classify", help="classify the trial-0 test split with a saved chain")
-    common(p, model=True)
-    p = sub.add_parser("experiment", help="run the full tau sweep and write the report")
-    common(p)
-    p = sub.add_parser("convergence", help="record per-sweep objective traces for both variants")
-    common(p)
+    command("fit", "fit a chain on the trial-0 training split and save it",
+            "model file to write (required)", variant=True)
+    command("embed", "embed the whole dataset with a saved chain",
+            "coordinates CSV to write (required)", seed=False, model=True)
+    command("classify", "classify the trial-0 test split with a saved chain",
+            "result JSON to write (default: stdout)", model=True)
+    command("experiment", "run the full tau sweep and write the report",
+            "report path (overrides config output_path)", variant=True)
+    command("convergence", "record per-sweep objective traces for both variants",
+            "report path (overrides config output_path)")
     return parser
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file with the command-line overrides, checked as one config."""
     config = ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.variant is not None:
-        config.variant = args.variant
-    if args.out is not None and args.command in ("experiment", "convergence"):
-        config.output_path = args.out
-    return config
+    overrides = {"seed": getattr(args, "seed", None), "variant": getattr(args, "variant", None)}
+    if args.command in ("experiment", "convergence"):
+        overrides["output_path"] = args.out
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_fit(args, config) -> None:
     if args.out is None:
         raise ConfigError("fit requires --out for the model path")
     samples, labels = load_dataset(config)
-    train_idx, _ = trial_split(config, labels)
+    train = trial_data(config, samples, labels)[0]
     open_output(args.out).close()  # an unwritable path fails before the fit
-    chain, _report = fit_chain(
-        samples[..., train_idx], _graph_config(config), config.tau_list[0],
-        variant=config.variant, max_sweeps=config.max_sweeps, rank_cap=config.rank_cap,
-    )
+    chain, _report = fit_config(config, train, config.tau_list[0])
     save_chain(chain, args.out)
 
 
@@ -96,15 +94,14 @@ def _cmd_embed(args, config) -> None:
 def _cmd_classify(args, config) -> None:
     samples, labels = load_dataset(config)
     chain = _load_model(args.model, samples)
-    train_idx, test_idx = trial_split(config, labels)
-    result = evaluate(chain, samples[..., train_idx], labels[train_idx],
-                      samples[..., test_idx], labels[test_idx], config.k_classify)
+    train, train_labels, test, test_labels = trial_data(config, samples, labels)
+    result = evaluate(chain, train, train_labels, test, test_labels, config.k_classify)
     doc = {
         "n_test": result.n_test,
         "n_wrong": result.n_wrong,
         "error_rate": result.error_rate,
         "predictions": result.predictions.tolist(),
-        "labels": labels[test_idx].tolist(),
+        "labels": test_labels.tolist(),
     }
     text = json.dumps(doc, separators=(",", ":")) + "\n"
     if args.out:

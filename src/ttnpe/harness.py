@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -187,8 +187,25 @@ def trial_split(config: ExperimentConfig, labels: np.ndarray,
     return split_per_class(labels, config.n_train_per_class, config.n_test_per_class, rng)
 
 
+def trial_data(config: ExperimentConfig, samples: np.ndarray, labels: np.ndarray,
+               trial: int = 0, snr_db=None):
+    """One trial's (train, train_labels, test, test_labels), with noise at
+    ``snr_db`` (none when None) from a seed fixed by (seed, trial, snr_db)."""
+    train_idx, test_idx = trial_split(config, labels, trial)
+    bump = 0 if snr_db is None else int(round(float(snr_db) * 1000)) % 100003
+    noisy = add_noise(samples, snr_db, config.seed + 7919 * (trial + 1) + bump)
+    return noisy[..., train_idx], labels[train_idx], noisy[..., test_idx], labels[test_idx]
+
+
 def _graph_config(config: ExperimentConfig) -> AffinityConfig:
     return AffinityConfig(k_neighbors=config.k_graph, epsilon=config.epsilon)
+
+
+def fit_config(config: ExperimentConfig, train: np.ndarray, tau: float):
+    """``fit`` on ``train`` at ``tau`` with the config's graph, variant,
+    sweep limit and rank cap; returns (chain, report)."""
+    return fit(train, _graph_config(config), tau, variant=config.variant,
+               max_sweeps=config.max_sweeps, rank_cap=config.rank_cap)
 
 
 def open_output(path):
@@ -197,11 +214,6 @@ def open_output(path):
         return open(path, "w")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
-
-
-def _noise_seed(base_seed: int, trial: int, snr_db) -> int:
-    bump = 0 if snr_db is None else int(round(float(snr_db) * 1000)) % 100003
-    return base_seed + 7919 * (trial + 1) + bump
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -214,13 +226,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     timings to ``output_path + '.timings.json'`` (per fitted cell: subspace
     learning, embedding and classification, the solver's per-stage
     ``wall_time`` and its TN ``core_solves``), and a flat CSV of
-    (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``. Before
-    the first fit, ``k_classify`` is checked against the training split and
-    all three output paths are opened, so a bad value or an unwritable path
-    fails fast.
+    (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``. The split
+    and ``k_classify`` are checked before any output path is opened, and all
+    three are opened before the first fit: a bad value leaves a previous
+    report as it was, and an unwritable path fails fast.
     """
     samples, labels = load_dataset(config)
-    n_train = config.n_train_per_class * len(np.unique(labels))
+    n_train = len(trial_split(config, labels)[0])  # every trial's split has these sizes
     if config.k_classify > n_train:
         raise ConfigError(f"K must be <= number of training points, "
                           f"got K={config.k_classify}, N={n_train}")
@@ -229,19 +241,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     for path in outputs:
         open_output(path).close()
     snr_list = config.noise_snr_db if config.noise_snr_db else [None]
-    graph_cfg = _graph_config(config)
     cells = []
     baselines = []
     timings = []
     for trial in range(config.trials):
-        train_idx, test_idx = trial_split(config, labels, trial)
         for snr_db in snr_list:
-            noisy = add_noise(samples, snr_db, _noise_seed(config.seed, trial, snr_db))
-            train = noisy[..., train_idx]
-            test = noisy[..., test_idx]
-            train_labels = labels[train_idx]
-            test_labels = labels[test_idx]
-
+            train, train_labels, test, test_labels = trial_data(
+                config, samples, labels, trial, snr_db)
             base = evaluate(None, train, train_labels, test, test_labels, config.k_classify)
             baselines.append({
                 "trial": trial,
@@ -252,10 +258,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 cell = {"tau": tau, "trial": trial, "snr_db": snr_db}
                 t0 = time.perf_counter()
                 try:
-                    chain, report = fit(
-                        train, graph_cfg, tau, variant=config.variant,
-                        max_sweeps=config.max_sweeps, rank_cap=config.rank_cap,
-                    )
+                    chain, report = fit_config(config, train, tau)
                     learn_seconds = time.perf_counter() - t0
                     result = evaluate(chain, train, train_labels, test, test_labels,
                                       config.k_classify)
@@ -324,17 +327,14 @@ def run_convergence(config: ExperimentConfig) -> dict:
     recorded with its reason; the other variant still runs.
     """
     samples, labels = load_dataset(config)
-    train_idx, _ = trial_split(config, labels)
-    train = samples[..., train_idx]
+    train = trial_data(config, samples, labels)[0]
     tau = config.tau_list[0]
-    graph_cfg = _graph_config(config)
     open_output(config.output_path).close()  # an unwritable path fails before the first fit
     traces = {}
     for variant in ("tn", "atn"):
         entry = {}
         try:
-            chain, report = fit(train, graph_cfg, tau, variant=variant,
-                                max_sweeps=config.max_sweeps, rank_cap=config.rank_cap)
+            chain, report = fit_config(replace(config, variant=variant), train, tau)
             entry.update({
                 "objective_trace": report.objective_trace,
                 "surrogate_trace": report.surrogate_trace,

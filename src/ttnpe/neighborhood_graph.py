@@ -27,23 +27,23 @@ from ttnpe.nearest import knn_search
 class AffinityConfig:
     """Graph parameters: K neighbors and heat-kernel scale epsilon.
 
-    ``epsilon`` is either a fixed positive scale or the policy
-    "median-knn-sq-dist": the median squared Frobenius distance over all
-    retained (i, j in knn(i)) pairs.
+    ``epsilon`` is either a fixed positive scale or the policy "median":
+    the median squared Frobenius distance over all retained
+    (i, j in knn(i)) pairs.
     """
 
     k_neighbors: int
-    epsilon: float | str = "median-knn-sq-dist"
+    epsilon: float | str = "median"
 
     def __post_init__(self):
         k = self.k_neighbors
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
             raise ValueError(f"k_neighbors must be an int >= 1, got {k!r}")
         if isinstance(self.epsilon, str):
-            if self.epsilon not in ("median-knn-sq-dist", "median"):
+            if self.epsilon != "median":
                 raise ValueError(f"unknown epsilon policy {self.epsilon!r}")
-        elif not 0.0 < self.epsilon < float("inf"):
-            raise ValueError("epsilon must be positive and finite")
+        elif isinstance(self.epsilon, bool) or not 0.0 < self.epsilon < float("inf"):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
 
 def knn_graph(d_mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -75,7 +75,6 @@ class SolverReport:
     termination_reason: str = ""
     wall_time: dict = field(default_factory=dict)
     core_solves: list[list[dict]] = field(default_factory=list)
-    ranks: tuple[int, ...] = ()
 
 
 def objective(problem: TTNPEProblem) -> float:
@@ -347,5 +346,4 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
             break
     report.termination_reason = termination
     report.wall_time["sweeps"] = time.perf_counter() - t0
-    report.ranks = problem.chain.ranks
     return problem.chain, report

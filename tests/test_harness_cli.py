@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ttnpe import cli, harness
+from ttnpe import harness
 from ttnpe.cli import main
 from ttnpe.errors import ConfigError, DataError
 from ttnpe.harness import (
@@ -345,6 +345,7 @@ class TestCli:
         ("noise_snr_db", [float("inf")], "noise_snr_db"),
         ("output_path", 5, "output_path"),
         ("k_classify", 11, "K must be"),
+        ("epsilon", True, "epsilon"),
     ])
     def test_bad_config_value_exit_code(self, tmp_path, rng, capsys, key, value, message):
         cfg, _ = self.write_config(tmp_path, rng, **{key: value})
@@ -353,10 +354,55 @@ class TestCli:
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["experiment", "convergence", "fit"])
+    def test_seed_override_checked_as_config(self, tmp_path, rng, capsys, command):
+        cfg, _ = self.write_config(tmp_path, rng)
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "-1"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("config error: seed must be an int >= 0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("embed", "--seed"), ("embed", "--variant"), ("classify", "--variant"),
+        ("convergence", "--variant"),
+    ])
+    def test_flag_the_command_ignores_rejected(self, tmp_path, rng, capsys, command, flag):
+        cfg, _ = self.write_config(tmp_path, rng)
+        model = ["--model", "m.json"] if command in ("embed", "classify") else []
+        value = "tn" if flag == "--variant" else "1"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), *model, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
     def test_data_error_exit_code(self, tmp_path, rng):
         # too few samples per class for the requested split
         cfg, _ = self.write_config(tmp_path, rng, n_train_per_class=50)
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 2
+
+    def test_split_error_keeps_previous_report(self, tmp_path, rng):
+        cfg, raw = self.write_config(tmp_path, rng)
+        assert main(["experiment", "--config", str(cfg)]) == 0
+        paths = [tmp_path / ("report.json" + suffix) for suffix in ("", ".timings.json", ".csv")]
+        before = [p.read_bytes() for p in paths]
+        too_many, _ = self.write_config(tmp_path, rng, n_train_per_class=50)
+        assert main(["experiment", "--config", str(too_many)]) == 2
+        assert [p.read_bytes() for p in paths] == before
+
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_fit_classify_match_experiment_cell(self, tmp_path, rng, variant):
+        cfg, _ = self.write_config(tmp_path, rng, tau_list=[0.3, 0.6], trials=2, max_sweeps=3)
+        flags = ["--config", str(cfg), "--variant", variant]
+        assert main(["experiment", *flags]) == 0
+        cell = json.loads((tmp_path / "report.json").read_text())["cells"][0]
+        assert (cell["tau"], cell["trial"]) == (0.3, 0)
+        model = tmp_path / "model.json"
+        assert main(["fit", *flags, "--out", str(model)]) == 0
+        result = tmp_path / "cls.json"
+        assert main(["classify", "--config", str(cfg), "--model", str(model),
+                     "--out", str(result)]) == 0
+        doc = json.loads(result.read_text())
+        assert (doc["n_wrong"], doc["error_rate"]) == (cell["n_wrong"], cell["error_rate"])
 
     def test_nan_csv_exit_code(self, tmp_path, rng):
         cfg, raw = self.write_config(tmp_path, rng)
@@ -418,7 +464,6 @@ class TestCli:
             raise AssertionError("fit ran before the output paths were checked")
 
         monkeypatch.setattr(harness, "fit", no_fit)
-        monkeypatch.setattr(cli, "fit_chain", no_fit)
         cfg, _ = self.write_config(tmp_path, rng)
         out = tmp_path / "out.json"
         (tmp_path / ("out.json" + blocked)).mkdir()  # a directory cannot be opened for writing
