@@ -7,7 +7,7 @@ embedded space, and compression accounting.
 """
 
 from ttnpe.errors import ConfigError, DataError, NumericError
-from ttnpe.tt_subspace import TTChain, tt_svd, left_orthogonalize, contract_chain, project
+from ttnpe.tt_subspace import TTChain, tt_svd, left_orthogonalize, contract_chain, project_many
 from ttnpe.neighborhood_graph import AffinityConfig, build_weight_matrix, build_gram
 from ttnpe.solver import fit, SolverReport
 from ttnpe.classifier import knn_classify, evaluate
@@ -20,7 +20,7 @@ __all__ = [
     "tt_svd",
     "left_orthogonalize",
     "contract_chain",
-    "project",
+    "project_many",
     "AffinityConfig",
     "build_weight_matrix",
     "build_gram",

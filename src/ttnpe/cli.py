@@ -40,11 +40,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if model:
             p.add_argument("--model", required=True, help="saved chain JSON")
 
-    command("fit", "fit a chain on the trial-0 training split and save it",
+    command("fit", "fit a chain on the first report cell's training split and save it",
             "model file to write (required)", variant=True)
     command("embed", "embed the whole dataset with a saved chain",
             "coordinates CSV to write (required)", seed=False, model=True)
-    command("classify", "classify the trial-0 test split with a saved chain",
+    command("classify", "classify the first report cell's test split with a saved chain",
             "result JSON to write (default: stdout)", model=True)
     command("experiment", "run the full tau sweep and write the report",
             "report path (overrides config output_path)", variant=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -23,11 +23,6 @@ from ttnpe.neighborhood_graph import AffinityConfig
 from ttnpe.solver import fit
 
 _DATASET_KEYS = {"format", "image_path", "label_path", "label_column", "path"}
-_CONFIG_KEYS = {
-    "dataset", "class_filter", "reshape", "n_train_per_class", "n_test_per_class",
-    "tau_list", "variant", "k_graph", "k_classify", "epsilon", "noise_snr_db",
-    "trials", "seed", "max_sweeps", "output_path", "rank_cap",
-}
 
 
 @dataclass(kw_only=True)
@@ -108,8 +103,7 @@ class ExperimentConfig:
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"dataset", "reshape", "n_train_per_class", "n_test_per_class",
-                   "tau_list", "output_path"} - set(raw)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(raw)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         return cls(**raw)
@@ -124,6 +118,9 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(raw)
+
+
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def load_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -188,9 +185,11 @@ def trial_split(config: ExperimentConfig, labels: np.ndarray,
 
 
 def trial_data(config: ExperimentConfig, samples: np.ndarray, labels: np.ndarray,
-               trial: int = 0, snr_db=None):
-    """One trial's (train, train_labels, test, test_labels), with noise at
-    ``snr_db`` (none when None) from a seed fixed by (seed, trial, snr_db)."""
+               trial: int = 0, level: int = 0):
+    """Report cell (trial, level)'s (train, train_labels, test, test_labels):
+    noise at ``noise_snr_db[level]`` (none when null or unset), seeded by
+    (seed, trial, snr_db). The defaults give the report's first cell."""
+    snr_db = (config.noise_snr_db or [None])[level]
     train_idx, test_idx = trial_split(config, labels, trial)
     bump = 0 if snr_db is None else int(round(float(snr_db) * 1000)) % 100003
     noisy = add_noise(samples, snr_db, config.seed + 7919 * (trial + 1) + bump)
@@ -240,14 +239,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     outputs = (out, out + ".timings.json", out + ".csv")
     for path in outputs:
         open_output(path).close()
-    snr_list = config.noise_snr_db if config.noise_snr_db else [None]
+    snr_list = config.noise_snr_db or [None]
     cells = []
     baselines = []
     timings = []
     for trial in range(config.trials):
-        for snr_db in snr_list:
+        for level, snr_db in enumerate(snr_list):
             train, train_labels, test, test_labels = trial_data(
-                config, samples, labels, trial, snr_db)
+                config, samples, labels, trial, level)
             base = evaluate(None, train, train_labels, test, test_labels, config.k_classify)
             baselines.append({
                 "trial": trial,
@@ -321,7 +320,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def run_convergence(config: ExperimentConfig) -> dict:
-    """Run both solver variants on the trial-0 training split and record traces.
+    """Run both solver variants on the report's first cell's training split; record traces.
 
     A variant failing with a library error (as in ``run_experiment``) is
     recorded with its reason; the other variant still runs.

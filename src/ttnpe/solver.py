@@ -37,7 +37,8 @@ from ttnpe.neighborhood_graph import (
 )
 from ttnpe.stiefel import OptimizeResult, OptimizerConfig, minimize_quadratic
 from ttnpe.tensor_core import kronecker, left_unfold, reshape
-from ttnpe.tt_subspace import TTChain, contract_chain, fix_signs, tt_svd
+from ttnpe.tt_subspace import (TTChain, contract_chain, fix_signs, project_left,
+                               right_environments, tt_svd)
 
 
 @dataclass
@@ -105,21 +106,11 @@ def _prefix_form(problem: TTNPEProblem, k: int) -> np.ndarray:
     return w.reshape(d_post, i_k, r_prev, d_post, i_k, r_prev)
 
 
-def _right_environments(chain: TTChain) -> list[np.ndarray]:
-    """Suffix right unfoldings Q_1..Q_n, Q_k = R(cores k+1..n) of shape R_k x (I_{k+1}...I_n R_n)."""
-    q = np.eye(chain.embedding_dim)
-    envs = [q]
-    for core in reversed(chain.cores[1:]):
-        q = (left_unfold(core) @ q).reshape(core.shape[0], -1, order="F")
-        envs.append(q)
-    return envs[::-1]
-
-
 def build_A(problem: TTNPEProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact quadratic form for core k < n: the 6-mode tensor and its matricization.
 
     With E = P L(U_k) Q, P = I (x) prefix and Q = Q_k the right environment
-    of :func:`_right_environments`, the prefix form W = P^T Z P is
+    of :func:`right_environments`, the prefix form W = P^T Z P is
     contracted over its two d_post modes with Q Q^T. The tensor has modes
     (R_{k-1}, I_k, R_k, R_{k-1}', I_k', R_k') and the matrix A satisfies
     vec(U_k)^T A vec(U_k) = tr(E^T Z E).
@@ -129,7 +120,7 @@ def build_A(problem: TTNPEProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"build_A requires 1 <= k <= n-1, got k={k}, n={n}")
     w = _prefix_form(problem, k)
     d_post, i_k, r_prev = w.shape[:3]
-    env = _right_environments(problem.chain)[k - 1]
+    env = right_environments(problem.chain)[k - 1]
     r_k = env.shape[0]
     q = reshape(env, (r_k * d_post, problem.chain.embedding_dim))  # rows (R_k, d_post), R_k fastest
     qq = reshape(q @ q.T, (r_k, d_post, r_k, d_post))
@@ -177,7 +168,7 @@ def build_PQC(problem: TTNPEProblem, k: int, v: np.ndarray) -> tuple[np.ndarray,
     """Factors of the relaxed subproblem ||P L(U_k) Q - C||_F^2 for core k.
 
     P = I_{I_k} (x) L(prefix), Q = Q_k the right environment of
-    :func:`_right_environments`, and C is the pure reshape of the
+    :func:`right_environments`, and C is the pure reshape of the
     eigenvector target to (I_1...I_k) x (I_{k+1}...I_n R_n).
     """
     n = len(problem.mode_dims)
@@ -185,7 +176,7 @@ def build_PQC(problem: TTNPEProblem, k: int, v: np.ndarray) -> tuple[np.ndarray,
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     prefix = contract_chain(problem.chain, upto=k - 1)
     p = kronecker(np.eye(problem.mode_dims[k - 1]), prefix)
-    q = _right_environments(problem.chain)[k - 1]
+    q = right_environments(problem.chain)[k - 1]
     rows = int(np.prod(problem.mode_dims[:k]))
     c = reshape(v, (rows, v.size // rows))
     return p, q, c
@@ -226,11 +217,6 @@ def update_core_tn(problem: TTNPEProblem, k: int, opt_cfg: OptimizerConfig | Non
     return new_core, result
 
 
-def _project_left(left: np.ndarray, x: np.ndarray, i_next: int) -> np.ndarray:
-    """L_{k+1} from L_k and core k's left unfolding X: X^T L_k, regrouped."""
-    return (x.T @ left).reshape(x.shape[1] * i_next, -1, order="F")
-
-
 def _procrustes_step(left: np.ndarray, q: np.ndarray, target_sq: float) -> tuple[np.ndarray, float]:
     """Polar factor X of H = L Q^T and the residual ||X Q - L||^2 + ||C||^2 - ||L||^2."""
     u, _, vt = np.linalg.svd(left @ q.T, full_matrices=False)
@@ -247,7 +233,7 @@ def sweep_atn(problem: TTNPEProblem, v: np.ndarray) -> list[float]:
     """
     dims = problem.mode_dims
     target_sq = float(np.sum(v * v))
-    envs = _right_environments(problem.chain)
+    envs = right_environments(problem.chain)
     left = v.reshape(dims[0], -1, order="F")
     surrogates = []
     for k in range(1, len(dims) + 1):
@@ -257,7 +243,7 @@ def sweep_atn(problem: TTNPEProblem, v: np.ndarray) -> list[float]:
         core = _core_from_left_unfold(x, r_prev, i_k)
         problem.chain = problem.chain.replace_core(k - 1, core)
         if k < len(dims):
-            left = _project_left(left, left_unfold(core), dims[k])
+            left = project_left(left_unfold(core), left, dims[k])
     return surrogates
 
 

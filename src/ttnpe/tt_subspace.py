@@ -5,6 +5,10 @@ A chain is an ordered list of 3-mode cores U_k of shape (R_{k-1}, I_k, R_k)
 with R_0 = 1. With every core left-orthonormal, the contracted matrix
 E = L(U_1 x ... x U_n) has orthonormal columns and spans an R_n-dimensional
 subspace of R^{I_1...I_n}.
+
+Three contraction steps pass over a chain: the prefix (:func:`contract_chain`),
+the left step X_k^T M through one core (:func:`project_left`) and the suffix
+environments (:func:`right_environments`).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ttnpe.errors import DataError
+from ttnpe.stiefel import feasibility_defect
 from ttnpe.tensor_core import left_unfold, vectorize
 
 MODEL_FORMAT_VERSION = 1
@@ -67,11 +72,7 @@ class TTChain:
 
     def orthonormality_defect(self) -> float:
         """Max deviation of any core's left unfolding from orthonormal columns."""
-        defect = 0.0
-        for c in self.cores:
-            l = left_unfold(c)
-            defect = max(defect, float(np.max(np.abs(l.T @ l - np.eye(l.shape[1])))))
-        return defect
+        return max(feasibility_defect(left_unfold(c)) for c in self.cores)
 
 
 def fix_signs(u: np.ndarray) -> np.ndarray:
@@ -135,7 +136,7 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None) -> TTChain:
         u = fix_signs(u[:, :r])
         cores.append(u.reshape(r_prev, dims[k], r, order="F"))
         if k + 1 < n:
-            mat = (u.T @ mat).reshape(r * dims[k + 1], -1, order="F")
+            mat = project_left(u, mat, dims[k + 1])
         r_prev = r
     return TTChain(cores, tau=float(tau))
 
@@ -192,16 +193,20 @@ def contract_chain(chain: TTChain, upto: int | None = None) -> np.ndarray:
     return b
 
 
-def project(chain: TTChain, sample: np.ndarray) -> np.ndarray:
-    """Embed a sample: t = E^T V(sample), via sequential core contractions."""
-    sample = np.asarray(sample, dtype=np.float64)
-    if sample.shape != chain.mode_dims:
-        raise ValueError(f"sample shape {sample.shape} does not match mode dims {chain.mode_dims}")
-    w = vectorize(sample)[None, :]
-    for core in chain.cores:
-        r_prev, i_k, _ = core.shape
-        w = left_unfold(core).T @ w.reshape(r_prev * i_k, -1, order="F")
-    return w.reshape(-1)
+def project_left(x: np.ndarray, mat: np.ndarray, i_next: int) -> np.ndarray:
+    """One left step through the core whose left unfolding is X: X^T M, regrouped
+    so the next mode, of size ``i_next``, joins the rank index R_k as rows."""
+    return (x.T @ mat).reshape(x.shape[1] * i_next, -1, order="F")
+
+
+def right_environments(chain: TTChain) -> list[np.ndarray]:
+    """Suffix right unfoldings Q_1..Q_n, Q_k = R(cores k+1..n) of shape R_k x (I_{k+1}...I_n R_n)."""
+    q = np.eye(chain.embedding_dim)
+    envs = [q]
+    for core in reversed(chain.cores[1:]):
+        q = (left_unfold(core) @ q).reshape(core.shape[0], -1, order="F")
+        envs.append(q)
+    return envs[::-1]
 
 
 def project_many(chain: TTChain, samples: np.ndarray) -> np.ndarray:
@@ -211,14 +216,9 @@ def project_many(chain: TTChain, samples: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"sample dims {samples.shape[:-1]} do not match mode dims {chain.mode_dims}"
         )
-    n_samples = samples.shape[-1]
-    cur = samples.reshape(-1, n_samples, order="F")  # (d, N), rank index fastest
-    for core in chain.cores:
-        r_prev, i_k, r_next = core.shape
-        d_rest = cur.shape[0] // (r_prev * i_k)
-        cur = cur.reshape(r_prev * i_k, d_rest * n_samples, order="F")
-        cur = left_unfold(core).T @ cur
-        cur = cur.reshape(r_next * d_rest, n_samples, order="F")
+    cur = samples.reshape(chain.mode_dims[0], -1, order="F")
+    for core, i_next in zip(chain.cores, chain.mode_dims[1:] + (1,)):
+        cur = project_left(left_unfold(core), cur, i_next)
     return cur.T
 
 

@@ -391,18 +391,26 @@ class TestCli:
 
     @pytest.mark.parametrize("variant", ["atn", "tn"])
     def test_fit_classify_match_experiment_cell(self, tmp_path, rng, variant):
-        cfg, _ = self.write_config(tmp_path, rng, tau_list=[0.3, 0.6], trials=2, max_sweeps=3)
-        flags = ["--config", str(cfg), "--variant", variant]
-        assert main(["experiment", *flags]) == 0
-        cell = json.loads((tmp_path / "report.json").read_text())["cells"][0]
-        assert (cell["tau"], cell["trial"]) == (0.3, 0)
-        model = tmp_path / "model.json"
-        assert main(["fit", *flags, "--out", str(model)]) == 0
-        result = tmp_path / "cls.json"
-        assert main(["classify", "--config", str(cfg), "--model", str(model),
-                     "--out", str(result)]) == 0
-        doc = json.loads(result.read_text())
-        assert (doc["n_wrong"], doc["error_rate"]) == (cell["n_wrong"], cell["error_rate"])
+        # fit, classify and convergence all work on the report's first cell:
+        # trial 0 at the first noise level, noise-free or not.
+        for snr in (None, [0, None]):
+            cfg, _ = self.write_config(tmp_path, rng, tau_list=[0.3, 0.6], trials=2,
+                                       max_sweeps=3, noise_snr_db=snr)
+            flags = ["--config", str(cfg), "--variant", variant]
+            assert main(["experiment", *flags]) == 0
+            cell = json.loads((tmp_path / "report.json").read_text())["cells"][0]
+            assert (cell["tau"], cell["trial"], cell["snr_db"]) == (0.3, 0, snr and snr[0])
+            model = tmp_path / "model.json"
+            assert main(["fit", *flags, "--out", str(model)]) == 0
+            result = tmp_path / "cls.json"
+            assert main(["classify", "--config", str(cfg), "--model", str(model),
+                         "--out", str(result)]) == 0
+            doc = json.loads(result.read_text())
+            assert (doc["n_wrong"], doc["error_rate"]) == (cell["n_wrong"], cell["error_rate"])
+            conv = tmp_path / "conv.json"
+            assert main(["convergence", "--config", str(cfg), "--out", str(conv)]) == 0
+            trace = json.loads(conv.read_text())["traces"][variant]
+            assert trace["objective_trace"] == cell["objective_trace"]
 
     def test_nan_csv_exit_code(self, tmp_path, rng):
         cfg, raw = self.write_config(tmp_path, rng)

@@ -19,7 +19,7 @@ from ttnpe.solver import (
 )
 from ttnpe.stiefel import OptimizerConfig, check_gradient, minimize
 from ttnpe.tensor_core import left_unfold, merge_product, vectorize
-from ttnpe.tt_subspace import TTChain, contract_chain
+from ttnpe.tt_subspace import TTChain, contract_chain, right_environments
 
 
 def make_problem(rng, dims=(2, 2, 2), ranks=(2, 2, 2), variant="tn", z=None):
@@ -407,7 +407,7 @@ class TestSweepATN:
 
     def test_right_environments_are_suffix_unfoldings(self, rng):
         chain = random_orthonormal_chain(rng, (2, 3, 2), (2, 3, 2))
-        q1, q2, q3 = solver._right_environments(chain)
+        q1, q2, q3 = right_environments(chain)
         suffix = merge_product(chain.cores[1], chain.cores[2], [3], [1])  # (R_1, I_2, I_3, R_3)
         assert np.max(np.abs(q1 - suffix.reshape(2, -1, order="F"))) < 1e-12
         assert np.array_equal(q2, chain.cores[2].reshape(3, -1, order="F"))

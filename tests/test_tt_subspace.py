@@ -14,7 +14,7 @@ from ttnpe.tt_subspace import (
     contract_chain,
     left_orthogonalize,
     load_chain,
-    project,
+    project_left,
     project_many,
     save_chain,
     storage_count,
@@ -165,15 +165,14 @@ def test_tt_svd_cores_left_orthonormal(case):
 
 @PROPERTY_SETTINGS
 @given(tt_datasets())
-def test_project_many_equals_project(case):
+def test_project_many_equals_materialized_product(case):
     data, tau, cap = case
     chain = tt_svd(data, tau, rank_cap=cap)
     coords = project_many(chain, data)
     assert coords.shape == (data.shape[-1], chain.embedding_dim)
-    for i in range(data.shape[-1]):
-        sample = data[..., i]
-        tol = 1e-12 * max(1.0, float(np.linalg.norm(sample)))
-        assert np.max(np.abs(coords[i] - project(chain, sample))) <= tol
+    flat = data.reshape(-1, data.shape[-1], order="F")
+    tol = 1e-12 * np.maximum(1.0, np.linalg.norm(flat, axis=0))  # per sample
+    assert np.all(np.abs(coords - (contract_chain(chain).T @ flat).T) <= tol[:, None])
 
 
 class TestLeftOrthogonalize:
@@ -238,35 +237,35 @@ class TestProject:
     def test_sample_in_subspace(self, rng):
         chain = random_orthonormal_chain(rng, (2, 3, 2), (2, 3, 2))
         e = contract_chain(chain)
-        a = rng.standard_normal(e.shape[1])
-        sample = (e @ a).reshape(chain.mode_dims, order="F")
-        assert np.max(np.abs(project(chain, sample) - a)) < 1e-10
+        a = rng.standard_normal((e.shape[1], 4))
+        samples = (e @ a).reshape(chain.mode_dims + (4,), order="F")
+        assert np.max(np.abs(project_many(chain, samples) - a.T)) < 1e-10
 
     def test_orthogonal_sample_maps_to_zero(self, rng):
         chain = random_orthonormal_chain(rng, (2, 2, 2), (1, 1, 1))
         e = contract_chain(chain)
-        v = rng.standard_normal(e.shape[0])
+        v = rng.standard_normal((e.shape[0], 3))
         v -= e @ (e.T @ v)
-        out = project(chain, v.reshape(chain.mode_dims, order="F"))
+        out = project_many(chain, v.reshape(chain.mode_dims + (3,), order="F"))
         assert np.max(np.abs(out)) < 1e-10
 
     def test_matches_materialized_product(self, rng):
         chain = random_orthonormal_chain(rng, (3, 2, 2), (2, 2, 3))
-        sample = rng.standard_normal(chain.mode_dims)
-        expected = contract_chain(chain).T @ vectorize(sample)
-        assert np.max(np.abs(project(chain, sample) - expected)) < 1e-12
+        samples = rng.standard_normal(chain.mode_dims + (5,))
+        expected = contract_chain(chain).T @ samples.reshape(-1, 5, order="F")
+        assert np.max(np.abs(project_many(chain, samples) - expected.T)) < 1e-12
+
+    def test_project_left_joins_next_mode_to_rank(self, rng):
+        core = rng.standard_normal((2, 3, 4))  # (R_{k-1}, I_k, R_k)
+        m = rng.standard_normal((2, 3, 5, 7))  # (R_{k-1}, I_k, I_{k+1}, rest)
+        out = project_left(left_unfold(core), m.reshape(6, -1, order="F"), 5)
+        expected = np.einsum("abr,abjc->rjc", core, m)  # (R_k, I_{k+1}, rest)
+        assert np.max(np.abs(out - expected.reshape(20, 7, order="F"))) < 1e-12
 
     def test_shape_mismatch(self, rng):
         chain = random_orthonormal_chain(rng, (2, 2), (2, 2))
-        with pytest.raises(ValueError, match="shape"):
-            project(chain, rng.standard_normal((2, 3)))
-
-    def test_project_many_matches_project(self, rng):
-        chain = random_orthonormal_chain(rng, (2, 3, 2), (2, 2, 2))
-        samples = rng.standard_normal(chain.mode_dims + (5,))
-        coords = project_many(chain, samples)
-        for i in range(5):
-            assert np.max(np.abs(coords[i] - project(chain, samples[..., i]))) < 1e-12
+        with pytest.raises(ValueError, match="do not match mode dims"):
+            project_many(chain, rng.standard_normal((2, 3, 4)))
 
     def test_full_rank_isometry(self, rng):
         data = rng.standard_normal((2, 2, 2, 12))
@@ -334,5 +333,5 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_chain(chain, path)
         loaded = load_chain(path)
-        sample = rng.standard_normal(chain.mode_dims)
-        assert np.max(np.abs(project(chain, sample) - project(loaded, sample))) < 1e-15
+        samples = rng.standard_normal(chain.mode_dims + (3,))
+        assert np.max(np.abs(project_many(chain, samples) - project_many(loaded, samples))) < 1e-15
