@@ -71,9 +71,9 @@ class ExperimentConfig:
                                        and all(_is_number(c) for c in labels)):
             raise ConfigError(f"class_filter must be null or a nonempty list of labels, got {labels!r}")
         snr = [] if self.noise_snr_db is None else self.noise_snr_db
-        if not isinstance(snr, (list, tuple)) or not all(
-                s is None or _is_number(s) and math.isfinite(s) for s in snr):
-            raise ConfigError(f"noise_snr_db must be null or a list of finite numbers/nulls, got {snr!r}")
+        if not isinstance(snr, (list, tuple)) or not all(s is None or _is_noise_level(s) for s in snr):
+            raise ConfigError(f"noise_snr_db must be null or a list of nulls and numbers whose "
+                              f"power ratio 10^(snr/10) is finite and nonzero, got {snr!r}")
         if not isinstance(self.output_path, str):
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         try:
@@ -175,6 +175,14 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_noise_level(value) -> bool:
+    """A number whose power ratio, as ``add_noise`` computes it, is a finite nonzero float."""
+    try:
+        return _is_number(value) and 0.0 < 10.0 ** (value / 10.0) < math.inf
+    except OverflowError:
+        return False
 
 
 def trial_split(config: ExperimentConfig, labels: np.ndarray,

@@ -3,13 +3,13 @@ re-ranking. ``knn_search`` is the one KNN driver of the library: the
 affinity graph (``neighborhood_graph.knn_graph``) and the classifier
 (``classifier.knn_classify``) both call it.
 
-Points are the rows of 2-D arrays. The reference squared distance from
-point p to anchor q is the per-anchor loop value
-``einsum("ij,ij->i", points - q, points - q)``. The screen computes all
-squared distances of a block of anchors at once from the Gram identity
-||q||^2 + ||p||^2 - 2 q.p (one matrix product), clamped at zero; it differs
-from the reference by at most ``screen_slack``. Every point that can be
-among an anchor's K nearest therefore lies in the window
+Points are the C-contiguous rows of 2-D arrays. The reference squared
+distance from point p to anchor q reduces the row p - q by
+``einsum("ij,ij->i")`` and depends on the values of p and q only. The
+screen computes all squared distances of a block of anchors at once from
+the Gram identity ||q||^2 + ||p||^2 - 2 q.p (one matrix product), clamped
+at zero; it differs from the reference by at most ``screen_slack``. Every
+point that can be among an anchor's K nearest therefore lies in the window
 {j : screen_j <= screen_(K) + 2 * slack}, and only the window is re-ranked
 on reference distances under the total order (distance, index).
 """
@@ -70,29 +70,15 @@ def reference_sq_dists(points: np.ndarray, anchors: np.ndarray, point_idx: np.nd
                        anchor_idx: np.ndarray) -> np.ndarray:
     """Reference squared distances of the pairs (points[j], anchors[i]).
 
-    Bit-identical to the per-anchor loop: einsum sums each row in an order
-    set by the memory layout of ``points - q``, which follows ``points``.
-    When the point index is the fastest-varying one (and there is more than
-    one point), each row is accumulated term by term across the features;
-    otherwise each row is reduced as one contiguous vector. The pairs are
-    gathered into an array of the same layout, at least two rows long so
-    that numpy does not drop the point axis and switch orders, in chunks of
-    about BLOCK_ELEMENTS entries.
+    ``points`` and ``anchors`` are C-contiguous rows. Each gathered
+    difference row is reduced by ``einsum("ij,ij->i")`` as one contiguous
+    vector, so a distance depends on the two rows' values only. Pairs are
+    gathered in chunks of about BLOCK_ELEMENTS entries.
     """
-    n, f = points.shape
-    point_major = n > 1 and abs(points.strides[0]) < abs(points.strides[1])
-    order = "F" if point_major else "C"
     out = np.empty(len(point_idx))
-    for chunk in row_blocks(len(point_idx), f):
-        start = chunk.start
-        p_idx = point_idx[chunk]
-        a_idx = anchor_idx[chunk]
-        m = len(p_idx)
-        if m == 1:
-            p_idx, a_idx = np.repeat(p_idx, 2), np.repeat(a_idx, 2)
-        diff = np.empty((len(p_idx), f), order=order)
-        np.subtract(points[p_idx], anchors[a_idx], out=diff)
-        out[start:start + m] = np.einsum("ij,ij->i", diff, diff)[:m]
+    for chunk in row_blocks(len(point_idx), points.shape[1]):
+        diff = points[point_idx[chunk]] - anchors[anchor_idx[chunk]]
+        out[chunk] = np.einsum("ij,ij->i", diff, diff)
     return out
 
 
@@ -121,13 +107,13 @@ def knn_search(train_coords: np.ndarray, test_coords: np.ndarray, k: int) -> tup
     Returns (n_test, k) training indices and their squared distances.
     Equal distances rank the smaller index first. Test points are screened
     in row blocks (``row_blocks``), so no temporary exceeds
-    ``BLOCK_ELEMENTS`` entries. Each query's candidate window is re-ranked
-    on the reference distance ``einsum("ij,ij->i", diff, diff)`` with
-    ``diff = train_coords - query``, so the result is that of ranking every
-    training point by that distance.
+    ``BLOCK_ELEMENTS`` entries. Both inputs are taken as C-contiguous rows
+    and each query's candidate window is re-ranked on the reference distance
+    over those rows, so the result is that of ranking every training point by
+    that distance, whatever the memory layout of the inputs.
     """
-    train_coords = np.asarray(train_coords, dtype=np.float64)
-    test_coords = np.asarray(test_coords, dtype=np.float64)
+    train_coords = np.ascontiguousarray(train_coords, dtype=np.float64)
+    test_coords = np.ascontiguousarray(test_coords, dtype=np.float64)
     require_finite(train_coords, "training coordinates")
     require_finite(test_coords, "test coordinates")
     n_train = train_coords.shape[0]

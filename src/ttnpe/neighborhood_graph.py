@@ -9,8 +9,8 @@ targets.
 Neighbors come from ``ttnpe.nearest.knn_search``, the one KNN search the
 classifier uses too: ``knn_graph`` searches each sample's K + 1 nearest
 among all samples and drops the sample itself. The KNN sets and the
-distances the affinity reads are therefore exactly those of the per-column
-loop, and no N x N distance matrix is formed.
+distances the affinity reads are exact on the search's reference distance,
+whatever the memory layout of D, and no N x N distance matrix is formed.
 """
 
 from __future__ import annotations

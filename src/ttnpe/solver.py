@@ -35,7 +35,7 @@ from ttnpe.neighborhood_graph import (
     build_residual,
     build_weight_matrix,
 )
-from ttnpe.stiefel import OptimizeResult, OptimizerConfig, minimize_quadratic
+from ttnpe.stiefel import OptimizeResult, OptimizerConfig, minimize_quadratic, polar
 from ttnpe.tensor_core import kronecker, left_unfold, reshape
 from ttnpe.tt_subspace import (TTChain, contract_chain, fix_signs, project_left,
                                right_environments, tt_svd)
@@ -219,8 +219,7 @@ def update_core_tn(problem: TTNPEProblem, k: int, opt_cfg: OptimizerConfig | Non
 
 def _procrustes_step(left: np.ndarray, q: np.ndarray, target_sq: float) -> tuple[np.ndarray, float]:
     """Polar factor X of H = L Q^T and the residual ||X Q - L||^2 + ||C||^2 - ||L||^2."""
-    u, _, vt = np.linalg.svd(left @ q.T, full_matrices=False)
-    x = u @ vt
+    x = polar(left @ q.T)
     surrogate = float(np.sum((x @ q - left) ** 2)) + target_sq - float(np.sum(left * left))
     return x, surrogate
 

@@ -1,11 +1,11 @@
 """Feasible minimization over matrices with orthonormal columns.
 
-``minimize`` takes a general objective and follows the Cayley-type
-curvilinear update X(t) = (I + (t/2) W)^{-1} (I - (t/2) W) X with
-W = G X^T - X G^T, which stays on the manifold for any step t. Steps are
-chosen by Armijo backtracking on the projected-gradient norm, so the
-recorded objective trace is non-increasing by construction. The curve keeps
-det(X) fixed, so on square X it cannot leave its component of O(p).
+Both solvers return to the manifold through ``polar``, the nearest
+orthonormal-column matrix. ``minimize`` takes a general objective and steps
+to polar(X - t P(G)), with P(G) the tangent projection of the Euclidean
+gradient G (a retraction; Absil & Malick, SIAM J. Optim. 2012) and t chosen
+by Armijo backtracking on ||P(G)||, so its objective trace is non-increasing.
+On square X, X - t P(G) = X (I - t W) with W skew, so det(X) never changes.
 
 ``minimize_quadratic`` takes a quadratic vec(X)^T A vec(X) and steps by the
 generalized power iteration instead, whose polar-factor steps are monotone
@@ -21,9 +21,8 @@ import numpy as np
 from ttnpe.errors import NumericError
 
 FEASIBILITY_TOL = 1e-8
-POLISH_TRIGGER = 1e-10
 
-# Armijo backtracking of ``minimize``'s Cayley steps.
+# Armijo backtracking of ``minimize``'s polar steps.
 INITIAL_STEP = 1e-2
 BACKTRACK_FACTOR = 0.5
 SUFFICIENT_DECREASE = 1e-4
@@ -65,36 +64,18 @@ def projected_grad_norm(x: np.ndarray, g: np.ndarray) -> float:
     return float(np.linalg.norm(project_tangent(x, g)))
 
 
-def _polish(x: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(x)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
-
-
-def _cayley_point(x: np.ndarray, g: np.ndarray, t: float) -> np.ndarray:
-    p, q = x.shape
-    if 2 * q < p:
-        # Low-rank form: W = U V^T with U = [G, X], V = [X, -G], solved in 2q dims.
-        u = np.hstack([g, x])
-        v = np.hstack([x, -g])
-        small = np.eye(2 * q) + (t / 2.0) * (v.T @ u)
-        y = x - t * u @ np.linalg.solve(small, v.T @ x)
-    else:
-        w = g @ x.T - x @ g.T
-        half = (t / 2.0) * w
-        y = np.linalg.solve(np.eye(p) + half, x - half @ x)
-    if feasibility_defect(y) > POLISH_TRIGGER:
-        y = _polish(y)
-    return y
+def polar(m: np.ndarray) -> np.ndarray:
+    """Polar factor U V^T of m's thin SVD: the orthonormal-column matrix nearest to m."""
+    u, _, vt = np.linalg.svd(m, full_matrices=False)
+    return u @ vt
 
 
 def minimize(f, grad, x0: np.ndarray, cfg: OptimizerConfig | None = None) -> OptimizeResult:
     """Minimize f over orthonormal-column matrices starting from feasible x0.
 
-    ``f`` maps a matrix to a scalar; ``grad`` returns the Euclidean gradient
-    of f at that matrix. Terminates on a small projected gradient (relative
-    to 1 + |f|), the iteration cap, or step underflow.
+    ``f`` maps a matrix to a scalar and ``grad`` to its Euclidean gradient G.
+    Each step is polar(X - t P(G)). Terminates on a small projected gradient
+    (relative to 1 + |f|), the iteration cap, or step underflow.
     """
     cfg = cfg or OptimizerConfig()
     x = np.array(x0, dtype=np.float64)
@@ -111,22 +92,21 @@ def minimize(f, grad, x0: np.ndarray, cfg: OptimizerConfig | None = None) -> Opt
         g = np.asarray(grad(x), dtype=np.float64)
         if not np.all(np.isfinite(g)):
             raise NumericError(f"gradient is not finite after {accepted} accepted steps")
-        pg_norm = projected_grad_norm(x, g)
+        pg = project_tangent(x, g)
+        pg_norm = float(np.linalg.norm(pg))
         if pg_norm <= cfg.grad_tol * (1.0 + abs(fx)):
             termination = "gradient"
             break
         t = min(max(step, MIN_STEP), MAX_STEP)
-        moved = False
         while t >= MIN_STEP:
-            cand = _cayley_point(x, g, t)
+            cand = polar(x - t * pg)
             fc = float(f(cand))
             if not np.isfinite(fc):
                 raise NumericError(f"objective is not finite after {accepted} accepted steps")
             if fc <= fx - SUFFICIENT_DECREASE * t * pg_norm * pg_norm:
-                moved = True
                 break
             t *= BACKTRACK_FACTOR
-        if not moved:
+        else:
             termination = "step_underflow"
             break
         x, fx = cand, fc
@@ -171,9 +151,7 @@ def minimize_quadratic(a: np.ndarray, x0: np.ndarray, cfg: OptimizerConfig | Non
             break
         if sigma is None:
             sigma = float(np.linalg.eigvalsh(a)[-1])
-        u, _, vt = np.linalg.svd((sigma * vec - a_vec).reshape(x.shape, order="F"),
-                                 full_matrices=False)
-        cand = u @ vt
+        cand = polar((sigma * vec - a_vec).reshape(x.shape, order="F"))
         c_vec = cand.reshape(-1, order="F")
         c_a_vec = a @ c_vec
         fc = float(c_vec @ c_a_vec)

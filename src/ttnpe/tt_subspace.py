@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ttnpe.errors import DataError
+from ttnpe.errors import DataError, require_finite
 from ttnpe.stiefel import feasibility_defect
 from ttnpe.tensor_core import left_unfold, vectorize
 
@@ -294,6 +294,7 @@ def load_chain(path) -> TTChain:
                 raise DataError(f"unsupported core data order {entry.get('order')!r}")
             shape = tuple(entry["shape"])
             data = np.asarray(entry["data"], dtype=np.float64)
+            require_finite(data, f"{path}: model core values")
             if data.size != int(np.prod(shape)):
                 raise DataError(f"core payload size {data.size} inconsistent with shape {shape}")
             cores.append(data.reshape(shape, order="F"))

@@ -126,13 +126,13 @@ def feasible_ranks(dims, target):
 
 
 def brute_pairwise_sq_dists(d_mat):
-    """Per-column loop of squared distances between columns (test oracle)."""
-    d_mat = np.asarray(d_mat, dtype=np.float64)
-    n = d_mat.shape[1]
+    """Per-sample loop of squared distances between columns, over C-contiguous rows (test oracle)."""
+    points = np.ascontiguousarray(np.asarray(d_mat).T, dtype=np.float64)
+    n = points.shape[0]
     out = np.empty((n, n))
     for i in range(n):
-        diff = d_mat - d_mat[:, i:i + 1]
-        out[i] = np.einsum("dj,dj->j", diff, diff)
+        diff = points - points[i]
+        out[i] = np.einsum("ij,ij->i", diff, diff)
         out[i, i] = 0.0
     return out
 
@@ -150,14 +150,14 @@ def brute_knn_sets(sq_dists, k):
 
 
 def brute_knn_classify(train_coords, train_labels, test_coords, k):
-    """Per-query loop K-NN vote (test oracle).
+    """Per-query loop K-NN vote over C-contiguous rows (test oracle).
 
     Returns (predictions, neighbors, neighbor squared distances), neighbors
     nearest first with ties to the smaller index; vote ties go to the tied
     class of the nearest neighbor.
     """
-    train_coords = np.asarray(train_coords, dtype=np.float64)
-    test_coords = np.asarray(test_coords, dtype=np.float64)
+    train_coords = np.ascontiguousarray(train_coords, dtype=np.float64)
+    test_coords = np.ascontiguousarray(test_coords, dtype=np.float64)
     train_labels = np.asarray(train_labels)
     idx = np.arange(train_coords.shape[0])
     n_test = test_coords.shape[0]

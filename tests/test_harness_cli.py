@@ -346,6 +346,8 @@ class TestCli:
         ("output_path", 5, "output_path"),
         ("k_classify", 11, "K must be"),
         ("epsilon", True, "epsilon"),
+        ("noise_snr_db", [4000], "noise_snr_db"),
+        ("noise_snr_db", [-4000], "noise_snr_db"),
     ])
     def test_bad_config_value_exit_code(self, tmp_path, rng, capsys, key, value, message):
         cfg, _ = self.write_config(tmp_path, rng, **{key: value})
@@ -439,6 +441,20 @@ class TestCli:
         model.write_text(text)
         assert main(["classify", "--config", str(cfg), "--model", str(model)]) == 2
         assert capsys.readouterr().err.startswith("data error: ")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_model_exit_code(self, tmp_path, rng, capsys, value):
+        cfg, _ = self.write_config(tmp_path, rng)
+        model = tmp_path / "model.json"
+        assert main(["fit", "--config", str(cfg), "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        doc["cores"][1]["data"][0] = value
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "coords.csv"
+        assert main(["embed", "--config", str(cfg), "--model", str(model), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "NaN or infinite" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("missing, code", [("config", 1), ("model", 2), ("dataset", 2)])
     def test_missing_file_exit_code(self, tmp_path, rng, capsys, missing, code):

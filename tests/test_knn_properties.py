@@ -2,8 +2,9 @@
 
 Inputs are drawn to stress the screen's rounding bound and the tie rules:
 duplicate samples, exact distance ties, values on the 1/255 pixel grid,
-sample norms that differ by 1e6, K = N - 1, and both memory layouts. Block
-sizes down to one entry exercise the blocked screens and chunked re-ranking.
+sample norms that differ by 1e6, K = N - 1, and both memory layouts; C and F
+copies of the same values must give bit-identical results. Block sizes down
+to one entry exercise the blocked screens and chunked re-ranking.
 """
 
 from unittest import mock
@@ -133,6 +134,37 @@ def test_knn_search_matches_loop(problem, block):
 
 @PROPERTY_SETTINGS
 @given(classify_problems(), BLOCKS)
+def test_search_and_classify_ignore_memory_layout(problem, block):
+    train, labels, test, k = problem
+    with blocks_of(block):
+        runs = [(*knn_search(layout(train, o), layout(test, o), k),
+                 knn_classify(layout(train, o), labels, layout(test, o), k)) for o in "CF"]
+    (nbr_c, dist_c, pred_c), (nbr_f, dist_f, pred_f) = runs
+    assert np.array_equal(nbr_c, nbr_f) and np.array_equal(pred_c, pred_f)
+    assert np.array_equal(bits(dist_c), bits(dist_f))
+
+
+@PROPERTY_SETTINGS
+@given(graph_problems(), BLOCKS)
+def test_graph_and_weights_ignore_memory_layout(problem, block):
+    d_mat, k = problem
+    runs = []
+    for o in "CF":
+        with blocks_of(block):
+            neighbors, sq = knn_graph(layout(d_mat, o), k)
+            try:
+                weights = bits(build_weight_matrix(layout(d_mat, o), AffinityConfig(k)))
+            except DataError:
+                weights = None
+        runs.append((neighbors, bits(sq), weights))
+    (nbr_c, sq_c, w_c), (nbr_f, sq_f, w_f) = runs
+    assert np.array_equal(nbr_c, nbr_f) and np.array_equal(sq_c, sq_f)
+    assert (w_c is None) == (w_f is None)
+    assert w_c is None or np.array_equal(w_c, w_f)
+
+
+@PROPERTY_SETTINGS
+@given(classify_problems(), BLOCKS)
 def test_knn_classify_matches_loop(problem, block):
     train, labels, test, k = problem
     expected, _, _ = brute_knn_classify(train, labels, test, k)
@@ -141,8 +173,8 @@ def test_knn_classify_matches_loop(problem, block):
 
 
 def test_lone_window_pair_summed_in_loop_order():
-    # a query whose window holds one training point: the pair is still summed
-    # in the loop's order when training points are the fastest-varying index
+    # a query whose window holds one training point: that lone gathered pair
+    # is reduced exactly as the loop reduces each row, here from F-ordered input
     rng = np.random.default_rng(3)
     for _ in range(20):
         train = np.asfortranarray(rng.standard_normal((4, 16)))

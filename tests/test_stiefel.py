@@ -132,8 +132,8 @@ class TestMinimize:
             minimize(lambda x: np.nan, lambda x: np.zeros_like(x),
                      random_stiefel(rng, 4, 2))
 
-    def test_both_cayley_branches(self, rng):
-        # p >> 2q takes the low-rank solve; square-ish takes the direct solve
+    def test_rayleigh_on_tall_and_square_ish_x(self, rng):
+        # a tall X (p >> q) and a square-ish one both reach the Ky Fan optimum
         for p, q in ((12, 2), (4, 3)):
             m = np.diag(np.arange(1.0, p + 1.0))
 
@@ -190,7 +190,7 @@ class TestMinimizeQuadratic:
 
     def test_crosses_determinant_sign_on_square_x(self, rng):
         # f(X) = -<C, X>^2 on 2 x 2 orthogonal X is minimized at +-polar(C), which share
-        # one determinant sign; from the other component the Cayley curve cannot get there
+        # one determinant sign; from the other component minimize's polar steps cannot get there
         for _ in range(10):
             c = rng.standard_normal((2, 2))
             a = -np.outer(c.reshape(-1, order="F"), c.reshape(-1, order="F"))
