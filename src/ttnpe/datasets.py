@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 
-from ttnpe.errors import DataError
+from ttnpe.errors import ConfigError, DataError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -96,20 +96,28 @@ def load_csv(path, label_column: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(features, dtype=np.float64), np.asarray(labels)
 
 
-def add_noise(samples: np.ndarray, snr_db: float | None, seed: int) -> np.ndarray:
-    """Add i.i.d. zero-mean Gaussian noise at the given SNR (dB).
+def noise_sigma(samples: np.ndarray, snr_db: float) -> float:
+    """Standard deviation of the Gaussian noise at ``snr_db`` dB: the root of the
+    mean per-entry signal power mean_i(||X_i||_F^2 / d) over 10^(snr_db/10).
+    Raises ConfigError naming ``noise_snr_db`` when the level is not finite or
+    4 d variance (the bound ``nearest.sq_norms`` checks) times 2**10 (room for
+    the tails of the noise) is not a finite float."""
+    flat = np.asarray(samples, dtype=np.float64).reshape(-1, np.shape(samples)[-1], order="F")
+    d = flat.shape[0]
+    signal_power = float(np.mean(np.sum(flat * flat, axis=0)) / d)
+    try:
+        variance = signal_power / 10.0 ** (snr_db / 10.0) if math.isfinite(snr_db) else math.inf
+    except (OverflowError, ZeroDivisionError):  # the ratio overflows, or underflows to 0
+        variance = math.inf
+    if not math.isfinite(4.0 * d * variance * 2.0 ** 10):
+        raise ConfigError(f"noise_snr_db level {snr_db!r} is not finite or its noise overflows")
+    return math.sqrt(variance)
 
-    Noise variance is the dataset-average per-entry signal power
-    mean_i(||X_i||_F^2 / d) divided by 10^(snr_db/10). ``snr_db=None``
-    returns the input unchanged.
-    """
+
+def add_noise(samples: np.ndarray, snr_db: float | None, seed: int) -> np.ndarray:
+    """``samples`` plus i.i.d. Gaussian noise of standard deviation ``noise_sigma``
+    at ``snr_db`` dB; ``samples`` itself when ``snr_db`` is None."""
     if snr_db is None:
         return samples
-    samples = np.asarray(samples, dtype=np.float64)
-    n = samples.shape[-1]
-    d = samples.size // n
-    flat = samples.reshape(-1, n, order="F")
-    signal_power = float(np.mean(np.sum(flat * flat, axis=0)) / d)
-    sigma = np.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
-    return samples + sigma * rng.standard_normal(samples.shape)
+    return samples + noise_sigma(samples, snr_db) * rng.standard_normal(np.shape(samples))

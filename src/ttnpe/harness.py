@@ -10,19 +10,19 @@ report bytes stay reproducible.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
 from ttnpe.classifier import evaluate
-from ttnpe.datasets import add_noise, load_csv, load_idx
+from ttnpe.datasets import add_noise, load_csv, load_idx, noise_sigma
 from ttnpe.errors import ConfigError, DataError, NumericError
 from ttnpe.neighborhood_graph import AffinityConfig
 from ttnpe.solver import fit
 
-_DATASET_KEYS = {"format", "image_path", "label_path", "label_column", "path"}
+_DATASET_KEYS = {"idx": {"format": str, "image_path": str, "label_path": str},
+                 "csv": {"format": str, "path": str, "label_column": int}}
 
 
 @dataclass(kw_only=True)
@@ -71,32 +71,23 @@ class ExperimentConfig:
                                        and all(_is_number(c) for c in labels)):
             raise ConfigError(f"class_filter must be null or a nonempty list of labels, got {labels!r}")
         snr = [] if self.noise_snr_db is None else self.noise_snr_db
-        if not isinstance(snr, (list, tuple)) or not all(s is None or _is_noise_level(s) for s in snr):
-            raise ConfigError(f"noise_snr_db must be null or a list of nulls and numbers whose "
-                              f"power ratio 10^(snr/10) is finite and nonzero, got {snr!r}")
+        if not isinstance(snr, (list, tuple)) or not all(s is None or _is_number(s) for s in snr):
+            raise ConfigError(f"noise_snr_db must be null or a list of nulls and numbers, got {snr!r}")
         if not isinstance(self.output_path, str):
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
-        try:
-            _graph_config(self)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid k_graph/epsilon: {exc}") from exc
+        _graph_config(self)
         if not isinstance(self.dataset, dict):
             raise ConfigError(f"dataset must be an object, got {self.dataset!r}")
-        ds = self.dataset
-        unknown = set(ds) - _DATASET_KEYS
-        if unknown:
-            raise ConfigError(f"unknown dataset keys: {sorted(unknown)}")
-        if ds.get("format") not in ("idx", "csv"):
+        fmt = self.dataset.get("format")
+        if not isinstance(fmt, str) or fmt not in _DATASET_KEYS:
             raise ConfigError("dataset.format must be 'idx' or 'csv'")
-        if ds["format"] == "idx":
-            for key in ("image_path", "label_path"):
-                if not isinstance(ds.get(key), str):
-                    raise ConfigError(f"an idx dataset needs a string {key}")
-        else:
-            if not isinstance(ds.get("path") or ds.get("image_path"), str):
-                raise ConfigError("a csv dataset needs a string path or image_path")
-            if not _is_int(ds.get("label_column")):
-                raise ConfigError("a csv dataset needs an int label_column")
+        unknown = set(self.dataset) - set(_DATASET_KEYS[fmt])
+        if unknown:
+            raise ConfigError(f"a {fmt} dataset does not read the keys {sorted(unknown)}")
+        for key, kind in _DATASET_KEYS[fmt].items():
+            value = self.dataset.get(key)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ConfigError(f"a {fmt} dataset needs a {kind.__name__} {key}, got {value!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -124,7 +115,8 @@ _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def load_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Load, filter, and reshape the configured dataset.
+    """Load, filter, and reshape the configured dataset, and check every
+    ``noise_snr_db`` level against it with ``noise_sigma``.
 
     Returns (samples, labels) with samples of shape (I_1, ..., I_n, N):
     each sample's stored row-major flat vector is folded into the configured
@@ -135,7 +127,7 @@ def load_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         images, labels = load_idx(ds["image_path"], ds["label_path"])
         flat = images.reshape(images.shape[0], -1)  # row-major pixels
     else:
-        flat, labels = load_csv(ds.get("path") or ds["image_path"], ds["label_column"])
+        flat, labels = load_csv(ds["path"], ds["label_column"])
     dims = tuple(int(i) for i in config.reshape)
     d = int(np.prod(dims))
     if flat.shape[1] != d:
@@ -149,6 +141,9 @@ def load_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         keep = np.isin(labels, config.class_filter)
         flat, labels = flat[keep], labels[keep]
     samples = flat.T.reshape(dims + (flat.shape[0],), order="F")
+    for snr_db in config.noise_snr_db or []:
+        if snr_db is not None:
+            noise_sigma(samples, snr_db)
     return samples, labels
 
 
@@ -175,14 +170,6 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_noise_level(value) -> bool:
-    """A number whose power ratio, as ``add_noise`` computes it, is a finite nonzero float."""
-    try:
-        return _is_number(value) and 0.0 < 10.0 ** (value / 10.0) < math.inf
-    except OverflowError:
-        return False
 
 
 def trial_split(config: ExperimentConfig, labels: np.ndarray,
@@ -233,10 +220,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     timings to ``output_path + '.timings.json'`` (per fitted cell: subspace
     learning, embedding and classification, the solver's per-stage
     ``wall_time`` and its TN ``core_solves``), and a flat CSV of
-    (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``. The split
-    and ``k_classify`` are checked before any output path is opened, and all
-    three are opened before the first fit: a bad value leaves a previous
-    report as it was, and an unwritable path fails fast.
+    (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``. The split,
+    ``k_classify`` and every noise level are checked before any output path
+    is opened, and all three are opened before the first fit: a bad value
+    leaves a previous report as it was, and an unwritable path fails fast.
     """
     samples, labels = load_dataset(config)
     n_train = len(trial_split(config, labels)[0])  # every trial's split has these sizes
@@ -294,15 +281,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     aggregates = []
     for snr_db in snr_list:
         for tau in config.tau_list:
-            errors = [c["error_rate"] for c in cells
-                      if c["tau"] == tau and c["snr_db"] == snr_db and "error_rate" in c]
-            rhos = [c["rho"] for c in cells
-                    if c["tau"] == tau and c["snr_db"] == snr_db and "rho" in c]
-            entry = {"tau": tau, "snr_db": snr_db, "n_ok": len(errors)}
-            if errors:
+            ok = [c for c in cells if c["tau"] == tau and c["snr_db"] == snr_db and "rho" in c]
+            entry = {"tau": tau, "snr_db": snr_db, "n_ok": len(ok)}
+            if ok:
+                errors = [c["error_rate"] for c in ok]
                 entry["mean_error"] = float(np.mean(errors))
-                entry["sd_error"] = float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0
-                entry["mean_rho"] = float(np.mean(rhos))
+                entry["sd_error"] = float(np.std(errors, ddof=1)) if len(ok) > 1 else 0.0
+                entry["mean_rho"] = float(np.mean([c["rho"] for c in ok]))
             aggregates.append(entry)
 
     report_doc = {

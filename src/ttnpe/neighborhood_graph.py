@@ -16,6 +16,7 @@ whatever the memory layout of D, and no N x N distance matrix is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -28,22 +29,22 @@ class AffinityConfig:
     """Graph parameters: K neighbors and heat-kernel scale epsilon.
 
     ``epsilon`` is either a fixed positive scale or the policy "median":
-    the median squared Frobenius distance over all retained
-    (i, j in knn(i)) pairs.
+    the median squared Frobenius distance over all retained (i, j in knn(i))
+    pairs. Other values, and a K that is not an int >= 1, raise ConfigError.
     """
 
     k_neighbors: int
     epsilon: float | str = "median"
 
     def __post_init__(self):
-        k = self.k_neighbors
+        k, eps = self.k_neighbors, self.epsilon
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise ValueError(f"k_neighbors must be an int >= 1, got {k!r}")
-        if isinstance(self.epsilon, str):
-            if self.epsilon != "median":
-                raise ValueError(f"unknown epsilon policy {self.epsilon!r}")
-        elif isinstance(self.epsilon, bool) or not 0.0 < self.epsilon < float("inf"):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+            raise ConfigError(f"k_neighbors must be an int >= 1, got {k!r}")
+        if isinstance(eps, str):
+            if eps != "median":
+                raise ConfigError(f"unknown epsilon policy {eps!r}")
+        elif isinstance(eps, bool) or not isinstance(eps, Real) or not 0.0 < eps < np.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {eps!r}")
 
 
 def knn_graph(d_mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

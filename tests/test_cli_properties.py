@@ -7,6 +7,7 @@ strings never contain a separator.
 """
 
 import json
+import math
 import os
 import tempfile
 
@@ -27,7 +28,8 @@ GARBAGE = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
-KEYS = st.sampled_from(sorted(_CONFIG_KEYS) + [f"dataset.{k}" for k in sorted(_DATASET_KEYS)])
+DATASET_KEYS = set().union(*_DATASET_KEYS.values())
+KEYS = st.sampled_from(sorted(_CONFIG_KEYS) + [f"dataset.{k}" for k in sorted(DATASET_KEYS)])
 COMMANDS = st.sampled_from([["experiment"], ["convergence"], ["fit", "--out", "model.json"]])
 
 
@@ -85,3 +87,36 @@ def test_csv_with_spliced_bytes_exit_typed(command, at, raw):
     good = valid_csv()
     at %= len(good)
     assert run_in_fresh_dir(command, valid_config(), good[:at] + raw + good[at:]) in (0, 1, 2)
+
+
+# Levels whose power ratio or noise overflows a float, the band on both sides
+# of where the valid CSV's noise stops fitting the float range (near -3025 dB),
+# usable levels, and any float.
+NOISE_LEVELS = (st.sampled_from([math.inf, -math.inf, math.nan, 4000.0, -4000.0])
+                | st.floats(-3250.0, -3000.0) | st.floats(-400.0, 100.0) | st.floats())
+
+
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(NOISE_LEVELS)
+def test_noise_level_runs_or_keeps_previous_report(level):
+    outputs = ("report.json", "report.json.timings.json", "report.json.csv")
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("data.csv", "wb") as fh:
+                fh.write(valid_csv())
+            for name, noise in (("plain.json", None), ("noisy.json", [level])):
+                with open(name, "w") as fh:
+                    json.dump(dict(valid_config(), noise_snr_db=noise), fh)
+            assert main(["experiment", "--config", "plain.json"]) == 0
+            before = [open(p, "rb").read() for p in outputs]
+            code = main(["experiment", "--config", "noisy.json"])
+            assert code in (0, 1)
+            if code == 1:
+                assert [open(p, "rb").read() for p in outputs] == before
+            else:
+                with open("report.json") as fh:
+                    assert [c["snr_db"] for c in json.load(fh)["cells"]] == [level]
+        finally:
+            os.chdir(cwd)

@@ -3,8 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from ttnpe.datasets import add_noise, load_csv, load_idx
-from ttnpe.errors import DataError
+from ttnpe.datasets import add_noise, load_csv, load_idx, noise_sigma
+from ttnpe.errors import ConfigError, DataError
 
 
 def write_idx_images(path, images):
@@ -140,6 +140,20 @@ class TestNoise:
         noisy = add_noise(data, 0.0, seed=3)
         noise = noisy - data
         assert abs(np.var(noise) - 4.0) < 0.2
+
+    def test_sigma_is_signal_power_over_ratio(self):
+        data = 2.0 * np.ones((3, 2, 5))  # per-entry signal power 4
+        assert noise_sigma(data, 0) == 2.0
+        assert noise_sigma(data, 20.0) == np.sqrt(4.0 / 100.0)
+
+    @pytest.mark.parametrize("snr_db", [float("inf"), float("-inf"), float("nan"), 4000, -4000,
+                                        -3230, -3080, 10 ** 400, -(10 ** 400)])
+    def test_unrepresentable_level_rejected(self, snr_db):
+        data = np.full((2, 4, 3), 6.0)
+        with pytest.raises(ConfigError, match="noise_snr_db"):
+            noise_sigma(data, snr_db)
+        with pytest.raises(ConfigError, match="noise_snr_db"):
+            add_noise(data, snr_db, seed=0)
 
     def test_high_snr_small_perturbation(self, rng):
         data = rng.standard_normal((4, 4, 20))

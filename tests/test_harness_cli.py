@@ -348,6 +348,17 @@ class TestCli:
         ("epsilon", True, "epsilon"),
         ("noise_snr_db", [4000], "noise_snr_db"),
         ("noise_snr_db", [-4000], "noise_snr_db"),
+        ("noise_snr_db", [-3230], "noise_snr_db"),
+        ("noise_snr_db", [-3080], "noise_snr_db"),
+        ("noise_snr_db", [float("-inf")], "noise_snr_db"),
+        ("noise_snr_db", [float("nan")], "noise_snr_db"),
+        ("dataset", {"format": "csv", "path": "data.csv", "label_column": 0,
+                     "label_path": "labels"}, "label_path"),
+        ("dataset", {"format": "csv", "image_path": "data.csv", "label_column": 0}, "image_path"),
+        ("dataset", {"format": "idx", "image_path": "images", "label_path": "labels",
+                     "path": "data.csv"}, "['path']"),
+        ("dataset", {"format": "idx", "image_path": "images", "label_path": "labels",
+                     "label_column": 0}, "label_column"),
     ])
     def test_bad_config_value_exit_code(self, tmp_path, rng, capsys, key, value, message):
         cfg, _ = self.write_config(tmp_path, rng, **{key: value})
@@ -389,6 +400,16 @@ class TestCli:
         before = [p.read_bytes() for p in paths]
         too_many, _ = self.write_config(tmp_path, rng, n_train_per_class=50)
         assert main(["experiment", "--config", str(too_many)]) == 2
+        assert [p.read_bytes() for p in paths] == before
+
+    def test_bad_noise_level_keeps_previous_report(self, tmp_path, rng, capsys):
+        cfg, _ = self.write_config(tmp_path, rng)
+        assert main(["experiment", "--config", str(cfg)]) == 0
+        paths = [tmp_path / ("report.json" + suffix) for suffix in ("", ".timings.json", ".csv")]
+        before = [p.read_bytes() for p in paths]
+        loud, _ = self.write_config(tmp_path, rng, noise_snr_db=[-3230])
+        assert main(["experiment", "--config", str(loud)]) == 1
+        assert capsys.readouterr().err.startswith("config error: noise_snr_db level -3230")
         assert [p.read_bytes() for p in paths] == before
 
     @pytest.mark.parametrize("variant", ["atn", "tn"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_orthonormal_chain
-from ttnpe.errors import DataError
+from ttnpe.errors import ConfigError, DataError
 from ttnpe.neighborhood_graph import (
     AffinityConfig,
     affinity,
@@ -78,6 +78,11 @@ class TestAffinity:
     def test_epsilon_validation(self, rng):
         with pytest.raises(ValueError, match="epsilon"):
             affinity(*knn_graph(rng.standard_normal((2, 4)), 1), epsilon=0.0)
+
+    @pytest.mark.parametrize("epsilon", [[1.0], "mean", None, 0.0, float("inf"), True])
+    def test_config_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon"):
+            AffinityConfig(3, epsilon=epsilon)
 
     def test_median_policy(self):
         _, sq = knn_graph(columns([0.0], [1.0], [3.0]), 1)
