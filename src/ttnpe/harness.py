@@ -219,7 +219,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     bug and propagates. Writes the deterministic report to ``output_path``,
     timings to ``output_path + '.timings.json'`` (per fitted cell: subspace
     learning, embedding and classification, the solver's per-stage
-    ``wall_time`` and its TN ``core_solves``), and a flat CSV of
+    ``wall_time``, its TN ``core_solves``, its ``kyfan_bound`` and
+    ``kyfan_gap``, the final objective minus that bound), and a flat CSV of
     (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``. The split,
     ``k_classify`` and every noise level are checked before any output path
     is opened, and all three are opened before the first fit: a bad value
@@ -273,6 +274,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
                         "classification": result.classify_seconds,
                         **report.wall_time,
                         "core_solves": report.core_solves,
+                        "kyfan_bound": report.kyfan_bound,
+                        "kyfan_gap": report.objective_trace[-1] - report.kyfan_bound,
                     })
                 except (ValueError, NumericError) as exc:  # recorded, run continues
                     cell["error"] = f"{type(exc).__name__}: {exc}"

@@ -36,7 +36,7 @@ from ttnpe.neighborhood_graph import (
     build_weight_matrix,
 )
 from ttnpe.stiefel import OptimizeResult, OptimizerConfig, minimize_quadratic, polar
-from ttnpe.tensor_core import kronecker, left_unfold, reshape
+from ttnpe.tensor_core import frobenius_norm, kronecker, left_unfold, reshape
 from ttnpe.tt_subspace import (TTChain, contract_chain, fix_signs, project_left,
                                right_environments, tt_svd)
 
@@ -63,8 +63,11 @@ class TTNPEProblem:
 
 @dataclass
 class SolverReport:
-    """Traces of one fit. ``wall_time`` holds seconds per stage ("graph",
-    "tt_svd", "eigensolve", "sweeps") and is the only non-deterministic field.
+    """Traces of one fit. ``kyfan_bound`` is the Ky Fan lower bound on the
+    objective: the sum of Z's R_n smallest eigenvalues, exactly 0.0 when
+    R_n <= d - N (Z = Y Y^T has rank at most N). ``wall_time`` holds
+    seconds per stage ("graph", "tt_svd", "eigensolve", "sweeps") and is
+    the only non-deterministic field.
     ``core_solves`` holds, per TN sweep, each core solve's step count and stop
     reason (``{"steps": int, "stop": str}``); it stays empty for ATN."""
 
@@ -255,7 +258,12 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     Builds the affinity graph and Gram target, initializes the chain by
     TT-SVD with threshold ``tau``, then sweeps cores 1..n with the chosen
     variant's update until the largest per-core change drops below
-    ``core_change_tol`` or ``max_sweeps`` is reached. ``opt_cfg`` bounds
+    ``core_change_tol`` or ``max_sweeps`` is reached. After each sweep the
+    objective must stay above the Ky Fan bound, less 1e-8 * max(1, ||Z||_F),
+    or NumericError is raised. The bound takes no eigensolve when
+    R_n <= d - N, where it is exactly 0.0; otherwise TN takes it from the
+    spectrum of the smaller of Y^T Y and Z, and ATN from the eigenvalues of
+    the one ``eigh`` of Z that also gives its target. ``opt_cfg`` bounds
     the power iteration on TN cores 1..n-1 through its ``max_inner_iters``
     and ``grad_tol``; the last TN core and every ATN core update are solved
     in closed form.
@@ -290,16 +298,20 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     v = None
     if variant == "atn":
         eigvals, v = smallest_eigvecs(z, r_n)
+    if r_n <= d - n_samples:
+        # rank(Z) <= N leaves at least d - N zero eigenvalues, the R_n smallest.
+        report.kyfan_bound = 0.0
+    elif variant == "atn":
+        report.kyfan_bound = float(np.sum(eigvals))
     else:
         # Z = Y Y^T has the spectrum of the smaller Gram Y^T Y, padded with zeros.
         gram = y.T @ y if n_samples < d else z
         spectrum = np.concatenate([np.linalg.eigvalsh(gram), np.zeros(d - gram.shape[0])])
-        eigvals = np.sort(spectrum)[:r_n]
-    report.kyfan_bound = float(np.sum(eigvals))
+        report.kyfan_bound = float(np.sum(np.sort(spectrum)[:r_n]))
     report.wall_time["eigensolve"] = time.perf_counter() - t0
 
     n = len(mode_dims)
-    scale = max(1.0, float(np.linalg.norm(z)))
+    scale = max(1.0, frobenius_norm(z))
     report.objective_trace.append(objective(problem))
     t0 = time.perf_counter()
     termination = "max_sweeps"

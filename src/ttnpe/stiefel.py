@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ttnpe.errors import NumericError
+from ttnpe.tensor_core import frobenius_norm
 
 FEASIBILITY_TOL = 1e-8
 
@@ -60,8 +61,12 @@ def project_tangent(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def projected_grad_norm(x: np.ndarray, g: np.ndarray) -> float:
-    """Frobenius norm of the tangent-space projection of the Euclidean gradient."""
-    return float(np.linalg.norm(project_tangent(x, g)))
+    """Frobenius norm of the tangent-space projection of the Euclidean gradient.
+
+    Finite whenever the projection's entries are, so the gradient stop
+    still fires on gradients whose squared norm overflows.
+    """
+    return frobenius_norm(project_tangent(x, g))
 
 
 def polar(m: np.ndarray) -> np.ndarray:
@@ -93,7 +98,7 @@ def minimize(f, grad, x0: np.ndarray, cfg: OptimizerConfig | None = None) -> Opt
         if not np.all(np.isfinite(g)):
             raise NumericError(f"gradient is not finite after {accepted} accepted steps")
         pg = project_tangent(x, g)
-        pg_norm = float(np.linalg.norm(pg))
+        pg_norm = frobenius_norm(pg)
         if pg_norm <= cfg.grad_tol * (1.0 + abs(fx)):
             termination = "gradient"
             break

@@ -9,9 +9,12 @@ mathematical notation for tensor contractions.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
+
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def vectorize(t: np.ndarray) -> np.ndarray:
@@ -25,6 +28,26 @@ def left_unfold(t: np.ndarray) -> np.ndarray:
     if t.ndim < 2:
         raise ValueError("unfolding requires >=2 modes")
     return t.reshape(-1, t.shape[-1], order="F")
+
+
+def frobenius_norm(t: np.ndarray) -> float:
+    """Frobenius norm of ``t``, finite whenever every entry is.
+
+    Takes sqrt(x . x) over the flat entries, as ``np.linalg.norm`` does and
+    with the same bits. Only when that sum of squares overflows, or falls
+    below the smallest normal float, are the entries first divided by their
+    largest magnitude.
+    """
+    x = np.asarray(t, dtype=np.float64).ravel(order="K")
+    with np.errstate(over="ignore", under="ignore"):
+        sq = float(x.dot(x))
+    if _TINY <= sq < math.inf:
+        return math.sqrt(sq)
+    top = float(np.max(np.abs(x))) if x.size else 0.0
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    x = x / top
+    return top * math.sqrt(float(x.dot(x)))
 
 
 def _check_mode_list(g: Sequence[int], ndim: int, name: str) -> list[int]:

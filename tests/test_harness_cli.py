@@ -1,11 +1,13 @@
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ttnpe import harness
+from ttnpe import harness, solver
 from ttnpe.cli import main
-from ttnpe.errors import ConfigError, DataError
+from ttnpe.errors import ConfigError, DataError, NumericError
 from ttnpe.harness import (
     ExperimentConfig,
     load_dataset,
@@ -190,6 +192,22 @@ class TestRunExperiment:
             assert len(solves) == 3 and solves[-1]["stop"] == "exact"
             assert all(isinstance(s["steps"], int) for s in solves)
         assert "core_solves" not in (tmp_path / "report.json").read_text()
+
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_timings_carry_kyfan_gap(self, tmp_path, rng, variant):
+        config = ExperimentConfig.from_dict(
+            base_config(tmp_path, rng, variant=variant, tau_list=[0.3, 0.1], max_sweeps=3))
+        doc = run_experiment(config)
+        timings = json.loads((tmp_path / "report.json.timings.json").read_text())
+        assert len(timings) == len(doc["cells"]) == 2
+        for cell, entry in zip(doc["cells"], timings):
+            assert [entry[key] for key in ("tau", "trial", "snr_db")] == \
+                [cell[key] for key in ("tau", "trial", "snr_db")]
+            assert isinstance(entry["kyfan_bound"], float)
+            assert entry["kyfan_gap"] == cell["objective_trace"][-1] - entry["kyfan_bound"]
+            assert entry["kyfan_gap"] >= -1e-8
+        cells = json.loads((tmp_path / "report.json").read_text())["cells"]
+        assert not any(key.startswith("kyfan") for cell in cells for key in cell)
 
     def test_failing_cell_recorded_run_continues(self, tmp_path, rng):
         # k_graph >= training N makes the graph construction fail in every cell
@@ -537,3 +555,42 @@ class TestCli:
         d1 = json.loads(r1.read_text())
         d2 = json.loads(r2.read_text())
         assert d1["n_test"] == d2["n_test"] == 6
+
+
+class TestExtremeNoise:
+    """The CI tiny CSV drowned in noise: every sample entry stays finite, but
+    Z = Y Y^T nears the float range, so the sum of its squared entries
+    overflows."""
+
+    LEVELS = [-3020, -2900, -2500]
+
+    def config(self, tmp_path, snr_db):
+        return base_config(tmp_path, np.random.default_rng(0), seed=0, max_sweeps=5,
+                           noise_snr_db=[snr_db])
+
+    @pytest.mark.parametrize("snr_db", LEVELS)
+    def test_runs_without_overflow_warning(self, tmp_path, snr_db):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.config(tmp_path, snr_db)))
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for variant in ("atn", "tn"):
+                assert main(["experiment", "--config", str(path), "--variant", variant,
+                             "--out", str(out)]) == 0
+                assert all("error" not in c for c in json.loads(out.read_text())["cells"])
+            assert main(["convergence", "--config", str(path), "--out", str(out)]) == 0
+        for entry in json.loads(out.read_text())["traces"].values():
+            assert "error" not in entry
+            bound = entry["kyfan_bound"]
+            assert min(entry["objective_trace"]) >= bound - 1e-8 * max(1.0, abs(bound))
+
+    @pytest.mark.parametrize("snr_db", LEVELS)
+    def test_kyfan_check_still_fires(self, tmp_path, monkeypatch, snr_db):
+        config = ExperimentConfig.from_dict(self.config(tmp_path, snr_db))
+        samples, labels = load_dataset(config)
+        train = harness.trial_data(config, samples, labels)[0]
+        monkeypatch.setattr(solver, "objective", lambda problem: -1e300)
+        for variant in ("atn", "tn"):
+            with pytest.raises(NumericError, match="spectral lower bound"):
+                harness.fit_config(replace(config, variant=variant), train, config.tau_list[0])

@@ -456,15 +456,28 @@ class TestFit:
         _, report = fit(data, AffinityConfig(3), tau=0.3, variant="atn", max_sweeps=3)
         assert report.core_solves == []
 
-    @pytest.mark.parametrize("per_class", [3, 6])
-    def test_tn_kyfan_bound_is_the_gram_spectrum(self, rng, per_class):
-        # 6 samples (N < d = 8) take the N x N Gram, 12 samples take Z itself
+    @pytest.mark.parametrize("variant, per_class, tau, regime", [
+        pytest.param("tn", 3, 0.3, "null", id="3"),
+        pytest.param("tn", 6, 0.3, "tall", id="6"),
+        pytest.param("tn", 3, 1e-3, "wide", id="tn-wide"),
+        pytest.param("atn", 3, 0.3, "null", id="atn-null"),
+        pytest.param("atn", 6, 0.3, "tall", id="atn-tall"),
+        pytest.param("atn", 3, 1e-3, "wide", id="atn-wide"),
+    ])
+    def test_tn_kyfan_bound_is_the_gram_spectrum(self, rng, variant, per_class, tau, regime):
+        # d = 8. "null": R_n <= d - N, so the bound is exactly 0 with no
+        # eigensolve; "wide": N = 6 < d < N + R_n (TN takes the N x N Gram);
+        # "tall": N = 12 >= d (TN takes Z itself). ATN sums its eigh of Z.
         data, _ = self.separable_data(rng, per_class=per_class)
         graph = AffinityConfig(2)
-        chain, report = fit(data, graph, tau=0.3, variant="tn", max_sweeps=1)
-        d_mat = data.reshape(8, -1, order="F")
+        chain, report = fit(data, graph, tau=tau, variant=variant, max_sweeps=1)
+        d, n, r_n = 8, data.shape[-1], chain.embedding_dim
+        assert regime == ("tall" if n >= d else "null" if r_n <= d - n else "wide")
+        if regime == "null":
+            assert report.kyfan_bound == 0.0
+        d_mat = data.reshape(d, -1, order="F")
         z = build_gram(build_residual(d_mat, build_weight_matrix(d_mat, graph)))
-        expected = np.sum(np.linalg.eigvalsh(z)[:chain.embedding_dim])
+        expected = np.sort(np.linalg.eigvalsh(z))[:r_n].sum()
         assert abs(report.kyfan_bound - expected) < 1e-10 * max(1.0, float(np.linalg.norm(z)))
 
     def test_kyfan_bound_holds(self, rng):

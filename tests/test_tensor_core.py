@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import brute_merge
-from ttnpe.tensor_core import kronecker, left_unfold, merge_product, reshape, vectorize
+from ttnpe.tensor_core import (frobenius_norm, kronecker, left_unfold, merge_product, reshape,
+                               vectorize)
 
 
 class TestVectorize:
@@ -104,6 +105,36 @@ class TestReshape:
     def test_count_mismatch(self, rng):
         with pytest.raises(ValueError, match="cannot reshape"):
             reshape(rng.standard_normal((2, 3)), (4, 2))
+
+
+class TestFrobeniusNorm:
+    def test_bits_of_numpy_norm_on_ordinary_arrays(self, rng):
+        for shape in [(5,), (7, 3), (2, 3, 4)]:
+            t = rng.standard_normal(shape)
+            assert frobenius_norm(t) == float(np.linalg.norm(t))
+            assert frobenius_norm(np.asfortranarray(t)) == float(np.linalg.norm(np.asfortranarray(t)))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310])
+    def test_finite_when_sum_of_squares_leaves_the_normal_range(self, rng, scale):
+        # 1e200 overflows the squares, 1e-200 and subnormal 1e-310 underflow them
+        t = rng.standard_normal((6, 4))
+        with np.errstate(over="raise", under="ignore"):
+            got = frobenius_norm(scale * t)
+        expected = scale * np.linalg.norm(t)
+        assert got == pytest.approx(expected, rel=1e-6 if scale < 1e-300 else 1e-14)
+
+    def test_overflow_is_not_warned(self):
+        with np.errstate(over="raise"):
+            assert frobenius_norm(np.full((3, 3), 1e300)) == pytest.approx(3e300, rel=1e-14)
+
+    @pytest.mark.parametrize("t, expected", [
+        (np.zeros((2, 2)), 0.0), (np.zeros(0), 0.0), (np.array([1.0, np.inf]), np.inf),
+    ])
+    def test_zero_empty_and_infinite(self, t, expected):
+        assert frobenius_norm(t) == expected
+
+    def test_nan_propagates(self):
+        assert np.isnan(frobenius_norm(np.array([1.0, np.nan])))
 
 
 class TestProperties:
