@@ -29,7 +29,9 @@ def _read_idx(path, expected_magic: int) -> np.ndarray:
     if len(raw) < 4 + 4 * ndim:
         raise DataError(f"{path}: truncated header")
     dims = struct.unpack(f">{ndim}i", raw[4:4 + 4 * ndim])
-    count = int(np.prod(dims))
+    if min(dims) < 0:
+        raise DataError(f"{path}: negative dimension in header {dims}")
+    count = math.prod(dims)  # exact: numpy's int64 product can wrap on three int32 dims
     payload = raw[4 + 4 * ndim:]
     if len(payload) < count:
         raise DataError(f"{path}: truncated payload, expected {count} bytes, got {len(payload)}")

@@ -3,21 +3,27 @@ approximate updates (ATN), orchestrated by an alternating sweep loop.
 
 Both variants minimize tr(E^T Z E) over chains with left-orthonormal cores,
 where E is the contracted chain matrix and Z the neighborhood Gram target.
-TN builds the exact quadratic form for each core from the prefix form
-P^T Z P (P = I (x) prefix chain) and the suffix Gram Q Q^T. The last core's
-form is tr(X^T B X), minimized exactly by B's smallest eigenvectors; every
-other core is solved by the generalized power iteration on its form
+TN solves each core on its exact quadratic form. The last core's form is
+tr(X^T B X), minimized exactly by B's smallest eigenvectors; every other
+core is solved by the generalized power iteration on its form
 vec(X)^T A vec(X), whose polar-factor steps never raise the objective and,
 unlike a descent curve on the manifold, can change det(X). ATN instead fits
 the chain to the smallest-eigenvector matrix V of Z, solving each core's
 subproblem min ||P X Q - C||_F^2 in closed form as the polar factor of
 P^T C Q^T (orthogonal Procrustes).
 
-An ATN sweep never forms P or the prefix. It carries two environments, as
-in ALS/MALS: the suffix right unfoldings Q_k, built once per sweep from
-right to left (Q_n = I), and the left-projected target L_k = P^T C, carried
-from left to right (L_1 = V reshaped, L_{k+1} = X_k^T L_k reshaped, with
-X_k the just-solved core). As P^T P = I, the residual of core k is
+Neither sweep forms P or the prefix. Both carry environments, as in
+ALS/MALS (Holtz, Rohwedder & Schneider, SIAM J. Sci. Comput. 2012): the
+suffix right unfoldings Q_k, built once per sweep from right to left
+(Q_n = I), and a left-projected quantity carried from left to right
+through X_k, the just-solved core's left unfolding. A TN sweep carries the
+prefix Gram W_k = P^T Z P: W_1 is a view of Z and W_{k+1} = X_k^T W_k X_k
+over both of W_k's (I_k, R_{k-1}) axes. Core k < n's form is W_k
+contracted with Q_k Q_k^T over the modes after k, and the last core's B is
+W_n. :func:`build_A` and :func:`build_B` build the same forms from scratch
+through :func:`_prefix_form`; the sweep does not call them. An ATN sweep
+carries the left-projected target L_k = P^T C (L_1 = V reshaped,
+L_{k+1} = X_k^T L_k reshaped). As P^T P = I, the residual of core k is
 ||X Q_k - L_k||^2 + ||V||^2 - ||L_k||^2.
 """
 
@@ -189,6 +195,16 @@ def _core_from_left_unfold(x: np.ndarray, r_prev: int, i_k: int) -> np.ndarray:
     return x.reshape(r_prev, i_k, x.shape[1], order="F")
 
 
+def _exact_last_core(b_mat: np.ndarray, x0: np.ndarray) -> OptimizeResult:
+    """B's smallest eigenvectors if they lower tr(X^T B X) below x0's, else x0."""
+    f0 = float(np.sum(x0 * (b_mat @ x0)))
+    _, x = smallest_eigvecs(b_mat, x0.shape[1])
+    f = float(np.sum(x * (b_mat @ x)))
+    if f < f0:
+        return OptimizeResult(x=x, f_trace=[f0, f], termination="exact", n_accepted=1)
+    return OptimizeResult(x=x0, f_trace=[f0], termination="exact", n_accepted=0)
+
+
 def update_core_tn(problem: TTNPEProblem, k: int, opt_cfg: OptimizerConfig | None = None):
     """One exact alternating-minimization step on core k (1-based).
 
@@ -199,25 +215,85 @@ def update_core_tn(problem: TTNPEProblem, k: int, opt_cfg: OptimizerConfig | Non
     bounded by ``opt_cfg``'s ``max_inner_iters`` and ``grad_tol``. The shared
     objective cannot increase, and a core that already attains the optimum
     is kept. Returns the new core and the solve's ``OptimizeResult``.
+    :func:`sweep_tn` takes the same steps on carried forms.
     """
     n = len(problem.mode_dims)
     core = problem.chain.cores[k - 1]
-    r_prev, i_k, r_k = core.shape
+    r_prev, i_k, _ = core.shape
     x0 = left_unfold(core)
     if k < n:
         _, a_mat = build_A(problem, k)
         result = minimize_quadratic(a_mat, x0, opt_cfg)
     else:
         _, b_mat = build_B(problem)
-        f0 = float(np.sum(x0 * (b_mat @ x0)))
-        _, x = smallest_eigvecs(b_mat, r_k)
-        f = float(np.sum(x * (b_mat @ x)))
-        if f < f0:
-            result = OptimizeResult(x=x, f_trace=[f0, f], termination="exact", n_accepted=1)
-        else:
-            result = OptimizeResult(x=x0, f_trace=[f0], termination="exact", n_accepted=0)
+        result = _exact_last_core(b_mat, x0)
     new_core = _core_from_left_unfold(result.x, r_prev, i_k)
     return new_core, result
+
+
+def _carried_form(w: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """Core k's form A from the carried W_k and the right environment Q_k.
+
+    ``w`` has axes (d_post, p, d_post', p') with p = (I_k, R_{k-1}), R_{k-1}
+    fastest. A[(r, p), (r', p')] = sum over the modes after k of
+    C_k[r, j, r', j'] W_k[j, p, j', p'], with C_k = Q_k Q_k^T. When
+    R_k R_n < d_post, Q_k enters W_k's leading axis first, one product that
+    reads W_k in place; otherwise W_k meets C_k in one tensordot. The
+    result is symmetrized in place, so at most two m x m arrays are live.
+    """
+    d_post, p = w.shape[:2]
+    r_k = env.shape[0]
+    r_n = env.shape[1] // d_post
+    q = env.reshape(r_k, d_post, r_n, order="F")
+    if r_k * r_n < d_post:
+        t = q.transpose(0, 2, 1).reshape(r_k * r_n, d_post) @ w.reshape(d_post, -1)
+        a = np.tensordot(t.reshape(r_k, r_n, p, d_post, p), q, axes=([1, 3], [2, 1]))
+        a = a.transpose(0, 1, 3, 2)                      # (R_k, p, R_k', p')
+    else:
+        qm = q.reshape(r_k * d_post, r_n)
+        qq = (qm @ qm.T).reshape(r_k, d_post, r_k, d_post)
+        a = np.tensordot(w, qq, axes=([0, 2], [1, 3]))   # (p, p', R_k, R_k')
+        a = a.transpose(2, 0, 3, 1)
+    m = r_k * p
+    a = a.reshape(m, m)  # rows in vec(X) order: C-order (R_k, I_k, R_{k-1})
+    a += a.T
+    a *= 0.5
+    return a
+
+
+def sweep_tn(problem: TTNPEProblem, opt_cfg: OptimizerConfig | None = None) -> list[OptimizeResult]:
+    """One left-to-right TN sweep over cores 1..n on the carried prefix Gram.
+
+    Replaces ``problem.chain`` core by core with the steps of
+    :func:`update_core_tn`, taking each form from W_k (W_1 a view of Z)
+    instead of rebuilding it, and returns each core's ``OptimizeResult``.
+    """
+    dims = problem.mode_dims
+    n = len(dims)
+    envs = right_environments(problem.chain)
+    d_post = problem.z.shape[0] // dims[0]
+    w = problem.z.reshape(d_post, dims[0], d_post, dims[0])
+    results = []
+    for k in range(1, n + 1):
+        r_prev, i_k, _ = problem.chain.cores[k - 1].shape
+        x0 = left_unfold(problem.chain.cores[k - 1])
+        if k < n:
+            result = minimize_quadratic(_carried_form(w, envs[k - 1]), x0, opt_cfg)
+        else:
+            b = w.reshape(x0.shape[0], -1)
+            b = b + b.T  # a new array: at n = 1, W_1 is Z itself
+            b *= 0.5
+            result = _exact_last_core(b, x0)
+        results.append(result)
+        x = result.x
+        problem.chain = problem.chain.replace_core(k - 1, _core_from_left_unfold(x, r_prev, i_k))
+        if k < n:
+            # W_{k+1} = X^T W_k X over both p axes; splitting d_post into
+            # (d_post / I_{k+1}, I_{k+1}) regroups it with no copy.
+            w = x.T @ (w.reshape(-1, x.shape[0]) @ x).reshape(d_post, x.shape[0], -1)
+            d_post //= dims[k]
+            w = w.reshape(d_post, dims[k] * x.shape[1], d_post, dims[k] * x.shape[1])
+    return results
 
 
 def _procrustes_step(left: np.ndarray, q: np.ndarray, target_sq: float) -> tuple[np.ndarray, float]:
@@ -257,16 +333,18 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     ``data`` stacks samples along the last mode, shape (I_1, ..., I_n, N).
     Builds the affinity graph and Gram target, initializes the chain by
     TT-SVD with threshold ``tau``, then sweeps cores 1..n with the chosen
-    variant's update until the largest per-core change drops below
+    variant's sweep (:func:`sweep_tn` or :func:`sweep_atn`, each on carried
+    environments) until the largest per-core change drops below
     ``core_change_tol`` or ``max_sweeps`` is reached. After each sweep the
-    objective must stay above the Ky Fan bound, less 1e-8 * max(1, ||Z||_F),
-    or NumericError is raised. The bound takes no eigensolve when
-    R_n <= d - N, where it is exactly 0.0; otherwise TN takes it from the
-    spectrum of the smaller of Y^T Y and Z, and ATN from the eigenvalues of
-    the one ``eigh`` of Z that also gives its target. ``opt_cfg`` bounds
-    the power iteration on TN cores 1..n-1 through its ``max_inner_iters``
-    and ``grad_tol``; the last TN core and every ATN core update are solved
-    in closed form.
+    objective, recomputed from the chain by :func:`objective` and so
+    independent of the carried forms, must stay above the Ky Fan bound,
+    less 1e-8 * max(1, ||Z||_F), or NumericError is raised. The bound takes
+    no eigensolve when R_n <= d - N, where it is exactly 0.0; otherwise TN
+    takes it from the spectrum of the smaller of Y^T Y and Z, and ATN from
+    the eigenvalues of the one ``eigh`` of Z that also gives its target.
+    ``opt_cfg`` bounds the power iteration on TN cores 1..n-1 through its
+    ``max_inner_iters`` and ``grad_tol``; the last TN core and every ATN
+    core update are solved in closed form.
     """
     if variant not in ("tn", "atn"):
         raise ConfigError(f"variant must be 'tn' or 'atn', got {variant!r}")
@@ -310,7 +388,6 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
         report.kyfan_bound = float(np.sum(np.sort(spectrum)[:r_n]))
     report.wall_time["eigensolve"] = time.perf_counter() - t0
 
-    n = len(mode_dims)
     scale = max(1.0, frobenius_norm(z))
     report.objective_trace.append(objective(problem))
     t0 = time.perf_counter()
@@ -318,12 +395,8 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     for sweep in range(max_sweeps):
         old_cores = [c.copy() for c in problem.chain.cores]
         if variant == "tn":
-            solves = []
-            for k in range(1, n + 1):
-                new_core, result = update_core_tn(problem, k, opt_cfg)
-                problem.chain = problem.chain.replace_core(k - 1, new_core)
-                solves.append({"steps": result.n_accepted, "stop": result.termination})
-            report.core_solves.append(solves)
+            report.core_solves.append([{"steps": r.n_accepted, "stop": r.termination}
+                                       for r in sweep_tn(problem, opt_cfg)])
         else:
             report.surrogate_trace.append(sweep_atn(problem, v))
         obj = objective(problem)

@@ -61,6 +61,30 @@ class TestIdx:
             load_idx(tmp_path / "imgs", tmp_path / "lbls")
 
 
+    @pytest.mark.parametrize("dims", [(-2, 2, 2), (3, -2, -2), (23, 2, -1)])
+    def test_negative_header_dimension(self, tmp_path, dims):
+        # (-2, 2, 2) used to load 23 images from the payload less its last 8
+        # bytes; (3, -2, -2) raised a raw ValueError from reshape
+        (tmp_path / "bad").write_bytes(struct.pack(">iiii", 0x803, *dims) + bytes(23 * 4 + 8))
+        write_idx_labels(tmp_path / "lbls", list(range(23)))
+        with pytest.raises(DataError, match="negative dimension"):
+            load_idx(tmp_path / "bad", tmp_path / "lbls")
+
+    def test_negative_label_count(self, tmp_path):
+        write_idx_images(tmp_path / "imgs", np.zeros((2, 1, 1), dtype=np.uint8))
+        (tmp_path / "lbls").write_bytes(struct.pack(">ii", 0x801, -1) + b"\x00\x01")
+        with pytest.raises(DataError, match="negative dimension"):
+            load_idx(tmp_path / "imgs", tmp_path / "lbls")
+
+    def test_header_product_beyond_int64(self, tmp_path):
+        # numpy's int64 product of these dims wraps to a negative count
+        big = 2 ** 31 - 1
+        (tmp_path / "bad").write_bytes(struct.pack(">iiii", 0x803, big, big, 4) + bytes(64))
+        write_idx_labels(tmp_path / "lbls", [0])
+        with pytest.raises(DataError, match="truncated payload"):
+            load_idx(tmp_path / "bad", tmp_path / "lbls")
+
+
 class TestCsv:
     def test_plain_numeric(self, tmp_path):
         p = tmp_path / "d.csv"

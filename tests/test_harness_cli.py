@@ -1,4 +1,5 @@
 import json
+import struct
 import warnings
 from dataclasses import replace
 
@@ -504,6 +505,20 @@ class TestCli:
         (tmp_path / gone).unlink()
         assert main(["classify", "--config", str(cfg), "--model", str(model)]) == code
         assert "No such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", [(-2, 2, 2), (3, -2, -2)])
+    def test_negative_idx_dimension_exit_code(self, tmp_path, rng, capsys, dims):
+        # 23 labels over two classes: (-2, 2, 2) used to load 23 garbage
+        # images, and (3, -2, -2) ended in a reshape traceback
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        images.write_bytes(struct.pack(">iiii", 0x803, *dims) + bytes(range(100)))
+        labels.write_bytes(struct.pack(">ii", 0x801, 23) + bytes([0] * 12 + [1] * 11))
+        dataset = {"format": "idx", "image_path": str(images), "label_path": str(labels)}
+        cfg, _ = self.write_config(tmp_path, rng, dataset=dataset, reshape=[2, 2])
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "negative dimension" in err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["experiment", "convergence", "fit", "embed", "classify"])
     def test_unwritable_output_exit_code(self, tmp_path, rng, capsys, command):

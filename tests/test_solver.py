@@ -15,6 +15,7 @@ from ttnpe.solver import (
     objective,
     smallest_eigvecs,
     sweep_atn,
+    sweep_tn,
     update_core_tn,
 )
 from ttnpe.stiefel import OptimizerConfig, check_gradient, minimize
@@ -414,6 +415,98 @@ class TestSweepATN:
         assert np.array_equal(q3, np.eye(2))
 
 
+class TestSweepTN:
+    # (dims, ranks): n = 1; n = 2 with Q_1 entering W_1 first (R_1 R_n < d_post)
+    # and with the suffix Gram C_1 (R_1 R_n >= d_post); n = 3 with both orders
+    # in one sweep; a rank-1 bond; and the bench shape.
+    SHAPES = [((6,), (2,)), ((8, 3), (1, 2)), ((3, 4), (2, 3)), ((5, 2, 3), (1, 2, 2)),
+              ((2, 3, 2), (2, 1, 2)), ((4, 7, 4, 7), (3, 7, 12, 10))]
+    CFG = OptimizerConfig(max_inner_iters=7)
+
+    def problems(self, rng):
+        for dims, ranks in self.SHAPES:
+            problem = make_problem(rng, dims=dims, ranks=ranks)  # Z of rank d - 2
+            oracle = TTNPEProblem(z=problem.z, mode_dims=dims, chain=problem.chain, variant="tn")
+            yield problem, oracle
+
+    def test_shapes_cover_both_contraction_orders(self, rng):
+        orders = set()
+        for problem, _ in self.problems(rng):
+            envs = right_environments(problem.chain)
+            d_post = problem.z.shape[0]
+            for k, i_k in enumerate(problem.mode_dims[:-1]):
+                d_post //= i_k
+                orders.add(envs[k].shape[0] * problem.chain.embedding_dim < d_post)
+        assert orders == {True, False}
+
+    def test_carried_forms_match_build_A_and_B(self, rng, monkeypatch):
+        forms = []
+
+        def record(solve):
+            def wrapped(form, x0, *args):
+                forms.append(form.copy())
+                return solve(form, x0, *args)
+            return wrapped
+
+        monkeypatch.setattr(solver, "minimize_quadratic", record(solver.minimize_quadratic))
+        monkeypatch.setattr(solver, "_exact_last_core", record(solver._exact_last_core))
+        for problem, oracle in self.problems(rng):
+            forms.clear()
+            sweep_tn(problem, self.CFG)
+            n = len(problem.mode_dims)
+            assert len(forms) == n
+            for k in range(1, n + 1):
+                _, want = build_A(oracle, k) if k < n else build_B(oracle)
+                assert np.max(np.abs(forms[k - 1] - want)) <= 1e-12 * np.max(np.abs(want)), k
+                assert np.array_equal(forms[k - 1], forms[k - 1].T)
+                # advance the oracle with the carried sweep's own core
+                oracle.chain = oracle.chain.replace_core(k - 1, problem.chain.cores[k - 1])
+
+    def test_matches_update_core_tn_loop(self, rng):
+        for problem, oracle in self.problems(rng):
+            results = sweep_tn(problem, self.CFG)
+            for k in range(1, len(problem.mode_dims) + 1):
+                core, result = update_core_tn(oracle, k, self.CFG)
+                oracle.chain = oracle.chain.replace_core(k - 1, core)
+                got = results[k - 1]
+                assert (got.n_accepted, got.termination) == (result.n_accepted, result.termination)
+            for core, want in zip(problem.chain.cores, oracle.chain.cores):
+                assert np.max(np.abs(core - want)) < 1e-10
+            assert problem.chain.orthonormality_defect() < 1e-10
+
+    def test_objective_never_increases(self, rng):
+        for problem, _ in self.problems(rng):
+            trace = [objective(problem)]
+            for _ in range(3):
+                sweep_tn(problem, self.CFG)
+                trace.append(objective(problem))
+            assert all(b <= a + 1e-10 * max(1.0, abs(a)) for a, b in zip(trace, trace[1:]))
+
+    def test_gram_is_not_modified(self, rng):
+        for problem, _ in self.problems(rng):
+            problem.z[0, 1] += 1e-3  # asymmetric, so symmetrizing a view of Z would show
+            before = problem.z.copy()
+            sweep_tn(problem, self.CFG)
+            assert np.array_equal(problem.z, before)
+
+    def test_peak_memory_bounded_by_gram_and_forms(self, rng):
+        # Z itself exists before the sweep; the carried W_k, its one
+        # intermediate per step and the contraction temporaries must fit in
+        # Z's bytes more, and each form takes at most two m x m arrays.
+        dims = (4, 7, 4, 7)
+        for ranks in ((3, 7, 12, 10), (4, 28, 16, 10)):
+            problem = make_problem(rng, dims=dims, ranks=ranks)
+            r = (1,) + problem.chain.ranks
+            sizes = [r[k] * dims[k] * r[k + 1] for k in range(len(dims) - 1)] + [r[-2] * dims[-1]]
+            tracemalloc.start()
+            try:
+                sweep_tn(problem, self.CFG)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= problem.z.nbytes + 3 * 8 * max(sizes) ** 2, ranks
+
+
 class TestFit:
     def separable_data(self, rng, dims=(2, 2, 2), per_class=6, spread=0.05):
         c0 = rng.standard_normal(dims)
@@ -455,6 +548,18 @@ class TestFit:
             assert all(s["stop"] in ("gradient", "max_iters", "no_decrease") for s in solves[:-1])
         _, report = fit(data, AffinityConfig(3), tau=0.3, variant="atn", max_sweeps=3)
         assert report.core_solves == []
+
+    def test_tn_fit_never_rebuilds_forms(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("fit rebuilt a core form from scratch")
+
+        data, _ = self.separable_data(rng)
+        _, want = fit(data, AffinityConfig(3), tau=0.3, variant="tn", max_sweeps=3)
+        for name in ("build_A", "build_B", "_prefix_form"):
+            monkeypatch.setattr(solver, name, fail)
+        _, report = fit(data, AffinityConfig(3), tau=0.3, variant="tn", max_sweeps=3)
+        assert report.sweeps_run == want.sweeps_run
+        assert report.objective_trace == want.objective_trace
 
     @pytest.mark.parametrize("variant, per_class, tau, regime", [
         pytest.param("tn", 3, 0.3, "null", id="3"),
