@@ -105,10 +105,11 @@ def build_weight_matrix(d_mat: np.ndarray, config: AffinityConfig) -> np.ndarray
 
 def build_residual(d_mat: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Y = D - D S^T: each column is a sample minus its weighted neighbors."""
-    return d_mat - d_mat @ s.T
+    y = d_mat @ s.T
+    return np.subtract(d_mat, y, out=y)
 
 
 def build_gram(y: np.ndarray) -> np.ndarray:
-    """Z = Y Y^T, explicitly symmetrized to kill roundoff asymmetry."""
-    z = y @ y.T
-    return (z + z.T) / 2.0
+    """Z = Y Y^T, exactly symmetric: numpy computes a product with its own
+    transpose as one triangle and mirrors it."""
+    return y @ y.T

@@ -9,7 +9,10 @@ On square X, X - t P(G) = X (I - t W) with W skew, so det(X) never changes.
 
 ``minimize_quadratic`` takes a quadratic vec(X)^T A vec(X) and steps by the
 generalized power iteration instead, whose polar-factor steps are monotone
-and can change det(X).
+and can change det(X). Its shift sigma >= lambda_max(A) is the Lanczos
+upper estimate of ``largest_eigenvalue``, computed from products A v alone,
+so A is never copied or factored; a step that would not lower f is refused,
+so the trace stays monotone even if sigma falls short of lambda_max.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ BACKTRACK_FACTOR = 0.5
 SUFFICIENT_DECREASE = 1e-4
 MIN_STEP = 1e-12
 MAX_STEP = 1e2
+
+# Lanczos estimate of lambda_max in ``largest_eigenvalue``.
+LANCZOS_RTOL = 1e-10
+LANCZOS_SEED = 0
+LANCZOS_CHECK_EVERY = 4
+LANCZOS_BLOCK = 64
 
 
 @dataclass
@@ -73,6 +82,50 @@ def polar(m: np.ndarray) -> np.ndarray:
     """Polar factor U V^T of m's thin SVD: the orthonormal-column matrix nearest to m."""
     u, _, vt = np.linalg.svd(m, full_matrices=False)
     return u @ vt
+
+
+def largest_eigenvalue(a: np.ndarray) -> float:
+    """Upper estimate of the largest eigenvalue of symmetric ``a``, by Lanczos.
+
+    Reads ``a`` only through products a @ v and never copies it. The Krylov
+    basis starts from a fixed-seed Gaussian vector, which no structured
+    form (a Kronecker form, say) can be orthogonal to by construction, and
+    is fully reorthogonalized, twice per step. Every few steps the
+    tridiagonal T's top Ritz pair (theta, s) is found, and the run stops
+    once its residual bound |beta_j s_j| falls to LANCZOS_RTOL times T's
+    largest |Ritz value|, when the Krylov space is invariant (beta_j = 0),
+    or after m steps, where the basis spans R^m. Returns
+    theta + |beta_j s_j|: an eigenvalue of ``a`` lies within |beta_j s_j|
+    of theta (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 1992).
+    A top cluster narrower than the tolerance can leave the estimate below
+    lambda_max by up to the cluster's width.
+    """
+    m = a.shape[0]
+    v = np.random.default_rng(LANCZOS_SEED).standard_normal(m)
+    basis = np.empty((min(m, LANCZOS_BLOCK), m))
+    basis[0] = v / frobenius_norm(v)
+    alpha, beta = [], []
+    for j in range(m):
+        w = a @ basis[j]
+        done = basis[:j + 1]
+        h = done @ w
+        w -= h @ done
+        h2 = done @ w
+        w -= h2 @ done
+        alpha.append(h[j] + h2[j])
+        b = frobenius_norm(w)
+        steps = j + 1
+        last = b == 0.0 or steps == m
+        if last or steps % LANCZOS_CHECK_EVERY == 0:
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            bound = abs(b * s[-1, -1])
+            if last or bound <= LANCZOS_RTOL * max(abs(theta[0]), abs(theta[-1])):
+                return float(theta[-1] + bound)
+        beta.append(b)
+        if steps == len(basis):
+            basis = np.concatenate([basis, np.empty((min(m - steps, LANCZOS_BLOCK), m))])
+        basis[steps] = w / b
+    raise AssertionError("unreachable: the loop returns by step m")
 
 
 def minimize(f, grad, x0: np.ndarray, cfg: OptimizerConfig | None = None) -> OptimizeResult:
@@ -126,11 +179,14 @@ def minimize_quadratic(a: np.ndarray, x0: np.ndarray, cfg: OptimizerConfig | Non
 
     ``vec`` stacks columns and ``a`` is symmetric. Generalized power iteration
     (Nie, Zhang & Li, Sci. China Inf. Sci. 2017): each step is
-    X <- polar(mat((sigma I - A) vec X)) with sigma = lambda_max(A). With that
-    shift, vec(X)^T (sigma I - A) vec(X), which is sigma * r - f(X) for r
-    orthonormal columns, is convex, and the polar factor maximizes its
-    linearization at X, so f cannot increase. sigma is computed only once
-    the first gradient test has failed. Stops on the projected-gradient rule
+    X <- polar(mat((sigma I - A) vec X)) with sigma >= lambda_max(A). With
+    that shift, vec(X)^T (sigma I - A) vec(X), which is sigma * r - f(X) for
+    r orthonormal columns, is convex, and the polar factor maximizes its
+    linearization at X, so f cannot increase. sigma is the Lanczos upper
+    estimate of :func:`largest_eigenvalue`, from a few dozen products A v,
+    computed only once the first gradient test has failed; should it fall
+    below lambda_max, the no-decrease guard still refuses every step that
+    would raise f. Stops on the projected-gradient rule
     of :func:`minimize` ("gradient"), after ``cfg.max_inner_iters`` steps
     ("max_iters"), or when a step would not lower f ("no_decrease"); a step
     that does not lower f is never taken, so an optimal x0 is returned as
@@ -155,7 +211,7 @@ def minimize_quadratic(a: np.ndarray, x0: np.ndarray, cfg: OptimizerConfig | Non
             termination = "gradient"
             break
         if sigma is None:
-            sigma = float(np.linalg.eigvalsh(a)[-1])
+            sigma = largest_eigenvalue(a)
         cand = polar((sigma * vec - a_vec).reshape(x.shape, order="F"))
         c_vec = cand.reshape(-1, order="F")
         c_a_vec = a @ c_vec

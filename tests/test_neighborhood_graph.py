@@ -152,6 +152,26 @@ class TestResidualAndGram:
             v = rng.standard_normal(6)
             assert v @ z @ v >= -1e-10
 
+    @staticmethod
+    def layouts(a):
+        """``a`` C-ordered, F-ordered and as a strided view of a wider array."""
+        return [np.ascontiguousarray(a), np.asfortranarray(a), np.repeat(a, 2, axis=1)[:, ::2]]
+
+    @pytest.mark.parametrize("d, n", [(12, 9), (784, 400), (784, 600)])
+    def test_same_bits_as_the_copying_formulas(self, rng, d, n):
+        # Y = D - D S^T and Z = (Y Y^T + (Y Y^T)^T) / 2, each in a new array
+        base = rng.standard_normal((d, n))
+        for d_mat in self.layouts(base):
+            s = build_weight_matrix(d_mat, AffinityConfig(5))
+            y = build_residual(d_mat, s)
+            assert np.array_equal(y, d_mat - d_mat @ s.T)
+            assert y.flags.c_contiguous
+            for y_in in self.layouts(y):
+                z = build_gram(y_in)
+                zz = y_in @ y_in.T
+                assert np.array_equal(z, z.T)
+                assert np.array_equal(z, (zz + zz.T) / 2.0)
+
 
 class TestObjectiveForms:
     def test_three_forms_agree(self, rng):

@@ -1,10 +1,12 @@
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import brute_core_form, random_orthonormal_chain, random_psd
-from ttnpe import solver
+from ttnpe import harness, solver, stiefel
 from ttnpe.neighborhood_graph import AffinityConfig, build_gram, build_residual, build_weight_matrix
 from ttnpe.solver import (
     TTNPEProblem,
@@ -505,6 +507,83 @@ class TestSweepTN:
             finally:
                 tracemalloc.stop()
             assert peak <= problem.z.nbytes + 3 * 8 * max(sizes) ** 2, ranks
+
+
+def eigvalsh_shift(a):
+    """The power iteration's former shift: lambda_max from a full eigvalsh of the form."""
+    return float(np.linalg.eigvalsh(a)[-1])
+
+
+def ci_noisy_csv_data(tmp_path):
+    """The first train split of the CI's tiny two-cluster CSV at 0 dB noise."""
+    rng = np.random.default_rng(0)
+    rows = [[c] + list(6.0 * c + 0.3 * rng.standard_normal(8)) for c in (0, 1) for _ in range(8)]
+    np.savetxt(tmp_path / "data.csv", rows, delimiter=",")
+    config = harness.ExperimentConfig.from_dict({
+        "dataset": {"format": "csv", "path": str(tmp_path / "data.csv"), "label_column": 0},
+        "reshape": [2, 2, 2], "n_train_per_class": 5, "n_test_per_class": 3,
+        "tau_list": [0.3], "k_graph": 3, "k_classify": 1, "max_sweeps": 5,
+        "output_path": str(tmp_path / "report.json"), "noise_snr_db": [0], "variant": "tn"})
+    samples, labels = harness.load_dataset(config)
+    return config, harness.trial_data(config, samples, labels)[0]
+
+
+def bench_digit_pair(per_class=200, seed=1):
+    """``per_class`` synthetic digits of classes 1 and 2 at the fit-tn-4mode shape (4, 7, 4, 7)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import synthdigits
+    finally:
+        sys.path.pop(0)
+    labels = synthdigits.make_labels([per_class if c in (1, 2) else 0
+                                      for c in range(synthdigits.N_CLASSES)], seed)
+    return synthdigits.as_samples(synthdigits.make_digits(labels, seed), (4, 7, 4, 7))
+
+
+class TestLanczosShift:
+    """TN takes the same steps with the Lanczos shift as with eigvalsh's lambda_max."""
+
+    @staticmethod
+    def assert_same_cores(got, want):
+        for core, ref in zip(got.cores, want.cores):
+            assert np.max(np.abs(core - ref)) <= 1e-8
+
+    def test_sweep_tn_shapes(self, rng, monkeypatch):
+        steps = 0
+        for problem, twin in TestSweepTN().problems(rng):
+            got = sweep_tn(problem, TestSweepTN.CFG)
+            with monkeypatch.context() as patch:
+                patch.setattr(stiefel, "largest_eigenvalue", eigvalsh_shift)
+                want = sweep_tn(twin, TestSweepTN.CFG)
+            assert [(r.n_accepted, r.termination) for r in got] == \
+                [(r.n_accepted, r.termination) for r in want]
+            steps += sum(r.n_accepted for r in got[:-1])
+            self.assert_same_cores(problem.chain, twin.chain)
+        assert steps > 0
+
+    @pytest.mark.parametrize("case", ["fit-tn-4mode", "ci-csv-0dB"])
+    def test_fit(self, tmp_path, monkeypatch, case):
+        if case == "fit-tn-4mode":
+            cfg = OptimizerConfig(grad_tol=float(np.finfo(np.float64).tiny), max_inner_iters=40)
+            data = bench_digit_pair()
+
+            def run():
+                return fit(data, AffinityConfig(5), 0.08, variant="tn", max_sweeps=3,
+                           core_change_tol=0.0, rank_cap=(3, 7, 12, 10), opt_cfg=cfg)
+        else:
+            config, train = ci_noisy_csv_data(tmp_path)
+
+            def run():
+                return harness.fit_config(config, train, config.tau_list[0])
+
+        chain, report = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(stiefel, "largest_eigenvalue", eigvalsh_shift)
+            want_chain, want = run()
+        assert report.core_solves == want.core_solves
+        assert any(s["steps"] > 0 for solves in report.core_solves for s in solves[:-1])
+        self.assert_same_cores(chain, want_chain)
+        np.testing.assert_allclose(report.objective_trace, want.objective_trace, rtol=1e-10, atol=0)
 
 
 class TestFit:

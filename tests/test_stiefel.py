@@ -1,7 +1,11 @@
+import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_psd
 from ttnpe.errors import NumericError
@@ -9,6 +13,7 @@ from ttnpe.stiefel import (
     OptimizerConfig,
     check_gradient,
     feasibility_defect,
+    largest_eigenvalue,
     minimize,
     minimize_quadratic,
     project_tangent,
@@ -158,6 +163,112 @@ class TestMinimize:
 def polar(c):
     u, _, vt = np.linalg.svd(c)
     return u @ vt
+
+
+KINDS = ("psd", "low_rank", "clustered_top", "nsd", "indefinite", "zero")
+
+
+@st.composite
+def symmetric_forms(draw):
+    """A symmetric m x m matrix, 1 <= m <= 80, with a spectrum of one of KINDS.
+
+    A clustered top holds 2-6 eigenvalues spaced by 0, 1e-6 or 1e-3 of the
+    largest: equal ones are one eigenvalue to Lanczos, and wider spacings
+    are resolved before the residual bound can meet its tolerance.
+    """
+    m = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    vals = rng.uniform(0.0, 1.0, m)
+    if kind == "low_rank":
+        vals[draw(st.integers(1, m)):] = 0.0
+    elif kind == "clustered_top":
+        top = min(m, draw(st.integers(2, 6)))
+        spacing = draw(st.sampled_from([0.0, 1e-6, 1e-3]))
+        vals = 0.5 * vals
+        vals[:top] = 1.0 - spacing * np.arange(top)
+    elif kind == "nsd":
+        vals[draw(st.integers(0, m - 1)):] = 0.0
+        vals = -vals
+    elif kind == "indefinite":
+        vals = 2.0 * vals - 1.0
+    elif kind == "zero":
+        vals[:] = 0.0
+    a = (q * (scale * vals)) @ q.T
+    return (a + a.T) / 2.0
+
+
+class Operator:
+    """A symmetric matrix seen only through shape and a @ v."""
+
+    def __init__(self, a):
+        self.a = a
+        self.shape = a.shape
+        self.products = 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.a @ v
+
+
+class TestLargestEigenvalue:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(symmetric_forms())
+    def test_brackets_eigvalsh(self, a):
+        vals = np.linalg.eigvalsh(a)
+        s = max(1.0, float(np.max(np.abs(vals))))
+        sigma = largest_eigenvalue(a)
+        assert vals[-1] - 1e-12 * s <= sigma <= vals[-1] + 1e-9 * s
+
+    def test_kronecker_form_with_structured_eigenvectors(self):
+        # M's top eigenvector u = (0, 0, 1, -1) / sqrt(2) is orthogonal to the
+        # ones vector and to X = [e_1, e_2], so kron(I_2, M)'s top eigenspace
+        # is orthogonal to both vec(X) and the ones vector; a random start is not
+        p = np.eye(4)
+        p[2:, 2:] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        m = (p * [1.0, 2.0, 5.0, 9.0]) @ p.T
+        a = np.kron(np.eye(2), m)
+        vec_x = np.eye(4)[:, :2].reshape(-1, order="F")
+        top = np.linalg.eigh(a)[1][:, -2:]
+        assert np.max(np.abs(top.T @ np.column_stack([vec_x, np.ones(8)]))) < 1e-14
+        assert abs(largest_eigenvalue(a) - 9.0) <= 1e-9 * 9.0
+
+    def test_same_bits_on_every_call(self, rng):
+        a = random_psd(rng, 60)
+        assert largest_eigenvalue(a) == largest_eigenvalue(a)
+
+    def test_reads_the_matrix_only_through_products(self, rng):
+        a = random_psd(rng, 50, rank=7)
+        op = Operator(a)
+        assert largest_eigenvalue(op) == largest_eigenvalue(a)
+        assert 1 <= op.products <= 50
+
+    @pytest.mark.parametrize("entry", [1e250, 1e-310])
+    def test_extreme_scales_raise_no_warning(self, rng, entry):
+        base = rng.standard_normal((40, 40))
+        a = entry * ((base + base.T) / 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sigma = largest_eigenvalue(a)
+        assert np.isfinite(sigma)
+        if entry > 1.0:
+            top = entry * float(np.linalg.eigvalsh((base + base.T) / 2.0)[-1])
+            assert abs(sigma - top) <= 1e-9 * entry * float(np.linalg.norm(base, 2))
+
+    def test_allocates_far_less_than_the_matrix(self, rng):
+        # eigvalsh copies all of A; Lanczos keeps a few dozen basis vectors
+        m = 1500
+        g = rng.standard_normal((m, m))
+        a = g @ g.T / m
+        tracemalloc.start()
+        try:
+            largest_eigenvalue(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 4
 
 
 class TestMinimizeQuadratic:
