@@ -15,6 +15,7 @@ from ttnpe.classifier import evaluate
 from ttnpe.errors import ConfigError, DataError, NumericError
 from ttnpe.harness import (
     ExperimentConfig,
+    check_split,
     fit_config,
     load_dataset,
     open_output,
@@ -66,6 +67,7 @@ def _cmd_fit(args, config) -> None:
     if args.out is None:
         raise ConfigError("fit requires --out for the model path")
     samples, labels = load_dataset(config)
+    check_split(config, labels)
     train = trial_data(config, samples, labels)[0]
     open_output(args.out).close()  # an unwritable path fails before the fit
     chain, _report = fit_config(config, train, config.tau_list[0])

@@ -179,6 +179,20 @@ def trial_split(config: ExperimentConfig, labels: np.ndarray,
     return split_per_class(labels, config.n_train_per_class, config.n_test_per_class, rng)
 
 
+def check_split(config: ExperimentConfig, labels: np.ndarray) -> int:
+    """The number of training points in every trial's split.
+
+    Raises DataError when a class cannot fill the split, and ConfigError
+    when the graph's ``k_graph`` is not below that number, before any
+    output is opened.
+    """
+    n_train = len(trial_split(config, labels)[0])  # every trial's split has these sizes
+    if config.k_graph >= n_train:
+        raise ConfigError(f"K must be < number of training points, "
+                          f"got k_graph={config.k_graph}, N={n_train}")
+    return n_train
+
+
 def trial_data(config: ExperimentConfig, samples: np.ndarray, labels: np.ndarray,
                trial: int = 0, level: int = 0):
     """Report cell (trial, level)'s (train, train_labels, test, test_labels):
@@ -222,12 +236,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     ``wall_time``, its TN ``core_solves``, its ``kyfan_bound`` and
     ``kyfan_gap``, the final objective minus that bound), and a flat CSV of
     (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``. The split,
-    ``k_classify`` and every noise level are checked before any output path
-    is opened, and all three are opened before the first fit: a bad value
-    leaves a previous report as it was, and an unwritable path fails fast.
+    ``k_graph`` and ``k_classify`` against the split's training points, and
+    every noise level are checked before any output path is opened, and all
+    three are opened before the first fit: a bad value leaves a previous
+    report as it was, and an unwritable path fails fast.
     """
     samples, labels = load_dataset(config)
-    n_train = len(trial_split(config, labels)[0])  # every trial's split has these sizes
+    n_train = check_split(config, labels)
     if config.k_classify > n_train:
         raise ConfigError(f"K must be <= number of training points, "
                           f"got K={config.k_classify}, N={n_train}")
@@ -319,9 +334,12 @@ def run_convergence(config: ExperimentConfig) -> dict:
     """Run both solver variants on the report's first cell's training split; record traces.
 
     A variant failing with a library error (as in ``run_experiment``) is
-    recorded with its reason; the other variant still runs.
+    recorded with its reason; the other variant still runs. The split and
+    ``k_graph`` are checked, by :func:`check_split`, before the output is
+    opened.
     """
     samples, labels = load_dataset(config)
+    check_split(config, labels)
     train = trial_data(config, samples, labels)[0]
     tau = config.tau_list[0]
     open_output(config.output_path).close()  # an unwritable path fails before the first fit

@@ -20,9 +20,9 @@ through X_k, the just-solved core's left unfolding. A TN sweep carries the
 prefix Gram W_k = P^T Z P: W_1 is a view of Z and W_{k+1} = X_k^T W_k X_k
 over both of W_k's (I_k, R_{k-1}) axes. Core k < n's form is W_k
 contracted with Q_k Q_k^T over the modes after k, and the last core's B is
-W_n. :func:`build_A` and :func:`build_B` build the same forms from scratch
-through :func:`_prefix_form`; the sweep does not call them. An ATN sweep
-carries the left-projected target L_k = P^T C (L_1 = V reshaped,
+W_n. :func:`build_A` and :func:`build_B` return the forms a sweep solves,
+carrying W through the chain's current cores with the same step. An ATN
+sweep carries the left-projected target L_k = P^T C (L_1 = V reshaped,
 L_{k+1} = X_k^T L_k reshaped). As P^T P = I, the residual of core k is
 ||X Q_k - L_k||^2 + ||V||^2 - ||L_k||^2.
 """
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -93,71 +94,65 @@ def objective(problem: TTNPEProblem) -> float:
     return float(np.trace(e.T @ problem.z @ e))
 
 
-def _prefix_form(problem: TTNPEProblem, k: int) -> np.ndarray:
-    """W = P^T Z P with P = I_{I_k * d_post} (x) prefix, as a 6-mode tensor.
+def _first_prefix_gram(z: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """W_1: Z viewed with axes (d_post, I_1, d_post', I_1'), d_post = d / I_1."""
+    d_post = z.shape[0] // dims[0]
+    return z.reshape(d_post, dims[0], d_post, dims[0])
 
-    Axes are (d_post, I_k, R_{k-1}, d_post', I_k', R_{k-1}'), where the
-    prefix is cores 1..k-1 contracted (d_pre x R_{k-1}) and d_post is the
-    product of the mode dims after k. Row a + d_pre * j of Z (a over the
-    prefix modes) is row (j, a) of Z's C-order view, so both prefix
-    contractions are plain matrix products with no intermediate larger
-    than Z. At k = 1 the prefix is [[1.0]], and W is Z itself.
+
+def _next_prefix_gram(w: np.ndarray, x: np.ndarray, i_next: int) -> np.ndarray:
+    """W_{k+1} = X^T W_k X over both of W_k's p axes, X = L(U_k).
+
+    Splitting d_post into (d_post / I_{k+1}, I_{k+1}) regroups the result
+    as (d_post', p', d_post', p') with p' = (I_{k+1}, R_k), with no copy.
     """
-    w, r_prev = problem.z, 1
-    if k > 1:
-        prefix = contract_chain(problem.chain, upto=k - 1)
-        d_pre, r_prev = prefix.shape
-        d_rest = problem.z.shape[0] // d_pre
-        w = problem.z.reshape(-1, d_pre) @ prefix       # ((j, a, j'), R_{k-1}')
-        w = prefix.T @ w.reshape(d_rest, d_pre, -1)     # (j, R_{k-1}, (j', R_{k-1}'))
-    i_k = problem.mode_dims[k - 1]
-    d_post = int(np.prod(problem.mode_dims[k:]))
-    return w.reshape(d_post, i_k, r_prev, d_post, i_k, r_prev)
+    d_post = w.shape[0]
+    w = x.T @ (w.reshape(-1, x.shape[0]) @ x).reshape(d_post, x.shape[0], -1)
+    d_post //= i_next
+    return w.reshape(d_post, i_next * x.shape[1], d_post, i_next * x.shape[1])
+
+
+def _last_form(w: np.ndarray) -> np.ndarray:
+    """The last core's B from W_n, symmetrized into a new array (at n = 1, W_1 is Z)."""
+    b = w.reshape(w.shape[1], -1)
+    b = b + b.T
+    b *= 0.5
+    return b
+
+
+def _prefix_gram(problem: TTNPEProblem, k: int) -> np.ndarray:
+    """W_k carried from W_1 through the chain's current cores 1..k-1."""
+    dims = problem.mode_dims
+    w = _first_prefix_gram(problem.z, dims)
+    for j in range(1, k):
+        w = _next_prefix_gram(w, left_unfold(problem.chain.cores[j - 1]), dims[j])
+    return w
 
 
 def build_A(problem: TTNPEProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact quadratic form for core k < n: the 6-mode tensor and its matricization.
 
-    With E = P L(U_k) Q, P = I (x) prefix and Q = Q_k the right environment
-    of :func:`right_environments`, the prefix form W = P^T Z P is
-    contracted over its two d_post modes with Q Q^T. The tensor has modes
-    (R_{k-1}, I_k, R_k, R_{k-1}', I_k', R_k') and the matrix A satisfies
-    vec(U_k)^T A vec(U_k) = tr(E^T Z E).
+    The form :func:`sweep_tn` solves: W_k, carried through the chain's
+    cores 1..k-1, contracted with Q_k Q_k^T by :func:`_carried_form`. The
+    tensor has modes (R_{k-1}, I_k, R_k, R_{k-1}', I_k', R_k') and the
+    matrix A satisfies vec(U_k)^T A vec(U_k) = tr(E^T Z E).
     """
     n = len(problem.mode_dims)
     if not 1 <= k <= n - 1:
         raise ValueError(f"build_A requires 1 <= k <= n-1, got k={k}, n={n}")
-    w = _prefix_form(problem, k)
-    d_post, i_k, r_prev = w.shape[:3]
-    env = right_environments(problem.chain)[k - 1]
-    r_k = env.shape[0]
-    q = reshape(env, (r_k * d_post, problem.chain.embedding_dim))  # rows (R_k, d_post), R_k fastest
-    qq = reshape(q @ q.T, (r_k, d_post, r_k, d_post))
-    # Contract (d_post, d_post'): axes (I_k, R_{k-1}, I_k', R_{k-1}', R_k, R_k').
-    a = np.tensordot(w, qq, axes=([0, 3], [1, 3]))
-    m = r_prev * i_k * r_k
-    # C-order (R_k, I_k, R_{k-1}) rows are the mode-1-fastest vec(U_k) index.
-    a_mat = np.transpose(a, (4, 0, 1, 5, 2, 3)).reshape(m, m)
-    a_tensor = reshape(a_mat, (r_prev, i_k, r_k) * 2)
-    a_mat = (a_mat + a_mat.T) / 2.0
-    return a_tensor, a_mat
+    a_mat = _carried_form(_prefix_gram(problem, k), right_environments(problem.chain)[k - 1])
+    return reshape(a_mat, problem.chain.cores[k - 1].shape * 2), a_mat
 
 
 def build_B(problem: TTNPEProblem) -> tuple[np.ndarray, np.ndarray]:
     """Exact quadratic form for the last core: 4-mode tensor and matricization.
 
-    The prefix form W with no modes after n. The tensor has modes
-    (R_{n-1}, I_n, R_{n-1}', I_n') and B satisfies
+    W_n, carried through cores 1..n-1 as in :func:`sweep_tn`. The tensor
+    has modes (R_{n-1}, I_n, R_{n-1}', I_n') and B satisfies
     tr(L(U_n)^T B L(U_n)) = tr(E^T Z E).
     """
-    w = _prefix_form(problem, len(problem.mode_dims))
-    _, i_n, r_prev = w.shape[:3]
-    m = i_n * r_prev
-    # C-order (I_n, R_{n-1}) rows are the left-unfolding row index.
-    b_mat = w.reshape(m, m)
-    b_tensor = reshape(b_mat, (r_prev, i_n) * 2)
-    b_mat = (b_mat + b_mat.T) / 2.0
-    return b_tensor, b_mat
+    b_mat = _last_form(_prefix_gram(problem, len(problem.mode_dims)))
+    return reshape(b_mat, problem.chain.cores[-1].shape[:2] * 2), b_mat
 
 
 def smallest_eigvecs(z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,32 +200,6 @@ def _exact_last_core(b_mat: np.ndarray, x0: np.ndarray) -> OptimizeResult:
     return OptimizeResult(x=x0, f_trace=[f0], termination="exact", n_accepted=0)
 
 
-def update_core_tn(problem: TTNPEProblem, k: int, opt_cfg: OptimizerConfig | None = None):
-    """One exact alternating-minimization step on core k (1-based).
-
-    Minimizes the core's quadratic form over left unfoldings with
-    orthonormal columns. The last core's form is tr(X^T B X), so B's
-    smallest eigenvectors are optimal (Ky Fan; termination "exact"). A core
-    k < n takes generalized power-iteration steps on vec(X)^T A vec(X),
-    bounded by ``opt_cfg``'s ``max_inner_iters`` and ``grad_tol``. The shared
-    objective cannot increase, and a core that already attains the optimum
-    is kept. Returns the new core and the solve's ``OptimizeResult``.
-    :func:`sweep_tn` takes the same steps on carried forms.
-    """
-    n = len(problem.mode_dims)
-    core = problem.chain.cores[k - 1]
-    r_prev, i_k, _ = core.shape
-    x0 = left_unfold(core)
-    if k < n:
-        _, a_mat = build_A(problem, k)
-        result = minimize_quadratic(a_mat, x0, opt_cfg)
-    else:
-        _, b_mat = build_B(problem)
-        result = _exact_last_core(b_mat, x0)
-    new_core = _core_from_left_unfold(result.x, r_prev, i_k)
-    return new_core, result
-
-
 def _carried_form(w: np.ndarray, env: np.ndarray) -> np.ndarray:
     """Core k's form A from the carried W_k and the right environment Q_k.
 
@@ -264,15 +233,19 @@ def _carried_form(w: np.ndarray, env: np.ndarray) -> np.ndarray:
 def sweep_tn(problem: TTNPEProblem, opt_cfg: OptimizerConfig | None = None) -> list[OptimizeResult]:
     """One left-to-right TN sweep over cores 1..n on the carried prefix Gram.
 
-    Replaces ``problem.chain`` core by core with the steps of
-    :func:`update_core_tn`, taking each form from W_k (W_1 a view of Z)
-    instead of rebuilding it, and returns each core's ``OptimizeResult``.
+    Replaces ``problem.chain`` core by core, each solved on its exact form
+    taken from W_k (W_1 a view of Z), and returns each core's
+    ``OptimizeResult``. The last core's form is tr(X^T B X), so B's
+    smallest eigenvectors are optimal (Ky Fan; termination "exact"). A core
+    k < n takes generalized power-iteration steps on vec(X)^T A vec(X),
+    bounded by ``opt_cfg``'s ``max_inner_iters`` and ``grad_tol``. The
+    objective cannot increase, and a core that already attains its optimum
+    is kept.
     """
     dims = problem.mode_dims
     n = len(dims)
     envs = right_environments(problem.chain)
-    d_post = problem.z.shape[0] // dims[0]
-    w = problem.z.reshape(d_post, dims[0], d_post, dims[0])
+    w = _first_prefix_gram(problem.z, dims)
     results = []
     for k in range(1, n + 1):
         r_prev, i_k, _ = problem.chain.cores[k - 1].shape
@@ -280,19 +253,11 @@ def sweep_tn(problem: TTNPEProblem, opt_cfg: OptimizerConfig | None = None) -> l
         if k < n:
             result = minimize_quadratic(_carried_form(w, envs[k - 1]), x0, opt_cfg)
         else:
-            b = w.reshape(x0.shape[0], -1)
-            b = b + b.T  # a new array: at n = 1, W_1 is Z itself
-            b *= 0.5
-            result = _exact_last_core(b, x0)
+            result = _exact_last_core(_last_form(w), x0)
         results.append(result)
-        x = result.x
-        problem.chain = problem.chain.replace_core(k - 1, _core_from_left_unfold(x, r_prev, i_k))
+        problem.chain = problem.chain.replace_core(k - 1, _core_from_left_unfold(result.x, r_prev, i_k))
         if k < n:
-            # W_{k+1} = X^T W_k X over both p axes; splitting d_post into
-            # (d_post / I_{k+1}, I_{k+1}) regroups it with no copy.
-            w = x.T @ (w.reshape(-1, x.shape[0]) @ x).reshape(d_post, x.shape[0], -1)
-            d_post //= dims[k]
-            w = w.reshape(d_post, dims[k] * x.shape[1], d_post, dims[k] * x.shape[1])
+            w = _next_prefix_gram(w, result.x, dims[k])
     return results
 
 
@@ -333,9 +298,12 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     ``data`` stacks samples along the last mode, shape (I_1, ..., I_n, N).
     Builds the affinity graph and Gram target, initializes the chain by
     TT-SVD with threshold ``tau``, then sweeps cores 1..n with the chosen
-    variant's sweep (:func:`sweep_tn` or :func:`sweep_atn`, each on carried
-    environments) until the largest per-core change drops below
-    ``core_change_tol`` or ``max_sweeps`` is reached. After each sweep the
+    variant's sweep (:func:`sweep_tn`, the one TN core solver, or
+    :func:`sweep_atn`, each on carried environments) until the largest
+    per-core change drops below ``core_change_tol`` or ``max_sweeps`` is
+    reached. A ``variant`` other than "tn" or "atn", a ``max_sweeps`` that
+    is not an int >= 0 or a ``core_change_tol`` that is not a number >= 0
+    (NaN included) raises ConfigError before any work. After each sweep the
     objective, recomputed from the chain by :func:`objective` and so
     independent of the carried forms, must stay above the Ky Fan bound,
     less 1e-8 * max(1, ||Z||_F), or NumericError is raised. The bound takes
@@ -348,6 +316,11 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     """
     if variant not in ("tn", "atn"):
         raise ConfigError(f"variant must be 'tn' or 'atn', got {variant!r}")
+    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, Integral) or max_sweeps < 0:
+        raise ConfigError(f"max_sweeps must be an int >= 0, got {max_sweeps!r}")
+    tol = core_change_tol
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not tol >= 0.0:
+        raise ConfigError(f"core_change_tol must be a number >= 0, got {tol!r}")
     data = np.asarray(data, dtype=np.float64)
     if data.ndim < 2:
         raise DataError("data must stack samples along a trailing mode")

@@ -18,10 +18,11 @@ so the trace stays monotone even if sigma falls short of lambda_max.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
-from ttnpe.errors import NumericError
+from ttnpe.errors import ConfigError, NumericError
 from ttnpe.tensor_core import frobenius_norm
 
 FEASIBILITY_TOL = 1e-8
@@ -42,14 +43,21 @@ LANCZOS_BLOCK = 64
 
 @dataclass
 class OptimizerConfig:
-    """Stopping rule of both solvers: an iteration cap and a relative gradient tolerance."""
+    """Stopping rule of both solvers: an iteration cap and a relative gradient tolerance.
+
+    A cap that is not an int >= 1, or a tolerance that is not a positive
+    finite number, raises ConfigError.
+    """
 
     max_inner_iters: int = 200
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if min(self.max_inner_iters, self.grad_tol) <= 0:
-            raise ValueError("optimizer parameters must be positive")
+        n, tol = self.max_inner_iters, self.grad_tol
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ConfigError(f"max_inner_iters must be an int >= 1, got {n!r}")
+        if isinstance(tol, bool) or not isinstance(tol, Real) or not 0.0 < tol < np.inf:
+            raise ConfigError(f"grad_tol must be positive and finite, got {tol!r}")
 
 
 @dataclass

@@ -211,13 +211,15 @@ class TestRunExperiment:
         assert not any(key.startswith("kyfan") for cell in cells for key in cell)
 
     def test_failing_cell_recorded_run_continues(self, tmp_path, rng):
-        # k_graph >= training N makes the graph construction fail in every cell
+        # a heat-kernel scale this small underflows every affinity to 0, so
+        # the graph construction fails with a DataError in every cell
         config = ExperimentConfig.from_dict(
-            base_config(tmp_path, rng, k_graph=10, tau_list=[0.3, 0.5])
+            base_config(tmp_path, rng, epsilon=1e-300, tau_list=[0.3, 0.5])
         )
         doc = run_experiment(config)
         assert len(doc["cells"]) == 2
-        assert all("error" in c for c in doc["cells"])
+        assert all(c["error"].startswith("DataError: weight matrix has a zero row sum")
+                   for c in doc["cells"])
         assert all(a["n_ok"] == 0 for a in doc["aggregates"])
 
     def test_programming_error_propagates(self, tmp_path, rng, monkeypatch):
@@ -378,6 +380,7 @@ class TestCli:
                      "path": "data.csv"}, "['path']"),
         ("dataset", {"format": "idx", "image_path": "images", "label_path": "labels",
                      "label_column": 0}, "label_column"),
+        ("k_graph", 10, "K must be < number of training points, got k_graph=10, N=10"),
     ])
     def test_bad_config_value_exit_code(self, tmp_path, rng, capsys, key, value, message):
         cfg, _ = self.write_config(tmp_path, rng, **{key: value})
@@ -552,6 +555,27 @@ class TestCli:
         cfg, _ = self.write_config(tmp_path, rng, k_graph=10)
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 1
         assert capsys.readouterr().err.startswith("config error: K must be")
+
+    @pytest.mark.parametrize("command, suffixes", [
+        ("experiment", ("", ".timings.json", ".csv")), ("convergence", ("",)), ("fit", ("",)),
+    ])
+    def test_graph_k_beyond_split_keeps_previous_output(self, tmp_path, rng, capsys, monkeypatch,
+                                                        command, suffixes):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran for a graph K the split cannot hold")
+
+        cfg, _ = self.write_config(tmp_path, rng)
+        out = tmp_path / "out.json"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        paths = [tmp_path / ("out.json" + suffix) for suffix in suffixes]
+        before = [p.read_bytes() for p in paths]
+        assert all(before)
+        monkeypatch.setattr(harness, "fit", no_fit)
+        too_big, _ = self.write_config(tmp_path, rng, k_graph=10)
+        assert main([command, "--config", str(too_big), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: K must be < number of training points, got k_graph=10, N=10")
+        assert [p.read_bytes() for p in paths] == before
 
     def test_missing_out_for_fit(self, tmp_path, rng):
         cfg, _ = self.write_config(tmp_path, rng)

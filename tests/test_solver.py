@@ -7,6 +7,7 @@ import pytest
 
 from conftest import brute_core_form, random_orthonormal_chain, random_psd
 from ttnpe import harness, solver, stiefel
+from ttnpe.errors import ConfigError
 from ttnpe.neighborhood_graph import AffinityConfig, build_gram, build_residual, build_weight_matrix
 from ttnpe.solver import (
     TTNPEProblem,
@@ -18,7 +19,6 @@ from ttnpe.solver import (
     smallest_eigvecs,
     sweep_atn,
     sweep_tn,
-    update_core_tn,
 )
 from ttnpe.stiefel import OptimizerConfig, check_gradient, minimize
 from ttnpe.tensor_core import left_unfold, merge_product, vectorize
@@ -134,15 +134,19 @@ def product_prefix_form(problem, k):
     return w.reshape(d_post, i_k, r_prev, d_post, i_k, r_prev)
 
 
-def test_first_core_forms_bit_identical_to_product_formula(rng, monkeypatch):
-    # at k = 1 the prefix is [[1.0]]: W = Z itself, exactly what the two products give
-    problem = make_problem(rng, dims=(2, 3, 2), ranks=(2, 2, 3))
-    one_mode = TTNPEProblem(z=random_psd(rng, 6), mode_dims=(6,),
-                            chain=random_orthonormal_chain(rng, (6,), (2,)), variant="tn")
-    got = build_A(problem, 1) + build_B(one_mode)
-    monkeypatch.setattr(solver, "_prefix_form", product_prefix_form)
-    want = build_A(problem, 1) + build_B(one_mode)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+def explicit_core_form(problem, k):
+    """Core k's form: the product-formula prefix form contracted over its two
+    d_post modes with an explicit Q_k Q_k^T (test oracle). At k = n, Q_n = I
+    and the form is I_{R_n} (x) B, as in ``brute_core_form``."""
+    w = product_prefix_form(problem, k)
+    d_post, i_k, r_prev = w.shape[:3]
+    env = right_environments(problem.chain)[k - 1]
+    r_k = env.shape[0]
+    q = env.reshape(r_k * d_post, -1, order="F")  # rows (R_k, d_post), R_k fastest
+    qq = (q @ q.T).reshape(r_k, d_post, r_k, d_post, order="F")
+    a = np.tensordot(w, qq, axes=([0, 3], [1, 3]))  # (I_k, R_{k-1}, I_k', R_{k-1}', R_k, R_k')
+    m = r_prev * i_k * r_k
+    return np.transpose(a, (4, 0, 1, 5, 2, 3)).reshape(m, m)
 
 
 class TestBuildB:
@@ -264,17 +268,33 @@ class TestGradients:
         assert check_gradient(f, g, x, n_dirs=20, rng=rng, tangent=True) < 1e-5
 
 
+def sweep_chains(problem, opt_cfg=None):
+    """Run ``sweep_tn`` and return its per-core results with the chains before
+    and after each core's solve, rebuilt from the old and the new cores."""
+    chain = problem.chain
+    results = sweep_tn(problem, opt_cfg)
+    steps = []
+    for k, result in enumerate(results):
+        after = chain.replace_core(k, problem.chain.cores[k])
+        steps.append((chain, after, result))
+        chain = after
+    return steps
+
+
+def objective_of(problem, chain):
+    return objective(TTNPEProblem(z=problem.z, mode_dims=problem.mode_dims, chain=chain,
+                                  variant=problem.variant))
+
+
 class TestCoreUpdates:
     def test_tn_update_descends(self, rng):
         problem = make_problem(rng, dims=(2, 2, 2), ranks=(2, 2, 2))
-        for k in (1, 2, 3):
-            before = objective(problem)
-            new_core, _ = update_core_tn(problem, k)
-            problem.chain = problem.chain.replace_core(k - 1, new_core)
-            after = objective(problem)
-            assert after <= before + 1e-12
-            defect = problem.chain.orthonormality_defect()
-            assert defect < 1e-8
+        for before, after, result in sweep_chains(problem):
+            f_before, f_after = objective_of(problem, before), objective_of(problem, after)
+            assert f_after <= f_before + 1e-12
+            assert abs(result.f_trace[0] - f_before) < 1e-9
+            assert abs(result.f_trace[-1] - f_after) < 1e-9
+            assert after.orthonormality_defect() < 1e-8
 
     def test_single_mode_update_solves_eigenproblem(self, rng):
         # one-core chain: the exact update recovers the smallest-eigenvalue subspace
@@ -282,31 +302,34 @@ class TestCoreUpdates:
         chain = random_orthonormal_chain(rng, (6,), (2,))
         problem = TTNPEProblem(z=z, mode_dims=(6,), chain=chain, variant="tn")
         cfg = OptimizerConfig(max_inner_iters=5000, grad_tol=1e-10)
-        new_core, _ = update_core_tn(problem, 1, cfg)
-        problem.chain = problem.chain.replace_core(0, new_core)
+        [result] = sweep_tn(problem, cfg)
+        assert result.termination == "exact"
         expected = np.sum(np.sort(np.linalg.eigvalsh(z))[:2])
         assert abs(objective(problem) - expected) < 1e-8
 
     def test_zero_gram_any_core_optimal(self, rng):
         problem = make_problem(rng, z=np.zeros((8, 8)))
-        new_core, _ = update_core_tn(problem, 1)
-        problem.chain = problem.chain.replace_core(0, new_core)
-        assert objective(problem) == 0.0
+        for _, after, _ in sweep_chains(problem):
+            assert objective_of(problem, after) == 0.0
 
     def test_optimal_cores_are_kept(self, rng):
         problem = make_problem(rng, z=np.zeros((8, 8)))
-        for k in (1, 2, 3):
-            new_core, result = update_core_tn(problem, k)
+        old_cores = problem.chain.cores
+        results = sweep_tn(problem)
+        for new, old, result in zip(problem.chain.cores, old_cores, results):
             assert result.n_accepted == 0
-            assert np.array_equal(new_core, problem.chain.cores[k - 1])
+            assert np.array_equal(new, old)
 
     def test_last_core_attains_ky_fan_sum(self, rng):
         for dims, ranks in (((2, 3, 2), (2, 3, 2)), ((3, 4, 3), (3, 4, 2)), ((2, 2), (2, 3))):
             problem = make_problem(rng, dims=dims, ranks=ranks)
-            _, b_mat = build_B(problem)
-            new_core, result = update_core_tn(problem, len(dims))
+            result = sweep_tn(problem)[-1]
             assert result.termination == "exact"
-            x = left_unfold(new_core)
+            # B depends on cores 1..n-1 only, which the sweep solved before the last;
+            # the oracle's I_{R_n} (x) B has B as its leading block
+            m = result.x.shape[0]
+            b_mat = brute_core_form(problem.chain, problem.z, len(dims))[:m, :m]
+            x = left_unfold(problem.chain.cores[-1])
             expected = np.sum(np.linalg.eigvalsh(b_mat)[:ranks[-1]])
             tol = 1e-10 * max(1.0, float(np.linalg.norm(b_mat)))
             assert abs(np.trace(x.T @ b_mat @ x) - expected) < tol
@@ -455,25 +478,21 @@ class TestSweepTN:
         for problem, oracle in self.problems(rng):
             forms.clear()
             sweep_tn(problem, self.CFG)
-            n = len(problem.mode_dims)
+            n, r_n = len(problem.mode_dims), problem.chain.embedding_dim
+            brute = (problem.z.shape[0] * r_n) ** 2 * 8 <= 4e6  # the Kronecker oracle's I (x) Z
             assert len(forms) == n
             for k in range(1, n + 1):
-                _, want = build_A(oracle, k) if k < n else build_B(oracle)
-                assert np.max(np.abs(forms[k - 1] - want)) <= 1e-12 * np.max(np.abs(want)), k
+                got = forms[k - 1] if k < n else np.kron(np.eye(r_n), forms[k - 1])
+                if brute:
+                    want = brute_core_form(oracle.chain, oracle.z, k)
+                else:
+                    want = explicit_core_form(oracle, k)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
                 assert np.array_equal(forms[k - 1], forms[k - 1].T)
+                _, built = build_A(oracle, k) if k < n else build_B(oracle)
+                assert np.max(np.abs(forms[k - 1] - built)) <= 1e-12 * np.max(np.abs(built)), k
                 # advance the oracle with the carried sweep's own core
                 oracle.chain = oracle.chain.replace_core(k - 1, problem.chain.cores[k - 1])
-
-    def test_matches_update_core_tn_loop(self, rng):
-        for problem, oracle in self.problems(rng):
-            results = sweep_tn(problem, self.CFG)
-            for k in range(1, len(problem.mode_dims) + 1):
-                core, result = update_core_tn(oracle, k, self.CFG)
-                oracle.chain = oracle.chain.replace_core(k - 1, core)
-                got = results[k - 1]
-                assert (got.n_accepted, got.termination) == (result.n_accepted, result.termination)
-            for core, want in zip(problem.chain.cores, oracle.chain.cores):
-                assert np.max(np.abs(core - want)) < 1e-10
             assert problem.chain.orthonormality_defect() < 1e-10
 
     def test_objective_never_increases(self, rng):
@@ -634,7 +653,7 @@ class TestFit:
 
         data, _ = self.separable_data(rng)
         _, want = fit(data, AffinityConfig(3), tau=0.3, variant="tn", max_sweeps=3)
-        for name in ("build_A", "build_B", "_prefix_form"):
+        for name in ("build_A", "build_B"):
             monkeypatch.setattr(solver, name, fail)
         _, report = fit(data, AffinityConfig(3), tau=0.3, variant="tn", max_sweeps=3)
         assert report.sweeps_run == want.sweeps_run
@@ -698,6 +717,28 @@ class TestFit:
         data, _ = self.separable_data(rng)
         with pytest.raises(ConfigError, match="variant"):
             fit(data, AffinityConfig(3), tau=0.3, variant="xxx")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_sweeps": 2.5}, {"max_sweeps": -1}, {"max_sweeps": True}, {"max_sweeps": "3"},
+        {"core_change_tol": float("nan")}, {"core_change_tol": -1e-6},
+        {"core_change_tol": "0"}, {"core_change_tol": False},
+    ], ids=lambda kwargs: "{}={!r}".format(*next(iter(kwargs.items()))))
+    def test_bad_sweep_argument_rejected_before_any_work(self, rng, monkeypatch, kwargs):
+        def no_graph(*args):
+            raise AssertionError("graph built for a bad sweep argument")
+
+        monkeypatch.setattr(solver, "build_weight_matrix", no_graph)
+        data, _ = self.separable_data(rng)
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            fit(data, AffinityConfig(3), tau=0.3, variant="tn", **kwargs)
+
+    def test_edge_sweep_arguments_accepted(self, rng):
+        data, _ = self.separable_data(rng)
+        _, report = fit(data, AffinityConfig(3), tau=0.3, max_sweeps=0)
+        assert (report.sweeps_run, report.termination_reason) == (0, "max_sweeps")
+        _, report = fit(data, AffinityConfig(3), tau=0.3, variant="tn", max_sweeps=np.int64(2),
+                        core_change_tol=0.0)
+        assert (report.sweeps_run, report.termination_reason) == (2, "max_sweeps")
 
     def test_too_few_samples(self, rng):
         from ttnpe.errors import DataError

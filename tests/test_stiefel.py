@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_psd
-from ttnpe.errors import NumericError
+from ttnpe.errors import ConfigError, NumericError
 from ttnpe.stiefel import (
     OptimizerConfig,
     check_gradient,
@@ -158,6 +158,20 @@ class TestMinimize:
             OptimizerConfig(max_inner_iters=0)
         with pytest.raises(ValueError):
             OptimizerConfig(grad_tol=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_inner_iters", 2.5), ("max_inner_iters", True), ("max_inner_iters", "3"),
+        ("max_inner_iters", -1), ("grad_tol", float("nan")), ("grad_tol", float("inf")),
+        ("grad_tol", 0.0), ("grad_tol", True), ("grad_tol", "1e-6"),
+    ])
+    def test_bad_config_value_is_a_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            OptimizerConfig(**{field: value})
+
+    def test_edge_config_values_accepted(self):
+        cfg = OptimizerConfig(max_inner_iters=np.int64(1), grad_tol=float(np.finfo(np.float64).tiny))
+        assert (cfg.max_inner_iters, cfg.grad_tol) == (1, np.finfo(np.float64).tiny)
+        assert OptimizerConfig(grad_tol=np.float32(1e-3)).grad_tol > 0
 
 
 def polar(c):
