@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 config error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import replace
@@ -24,6 +25,36 @@ from ttnpe.harness import (
     trial_data,
 )
 from ttnpe.tt_subspace import TTChain, load_chain, project_many, save_chain
+
+# glibc's mallopt parameter numbers (malloc.h).
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+# Blocks up to this size come from the heap instead of a private mmap that
+# free() hands straight back to the kernel: eigh's LAPACK workspace, TT-SVD
+# scratch, graph arrays and Z are all below it at MNIST shape. 32 MiB is the
+# largest value glibc accepts on 64-bit.
+MMAP_THRESHOLD = 32 * 1024 * 1024
+# Free memory at the top of the heap goes back to the kernel only past this,
+# so one fit's freed scratch is reused by the next fit, not faulted in again.
+TRIM_THRESHOLD = 1024 * 1024 * 1024
+
+
+def _keep_freed_buffers() -> None:
+    """Set the C allocator to keep freed numeric buffers for reuse.
+
+    Sets glibc's mmap and trim thresholds to MMAP_THRESHOLD and
+    TRIM_THRESHOLD; where the C library has no mallopt (macOS and Windows
+    among them) it does nothing. Only where buffers are placed and whether
+    freed ones are reused changes, never a computed value.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,6 +145,17 @@ def _cmd_classify(args, config) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Before it reads the config, every call sets the process's C allocator
+    to keep freed buffers (:func:`_keep_freed_buffers`). Without that, glibc
+    returns each freed multi-MB block (LAPACK workspace, TT-SVD scratch, the
+    graph's arrays, Z) to the kernel, and the next fit of a tau sweep takes
+    tens of thousands of page faults to get it back. Results do not depend
+    on it. Library callers get the same effect from the environment:
+    ``MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=1073741824``.
+    """
+    _keep_freed_buffers()
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)

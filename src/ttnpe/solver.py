@@ -334,9 +334,10 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     report = SolverReport()
     t0 = time.perf_counter()
     d_mat = data.reshape(d, n_samples, order="F")
-    s = build_weight_matrix(d_mat, graph_cfg)
-    y = build_residual(d_mat, s)
+    y = build_residual(d_mat, build_weight_matrix(d_mat, graph_cfg))
     z = build_gram(y)
+    if variant == "atn" or n_samples >= d:
+        y = None  # only TN's Ky Fan bound reads Y again, and only when N < d
     report.wall_time["graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -359,6 +360,7 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
         gram = y.T @ y if n_samples < d else z
         spectrum = np.concatenate([np.linalg.eigvalsh(gram), np.zeros(d - gram.shape[0])])
         report.kyfan_bound = float(np.sum(np.sort(spectrum)[:r_n]))
+    y = None
     report.wall_time["eigensolve"] = time.perf_counter() - t0
 
     scale = max(1.0, frobenius_norm(z))

@@ -1,12 +1,19 @@
+import ctypes
 import json
+import os
 import struct
+import subprocess
+import sys
+import types
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ttnpe import harness, solver
+import ttnpe
+from ttnpe import cli, harness, solver
 from ttnpe.cli import main
 from ttnpe.errors import ConfigError, DataError, NumericError
 from ttnpe.harness import (
@@ -594,6 +601,95 @@ class TestCli:
         d1 = json.loads(r1.read_text())
         d2 = json.loads(r2.read_text())
         assert d1["n_test"] == d2["n_test"] == 6
+
+
+def raising(exc):
+    def call(*args):
+        raise exc
+    return call
+
+
+class TestAllocatorPolicy:
+    """``main`` sets glibc's mmap and trim thresholds; results never depend on it."""
+
+    @staticmethod
+    def config_file(directory, rng, **overrides):
+        directory.mkdir()
+        path = directory / "config.json"
+        path.write_text(json.dumps(base_config(directory, rng, **overrides)))
+        return str(path)
+
+    def test_set_on_every_call_before_the_config_is_read(self, tmp_path, rng, monkeypatch):
+        events = []
+
+        def mallopt(param, value):
+            events.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        read = ExperimentConfig.from_file
+        monkeypatch.setattr(ExperimentConfig, "from_file",
+                            staticmethod(lambda path: events.append("config") or read(path)))
+        good = self.config_file(tmp_path / "good", rng)
+        bad = self.config_file(tmp_path / "bad", rng, bogus=1)
+        assert main(["experiment", "--config", good]) == 0
+        assert main(["experiment", "--config", bad]) == 1
+        policy = [(cli.M_MMAP_THRESHOLD, 32 * 2 ** 20), (cli.M_TRIM_THRESHOLD, 2 ** 30), "config"]
+        assert events == policy + policy
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+    @pytest.mark.parametrize("cdll", [
+        pytest.param(lambda name: types.SimpleNamespace(), id="no-mallopt-symbol"),
+        pytest.param(raising(OSError("no C library handle")), id="no-libc-handle"),
+        pytest.param(raising(TypeError("expected str, not NoneType")), id="no-dlopen-of-none"),
+    ])
+    def test_libc_without_mallopt_is_a_silent_noop(self, tmp_path, rng, monkeypatch, capsys,
+                                                   cdll):
+        # exit 0, 1 (unknown key) and 2 (too few samples for the split)
+        cases = [self.config_file(tmp_path / str(i), rng, **overrides)
+                 for i, overrides in enumerate([{}, {"bogus": 1}, {"n_train_per_class": 50}])]
+
+        def run_all():
+            runs = []
+            for config in cases:
+                code = main(["experiment", "--config", config])
+                runs.append((code, capsys.readouterr()))
+            return runs
+
+        with_policy = run_all()
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        without = run_all()
+        assert [code for code, _ in with_policy] == [0, 1, 2]
+        assert without == with_policy
+
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_report_bytes_same_as_library_without_policy(self, tmp_path, variant):
+        # d = 256 and N = 80: Y, Z and eigh's workspace exceed glibc's default
+        # 128 KiB mmap threshold, so the policy changes where they are placed.
+        rng = np.random.default_rng(3)
+        config = base_config(tmp_path, rng, reshape=[4, 4, 4, 4], n_train_per_class=40,
+                             n_test_per_class=20, tau_list=[0.5, 0.2], k_classify=3,
+                             max_sweeps=5, variant=variant)
+        write_cluster_csv(tmp_path / "data.csv", rng, per_class=60, d=256)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out.json"
+        scripts = [
+            f"from ttnpe.cli import main; raise SystemExit(main(['experiment', '--config', "
+            f"{str(path)!r}, '--out', {str(out)!r}]))",
+            "from dataclasses import replace; from ttnpe.harness import ExperimentConfig, "
+            f"run_experiment; run_experiment(replace(ExperimentConfig.from_file({str(path)!r}), "
+            f"output_path={str(out)!r}))",
+        ]
+        src = str(Path(ttnpe.__file__).resolve().parents[1])
+        path_dirs = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_dirs)))
+        written = []
+        for script in scripts:
+            subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=300)
+            written.append((out.read_bytes(), Path(f"{out}.csv").read_bytes()))
+        assert written[0] == written[1]
+        assert all("error" not in cell for cell in json.loads(written[0][0])["cells"])
 
 
 class TestExtremeNoise:

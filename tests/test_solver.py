@@ -7,6 +7,7 @@ import pytest
 
 from conftest import brute_core_form, random_orthonormal_chain, random_psd
 from ttnpe import harness, solver, stiefel
+from ttnpe.classifier import evaluate
 from ttnpe.errors import ConfigError
 from ttnpe.neighborhood_graph import AffinityConfig, build_gram, build_residual, build_weight_matrix
 from ttnpe.solver import (
@@ -547,8 +548,9 @@ def ci_noisy_csv_data(tmp_path):
     return config, harness.trial_data(config, samples, labels)[0]
 
 
-def bench_digit_pair(per_class=200, seed=1):
-    """``per_class`` synthetic digits of classes 1 and 2 at the fit-tn-4mode shape (4, 7, 4, 7)."""
+def bench_digits(per_class=200, seed=1):
+    """``per_class`` synthetic digits of classes 1 and 2 at the fit-tn-4mode shape
+    (4, 7, 4, 7), in shuffled order; returns (samples, labels)."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     try:
         import synthdigits
@@ -556,7 +558,8 @@ def bench_digit_pair(per_class=200, seed=1):
         sys.path.pop(0)
     labels = synthdigits.make_labels([per_class if c in (1, 2) else 0
                                       for c in range(synthdigits.N_CLASSES)], seed)
-    return synthdigits.as_samples(synthdigits.make_digits(labels, seed), (4, 7, 4, 7))
+    return synthdigits.as_samples(synthdigits.make_digits(labels, seed), (4, 7, 4, 7)), labels
+
 
 
 class TestLanczosShift:
@@ -584,7 +587,7 @@ class TestLanczosShift:
     def test_fit(self, tmp_path, monkeypatch, case):
         if case == "fit-tn-4mode":
             cfg = OptimizerConfig(grad_tol=float(np.finfo(np.float64).tiny), max_inner_iters=40)
-            data = bench_digit_pair()
+            data = bench_digits()[0]
 
             def run():
                 return fit(data, AffinityConfig(5), 0.08, variant="tn", max_sweeps=3,
@@ -603,6 +606,34 @@ class TestLanczosShift:
         assert any(s["steps"] > 0 for solves in report.core_solves for s in solves[:-1])
         self.assert_same_cores(chain, want_chain)
         np.testing.assert_allclose(report.objective_trace, want.objective_trace, rtol=1e-10, atol=0)
+
+
+class TestScaleEquivariance:
+    """ATN fits of the data times 2^k: multiplying by a power of two is exact,
+    and every step of the ATN fit is equivariant under it."""
+
+    @pytest.fixture(scope="class")
+    def digits(self):
+        data, labels = bench_digits(per_class=60, seed=7)
+        train_idx, test_idx = harness.split_per_class(labels, 30, 30, np.random.default_rng(7))
+        return data[..., train_idx], labels[train_idx], data[..., test_idx], labels[test_idx]
+
+    def fit_and_score(self, digits, scale):
+        train, train_labels, test, test_labels = digits
+        chain, report = fit(train * scale, AffinityConfig(5), 0.2, variant="atn")
+        result = evaluate(chain, train * scale, train_labels, test * scale, test_labels, 5)
+        return chain, report, result.n_wrong
+
+    @pytest.mark.parametrize("k", [-20, -8, 8])
+    def test_atn_fit_of_scaled_data(self, digits, k):
+        chain, report, n_wrong = self.fit_and_score(digits, 1.0)
+        got_chain, got_report, got_wrong = self.fit_and_score(digits, 2.0 ** k)
+        assert got_chain.ranks == chain.ranks
+        assert got_wrong == n_wrong
+        assert got_report.sweeps_run == report.sweeps_run > 1
+        for got, want in zip(got_chain.cores, chain.cores):
+            assert np.array_equal(got, want)
+        assert got_report.objective_trace == [4.0 ** k * obj for obj in report.objective_trace]
 
 
 class TestFit:
@@ -626,7 +657,6 @@ class TestFit:
         data, labels = self.separable_data(rng)
         chain, report = fit(data, AffinityConfig(3), tau=0.3, variant="atn")
         assert report.objective_trace[-1] <= report.objective_trace[0] + 1e-10
-        from ttnpe.classifier import evaluate
         res = evaluate(chain, data, labels, data, labels, 1)
         assert res.error_rate == 0.0
 
