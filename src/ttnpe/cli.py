@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import json
 import sys
 from dataclasses import replace
 
@@ -19,10 +18,12 @@ from ttnpe.harness import (
     check_split,
     fit_config,
     load_dataset,
-    open_output,
+    json_text,
+    probe_output,
     run_convergence,
     run_experiment,
     trial_data,
+    write_output,
 )
 from ttnpe.tt_subspace import TTChain, load_chain, project_many, save_chain
 
@@ -100,7 +101,7 @@ def _cmd_fit(args, config) -> None:
     samples, labels = load_dataset(config)
     check_split(config, labels)
     train = trial_data(config, samples, labels)[0]
-    open_output(args.out).close()  # an unwritable path fails before the fit
+    probe_output(args.out)
     chain, _report = fit_config(config, train, config.tau_list[0])
     save_chain(chain, args.out)
 
@@ -118,10 +119,10 @@ def _cmd_embed(args, config) -> None:
         raise ConfigError("embed requires --out for the coordinates CSV")
     samples, labels = load_dataset(config)
     coords = project_many(_load_model(args.model, samples), samples)
-    with open_output(args.out) as fh:
-        fh.write("index,label," + ",".join(f"t{i}" for i in range(coords.shape[1])) + "\n")
-        for i, (lab, row) in enumerate(zip(labels.tolist(), coords)):
-            fh.write(f"{i},{lab}," + ",".join(repr(v) for v in row.tolist()) + "\n")
+    lines = ["index,label," + ",".join(f"t{i}" for i in range(coords.shape[1])) + "\n"]
+    lines += [f"{i},{lab}," + ",".join(repr(v) for v in row.tolist()) + "\n"
+              for i, (lab, row) in enumerate(zip(labels.tolist(), coords))]
+    write_output(args.out, "".join(lines))
 
 
 def _cmd_classify(args, config) -> None:
@@ -136,10 +137,9 @@ def _cmd_classify(args, config) -> None:
         "predictions": result.predictions.tolist(),
         "labels": test_labels.tolist(),
     }
-    text = json.dumps(doc, separators=(",", ":")) + "\n"
+    text = json_text(doc, separators=(",", ":"))
     if args.out:
-        with open_output(args.out) as fh:
-            fh.write(text)
+        write_output(args.out, text)
     else:
         sys.stdout.write(text)
 

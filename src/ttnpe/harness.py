@@ -17,9 +17,10 @@ import numpy as np
 
 from ttnpe.classifier import evaluate
 from ttnpe.datasets import add_noise, load_csv, load_idx, noise_sigma
-from ttnpe.errors import ConfigError, DataError, NumericError
+from ttnpe.errors import ConfigError, DataError, NumericError, is_int, is_number, require_int
 from ttnpe.neighborhood_graph import AffinityConfig
-from ttnpe.solver import fit
+from ttnpe.solver import check_sweep_args, fit
+from ttnpe.tt_subspace import check_tt_args
 
 _DATASET_KEYS = {"idx": {"format": str, "image_path": str, "label_path": str},
                  "csv": {"format": str, "path": str, "label_column": int}}
@@ -27,7 +28,9 @@ _DATASET_KEYS = {"idx": {"format": str, "image_path": str, "label_path": str},
 
 @dataclass(kw_only=True)
 class ExperimentConfig:
-    # Field order is the key order of the report's "config" object.
+    """An experiment; a bad key raises ConfigError naming it, the solver's keys by
+    ``fit``'s own rules. Field order is the key order of the report's "config"."""
+
     dataset: dict
     class_filter: list | None = None
     reshape: list[int]
@@ -46,32 +49,23 @@ class ExperimentConfig:
     output_path: str
 
     def __post_init__(self):
-        for name, low in (("trials", 1), ("seed", 0), ("max_sweeps", 0), ("k_classify", 1),
+        for name, low in (("trials", 1), ("seed", 0), ("k_classify", 1),
                           ("n_train_per_class", 1), ("n_test_per_class", 1)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < low:
-                raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
+            require_int(getattr(self, name), name, low)
+        check_sweep_args(self.variant, self.max_sweeps)
+        if (not isinstance(self.reshape, list) or not self.reshape
+                or not all(is_int(i, 1) for i in self.reshape)):
+            raise ConfigError(f"reshape must be a list of positive ints, got {self.reshape!r}")
         if not isinstance(self.tau_list, list) or not self.tau_list:
             raise ConfigError(f"tau_list must be a nonempty list, got {self.tau_list!r}")
-        if not all(_is_number(t) and 0.0 < t <= 1.0 for t in self.tau_list):
-            raise ConfigError(f"every tau must lie in (0, 1], got {self.tau_list}")
-        if self.variant not in ("tn", "atn"):
-            raise ConfigError(f"variant must be 'tn' or 'atn', got {self.variant!r}")
-        if (not isinstance(self.reshape, list) or not self.reshape
-                or not all(_is_int(i) and i >= 1 for i in self.reshape)):
-            raise ConfigError(f"reshape must be a list of positive ints, got {self.reshape!r}")
-        per_mode = isinstance(self.rank_cap, (list, tuple))
-        caps = self.rank_cap if per_mode else [self.rank_cap]
-        if (per_mode and len(caps) != len(self.reshape)
-                or not all(c is None or _is_int(c) and c >= 1 for c in caps)):
-            raise ConfigError(f"rank_cap must be null, an int >= 1 or a list of "
-                              f"{len(self.reshape)} of those, got {self.rank_cap!r}")
+        for tau in self.tau_list:
+            check_tt_args(tau, self.rank_cap, len(self.reshape), "every tau_list entry")
         labels = self.class_filter
         if labels is not None and not (isinstance(labels, list) and labels
-                                       and all(_is_number(c) for c in labels)):
+                                       and all(is_number(c) for c in labels)):
             raise ConfigError(f"class_filter must be null or a nonempty list of labels, got {labels!r}")
         snr = [] if self.noise_snr_db is None else self.noise_snr_db
-        if not isinstance(snr, (list, tuple)) or not all(s is None or _is_number(s) for s in snr):
+        if not isinstance(snr, (list, tuple)) or not all(s is None or is_number(s) for s in snr):
             raise ConfigError(f"noise_snr_db must be null or a list of nulls and numbers, got {snr!r}")
         if not isinstance(self.output_path, str):
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
@@ -164,14 +158,6 @@ def split_per_class(labels: np.ndarray, n_train: int, n_test: int,
     return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def trial_split(config: ExperimentConfig, labels: np.ndarray,
                 trial: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The seeded per-class (train_idx, test_idx) split of one trial."""
@@ -216,12 +202,25 @@ def fit_config(config: ExperimentConfig, train: np.ndarray, tau: float):
                max_sweeps=config.max_sweeps, rank_cap=config.rank_cap)
 
 
-def open_output(path):
-    """``open(path, "w")``; a path that cannot be written raises ConfigError."""
+def probe_output(path) -> None:
+    """Raise ConfigError if ``path`` cannot be written. It is created if missing
+    and never truncated, so a run that fails later keeps the previous output."""
     try:
-        return open(path, "w")
+        open(path, "a").close()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
+
+
+def write_output(path, text: str) -> None:
+    """Replace ``path``'s contents with ``text`` once :func:`probe_output` passes."""
+    probe_output(path)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def json_text(doc, **fmt) -> str:
+    """``json.dumps(doc, **fmt)`` plus a newline, numpy scalars written as numbers."""
+    return json.dumps(doc, default=lambda v: v.item(), **fmt) + "\n"
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -238,8 +237,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``. The split,
     ``k_graph`` and ``k_classify`` against the split's training points, and
     every noise level are checked before any output path is opened, and all
-    three are opened before the first fit: a bad value leaves a previous
-    report as it was, and an unwritable path fails fast.
+    three are probed (:func:`probe_output`) before the first fit: a failed
+    run leaves a previous report as it was, and a bad path fails fast.
     """
     samples, labels = load_dataset(config)
     n_train = check_split(config, labels)
@@ -249,7 +248,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out = str(config.output_path)
     outputs = (out, out + ".timings.json", out + ".csv")
     for path in outputs:
-        open_output(path).close()
+        probe_output(path)
     snr_list = config.noise_snr_db or [None]
     cells = []
     baselines = []
@@ -315,18 +314,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "aggregates": aggregates,
     }
     report_path, timings_path, csv_path = outputs
-    with open_output(report_path) as fh:
-        json.dump(report_doc, fh, separators=(",", ":"))
-        fh.write("\n")
-    with open_output(timings_path) as fh:
-        json.dump(timings, fh, indent=1)
-        fh.write("\n")
-    with open_output(csv_path) as fh:
-        fh.write("tau,trial,snr_db,rho,error\n")
-        for c in cells:
-            if "error_rate" in c:
-                snr = "" if c["snr_db"] is None else c["snr_db"]
-                fh.write(f"{c['tau']},{c['trial']},{snr},{c['rho']},{c['error_rate']}\n")
+    write_output(report_path, json_text(report_doc, separators=(",", ":")))
+    write_output(timings_path, json_text(timings, indent=1))
+    rows = ["tau,trial,snr_db,rho,error\n"]
+    for c in cells:
+        if "error_rate" in c:
+            snr = "" if c["snr_db"] is None else c["snr_db"]
+            rows.append(f"{c['tau']},{c['trial']},{snr},{c['rho']},{c['error_rate']}\n")
+    write_output(csv_path, "".join(rows))
     return report_doc
 
 
@@ -336,13 +331,13 @@ def run_convergence(config: ExperimentConfig) -> dict:
     A variant failing with a library error (as in ``run_experiment``) is
     recorded with its reason; the other variant still runs. The split and
     ``k_graph`` are checked, by :func:`check_split`, before the output is
-    opened.
+    probed by :func:`probe_output`.
     """
     samples, labels = load_dataset(config)
     check_split(config, labels)
     train = trial_data(config, samples, labels)[0]
     tau = config.tau_list[0]
-    open_output(config.output_path).close()  # an unwritable path fails before the first fit
+    probe_output(config.output_path)
     traces = {}
     for variant in ("tn", "atn"):
         entry = {}
@@ -361,7 +356,5 @@ def run_convergence(config: ExperimentConfig) -> dict:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         traces[variant] = entry
     doc = {"config": asdict(config), "tau": tau, "traces": traces}
-    with open_output(config.output_path) as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+    write_output(config.output_path, json_text(doc, separators=(",", ":")))
     return doc

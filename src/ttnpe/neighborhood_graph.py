@@ -16,11 +16,10 @@ whatever the memory layout of D, and no N x N distance matrix is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from ttnpe.errors import ConfigError, DataError
+from ttnpe.errors import ConfigError, DataError, is_number, require_int
 from ttnpe.nearest import knn_search
 
 
@@ -37,13 +36,12 @@ class AffinityConfig:
     epsilon: float | str = "median"
 
     def __post_init__(self):
-        k, eps = self.k_neighbors, self.epsilon
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise ConfigError(f"k_neighbors must be an int >= 1, got {k!r}")
+        require_int(self.k_neighbors, "k_neighbors", 1)
+        eps = self.epsilon
         if isinstance(eps, str):
             if eps != "median":
                 raise ConfigError(f"unknown epsilon policy {eps!r}")
-        elif isinstance(eps, bool) or not isinstance(eps, Real) or not 0.0 < eps < np.inf:
+        elif not (is_number(eps) and 0.0 < eps < np.inf):
             raise ConfigError(f"epsilon must be positive and finite, got {eps!r}")
 
 

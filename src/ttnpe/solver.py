@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
-from ttnpe.errors import ConfigError, DataError, NumericError, require_finite
+from ttnpe.errors import ConfigError, DataError, NumericError, is_number, require_finite, require_int
 from ttnpe.neighborhood_graph import (
     AffinityConfig,
     build_gram,
@@ -43,9 +42,18 @@ from ttnpe.neighborhood_graph import (
     build_weight_matrix,
 )
 from ttnpe.stiefel import OptimizeResult, OptimizerConfig, minimize_quadratic, polar
-from ttnpe.tensor_core import frobenius_norm, kronecker, left_unfold, reshape
-from ttnpe.tt_subspace import (TTChain, contract_chain, fix_signs, project_left,
+from ttnpe.tensor_core import frobenius_norm, kronecker, left_unfold
+from ttnpe.tt_subspace import (TTChain, check_tt_args, contract_chain, fix_signs, project_left,
                                right_environments, tt_svd)
+
+
+def check_sweep_args(variant, max_sweeps=0, core_change_tol=0.0) -> None:
+    """Raise ConfigError for a bad ``variant``, ``max_sweeps`` or ``core_change_tol``."""
+    if not isinstance(variant, str) or variant not in ("tn", "atn"):
+        raise ConfigError(f"variant must be 'tn' or 'atn', got {variant!r}")
+    require_int(max_sweeps, "max_sweeps", 0)
+    if not (is_number(core_change_tol) and core_change_tol >= 0.0):
+        raise ConfigError(f"core_change_tol must be a number >= 0, got {core_change_tol!r}")
 
 
 @dataclass
@@ -64,8 +72,7 @@ class TTNPEProblem:
             raise DataError(f"Gram target shape {self.z.shape} does not match dims {self.mode_dims}")
         if self.chain.mode_dims != self.mode_dims:
             raise DataError("chain mode dims do not match the Gram target")
-        if self.variant not in ("tn", "atn"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        check_sweep_args(self.variant)
 
 
 @dataclass
@@ -141,7 +148,7 @@ def build_A(problem: TTNPEProblem, k: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= k <= n - 1:
         raise ValueError(f"build_A requires 1 <= k <= n-1, got k={k}, n={n}")
     a_mat = _carried_form(_prefix_gram(problem, k), right_environments(problem.chain)[k - 1])
-    return reshape(a_mat, problem.chain.cores[k - 1].shape * 2), a_mat
+    return a_mat.reshape(problem.chain.cores[k - 1].shape * 2, order="F"), a_mat
 
 
 def build_B(problem: TTNPEProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +159,7 @@ def build_B(problem: TTNPEProblem) -> tuple[np.ndarray, np.ndarray]:
     tr(L(U_n)^T B L(U_n)) = tr(E^T Z E).
     """
     b_mat = _last_form(_prefix_gram(problem, len(problem.mode_dims)))
-    return reshape(b_mat, problem.chain.cores[-1].shape[:2] * 2), b_mat
+    return b_mat.reshape(problem.chain.cores[-1].shape[:2] * 2, order="F"), b_mat
 
 
 def smallest_eigvecs(z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -182,12 +189,8 @@ def build_PQC(problem: TTNPEProblem, k: int, v: np.ndarray) -> tuple[np.ndarray,
     p = kronecker(np.eye(problem.mode_dims[k - 1]), prefix)
     q = right_environments(problem.chain)[k - 1]
     rows = int(np.prod(problem.mode_dims[:k]))
-    c = reshape(v, (rows, v.size // rows))
+    c = v.reshape(rows, v.size // rows, order="F")
     return p, q, c
-
-
-def _core_from_left_unfold(x: np.ndarray, r_prev: int, i_k: int) -> np.ndarray:
-    return x.reshape(r_prev, i_k, x.shape[1], order="F")
 
 
 def _exact_last_core(b_mat: np.ndarray, x0: np.ndarray) -> OptimizeResult:
@@ -255,7 +258,7 @@ def sweep_tn(problem: TTNPEProblem, opt_cfg: OptimizerConfig | None = None) -> l
         else:
             result = _exact_last_core(_last_form(w), x0)
         results.append(result)
-        problem.chain = problem.chain.replace_core(k - 1, _core_from_left_unfold(result.x, r_prev, i_k))
+        problem.chain = problem.chain.replace_core(k - 1, result.x.reshape(r_prev, i_k, -1, order="F"))
         if k < n:
             w = _next_prefix_gram(w, result.x, dims[k])
     return results
@@ -283,7 +286,7 @@ def sweep_atn(problem: TTNPEProblem, v: np.ndarray) -> list[float]:
         x, surrogate = _procrustes_step(left, envs[k - 1], target_sq)
         surrogates.append(surrogate)
         r_prev, i_k, _ = problem.chain.cores[k - 1].shape
-        core = _core_from_left_unfold(x, r_prev, i_k)
+        core = x.reshape(r_prev, i_k, -1, order="F")
         problem.chain = problem.chain.replace_core(k - 1, core)
         if k < len(dims):
             left = project_left(left_unfold(core), left, dims[k])
@@ -301,29 +304,24 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     variant's sweep (:func:`sweep_tn`, the one TN core solver, or
     :func:`sweep_atn`, each on carried environments) until the largest
     per-core change drops below ``core_change_tol`` or ``max_sweeps`` is
-    reached. A ``variant`` other than "tn" or "atn", a ``max_sweeps`` that
-    is not an int >= 0 or a ``core_change_tol`` that is not a number >= 0
-    (NaN included) raises ConfigError before any work. After each sweep the
-    objective, recomputed from the chain by :func:`objective` and so
-    independent of the carried forms, must stay above the Ky Fan bound,
-    less 1e-8 * max(1, ||Z||_F), or NumericError is raised. The bound takes
-    no eigensolve when R_n <= d - N, where it is exactly 0.0; otherwise TN
-    takes it from the spectrum of the smaller of Y^T Y and Z, and ATN from
-    the eigenvalues of the one ``eigh`` of Z that also gives its target.
+    reached. A bad ``variant``, ``max_sweeps``, ``core_change_tol``, ``tau``
+    or ``rank_cap`` raises ConfigError once ``data``'s shape is checked,
+    before the graph is built. After each sweep the objective, recomputed
+    from the chain by :func:`objective` and so independent of the carried
+    forms, must stay above the Ky Fan bound, less 1e-8 * max(1, ||Z||_F),
+    or NumericError is raised. The bound takes no eigensolve when
+    R_n <= d - N, where it is exactly 0.0; otherwise TN takes it from the
+    spectrum of the smaller of Y^T Y and Z, and ATN from the eigenvalues of
+    the one ``eigh`` of Z that also gives its target.
     ``opt_cfg`` bounds the power iteration on TN cores 1..n-1 through its
     ``max_inner_iters`` and ``grad_tol``; the last TN core and every ATN
     core update are solved in closed form.
     """
-    if variant not in ("tn", "atn"):
-        raise ConfigError(f"variant must be 'tn' or 'atn', got {variant!r}")
-    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, Integral) or max_sweeps < 0:
-        raise ConfigError(f"max_sweeps must be an int >= 0, got {max_sweeps!r}")
-    tol = core_change_tol
-    if isinstance(tol, bool) or not isinstance(tol, Real) or not tol >= 0.0:
-        raise ConfigError(f"core_change_tol must be a number >= 0, got {tol!r}")
     data = np.asarray(data, dtype=np.float64)
     if data.ndim < 2:
         raise DataError("data must stack samples along a trailing mode")
+    check_sweep_args(variant, max_sweeps, core_change_tol)
+    check_tt_args(tau, rank_cap, data.ndim - 1)
     require_finite(data, "data")
     n_samples = data.shape[-1]
     if n_samples < 2:

@@ -18,11 +18,10 @@ so the trace stays monotone even if sigma falls short of lambda_max.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
-from ttnpe.errors import ConfigError, NumericError
+from ttnpe.errors import ConfigError, NumericError, is_number, require_int
 from ttnpe.tensor_core import frobenius_norm
 
 FEASIBILITY_TOL = 1e-8
@@ -53,11 +52,9 @@ class OptimizerConfig:
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        n, tol = self.max_inner_iters, self.grad_tol
-        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-            raise ConfigError(f"max_inner_iters must be an int >= 1, got {n!r}")
-        if isinstance(tol, bool) or not isinstance(tol, Real) or not 0.0 < tol < np.inf:
-            raise ConfigError(f"grad_tol must be positive and finite, got {tol!r}")
+        require_int(self.max_inner_iters, "max_inner_iters", 1)
+        if not (is_number(self.grad_tol) and 0.0 < self.grad_tol < np.inf):
+            raise ConfigError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
 
 
 @dataclass

@@ -87,11 +87,3 @@ def merge_product(a: np.ndarray, b: np.ndarray, g1: Sequence[int], g2: Sequence[
 def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; block (i, j) of the result is a(i, j) * b."""
     return np.kron(np.asarray(a), np.asarray(b))
-
-
-def reshape(t: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """Reinterpret the flat mode-1-fastest data under a new shape."""
-    t = np.asarray(t)
-    if t.size != int(np.prod(shape)):
-        raise ValueError(f"cannot reshape {t.size} elements into shape {tuple(shape)}")
-    return t.reshape(shape, order="F")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ttnpe.errors import DataError, require_finite
+from ttnpe.errors import ConfigError, DataError, is_int, is_number, require_finite
 from ttnpe.stiefel import feasibility_defect
 from ttnpe.tensor_core import left_unfold, vectorize
 
@@ -88,6 +88,19 @@ def fix_signs(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def check_tt_args(tau, rank_cap, n: int, tau_name: str = "tau") -> list:
+    """Check ``tau`` (a real number, not a bool, in (0, 1]) and ``rank_cap`` (None,
+    an int >= 1 or a list or tuple of n of those); return the n per-split caps.
+    A bad value raises ConfigError naming it, and nothing is rounded or clamped."""
+    if not (is_number(tau) and 0.0 < tau <= 1.0):
+        raise ConfigError(f"{tau_name} must be a number in (0, 1], got {tau!r}")
+    caps = list(rank_cap) if isinstance(rank_cap, (list, tuple)) else [rank_cap] * n
+    if len(caps) != n or not all(c is None or is_int(c, 1) for c in caps):
+        raise ConfigError(f"rank_cap must be None, an int >= 1 or a list or tuple of "
+                          f"{n} of those, got {rank_cap!r}")
+    return caps
+
+
 def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None) -> TTChain:
     """Sequential-SVD TT decomposition of a dataset stacked along the last mode.
 
@@ -101,24 +114,15 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None) -> TTChain:
     the next split. The trailing R_n x N coefficient factor is discarded;
     only the left-orthonormal cores (the subspace) are returned.
 
-    ``rank_cap`` optionally caps the rank at each split: an int applies to
-    every split, a sequence gives per-split caps.
+    ``rank_cap`` caps the rank at each split as :func:`check_tt_args` reads
+    it. A bad ``tau`` or ``rank_cap`` raises ConfigError before any work.
     """
     dataset = np.asarray(dataset, dtype=np.float64)
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
     if dataset.ndim < 2 or dataset.size == 0:
         raise DataError("dataset must be a nonempty (I_1, ..., I_n, N) array")
     n = dataset.ndim - 1
     dims = dataset.shape[:n]
-    if rank_cap is None:
-        caps = [None] * n
-    elif np.isscalar(rank_cap):
-        caps = [int(rank_cap)] * n
-    else:
-        caps = [None if c is None else int(c) for c in rank_cap]
-        if len(caps) != n:
-            raise ValueError(f"rank_cap needs {n} entries, got {len(caps)}")
+    caps = check_tt_args(tau, rank_cap, n)
 
     cores = []
     r_prev = 1
@@ -132,7 +136,7 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None) -> TTChain:
         else:
             r = 1
         if caps[k] is not None:
-            r = min(r, max(1, caps[k]))
+            r = min(r, caps[k])
         u = fix_signs(u[:, :r])
         cores.append(u.reshape(r_prev, dims[k], r, order="F"))
         if k + 1 < n:

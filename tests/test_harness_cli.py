@@ -155,6 +155,19 @@ class TestRunExperiment:
         b2 = (tmp_path / "r2.json").read_bytes()
         assert b1.replace(b"r1.json", b"") == b2.replace(b"r2.json", b"")
 
+    def test_numpy_integer_keys_write_the_same_report(self, tmp_path, rng):
+        raw = base_config(tmp_path, rng, max_sweeps=3, rank_cap=2)
+        plain = ExperimentConfig.from_dict(dict(raw, output_path=str(tmp_path / "r1.json")))
+        numpy = replace(plain, output_path=str(tmp_path / "r2.json"),
+                        **{key: np.int64(getattr(plain, key))
+                           for key in ("seed", "k_graph", "max_sweeps", "rank_cap", "trials")})
+        run_experiment(plain)
+        run_experiment(numpy)
+        for suffix in ("", ".csv"):
+            b1 = (tmp_path / f"r1.json{suffix}").read_bytes()
+            b2 = (tmp_path / f"r2.json{suffix}").read_bytes()
+            assert b1.replace(b"r1.json", b"") == b2.replace(b"r2.json", b"")
+
     def test_config_key_order_pinned(self, tmp_path, rng):
         config = ExperimentConfig.from_dict(base_config(tmp_path, rng))
         run_experiment(config)
@@ -583,6 +596,38 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "config error: K must be < number of training points, got k_graph=10, N=10")
         assert [p.read_bytes() for p in paths] == before
+
+    def test_failed_fit_keeps_previous_model(self, tmp_path, rng, capsys):
+        cfg, _ = self.write_config(tmp_path, rng)
+        model = tmp_path / "model.json"
+        assert main(["fit", "--config", str(cfg), "--out", str(model)]) == 0
+        before = model.read_bytes()
+        tiny_eps, _ = self.write_config(tmp_path, rng, epsilon=1e-300)
+        assert main(["fit", "--config", str(tiny_eps), "--out", str(model)]) == 2
+        assert "zero row sum" in capsys.readouterr().err
+        assert model.read_bytes() == before
+
+    @pytest.mark.parametrize("command, suffixes", [
+        ("experiment", ("", ".timings.json", ".csv")), ("convergence", ("",)),
+    ])
+    def test_interrupted_run_keeps_previous_output(self, tmp_path, rng, monkeypatch,
+                                                   command, suffixes):
+        cfg, _ = self.write_config(tmp_path, rng)
+        out = tmp_path / "out.json"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        paths = [tmp_path / ("out.json" + suffix) for suffix in suffixes]
+        before = [p.read_bytes() for p in paths]
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "fit", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main([command, "--config", str(cfg), "--out", str(out)])
+        assert [p.read_bytes() for p in paths] == before
+
+    def test_probe_creates_a_missing_output(self, tmp_path):
+        harness.probe_output(tmp_path / "new.json")
+        assert (tmp_path / "new.json").read_bytes() == b""
 
     def test_missing_out_for_fit(self, tmp_path, rng):
         cfg, _ = self.write_config(tmp_path, rng)

@@ -752,6 +752,9 @@ class TestFit:
         {"max_sweeps": 2.5}, {"max_sweeps": -1}, {"max_sweeps": True}, {"max_sweeps": "3"},
         {"core_change_tol": float("nan")}, {"core_change_tol": -1e-6},
         {"core_change_tol": "0"}, {"core_change_tol": False},
+        {"tau": True}, {"tau": "0.3"}, {"tau": 1.5},
+        {"rank_cap": 2.5}, {"rank_cap": 0}, {"rank_cap": -3}, {"rank_cap": True},
+        {"rank_cap": "3"}, {"rank_cap": [2, 2]},
     ], ids=lambda kwargs: "{}={!r}".format(*next(iter(kwargs.items()))))
     def test_bad_sweep_argument_rejected_before_any_work(self, rng, monkeypatch, kwargs):
         def no_graph(*args):
@@ -760,7 +763,7 @@ class TestFit:
         monkeypatch.setattr(solver, "build_weight_matrix", no_graph)
         data, _ = self.separable_data(rng)
         with pytest.raises(ConfigError, match=next(iter(kwargs))):
-            fit(data, AffinityConfig(3), tau=0.3, variant="tn", **kwargs)
+            fit(data, AffinityConfig(3), **{"tau": 0.3, "variant": "tn", **kwargs})
 
     def test_edge_sweep_arguments_accepted(self, rng):
         data, _ = self.separable_data(rng)

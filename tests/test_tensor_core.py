@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_merge
-from ttnpe.tensor_core import (frobenius_norm, kronecker, left_unfold, merge_product, reshape,
-                               vectorize)
+from ttnpe.tensor_core import frobenius_norm, kronecker, left_unfold, merge_product, vectorize
 
 
 class TestVectorize:
@@ -19,7 +18,7 @@ class TestVectorize:
 
     def test_fold_round_trip(self, rng):
         t = rng.standard_normal((3, 2, 4))
-        assert np.array_equal(reshape(vectorize(t), t.shape), t)
+        assert np.array_equal(vectorize(t).reshape(t.shape, order="F"), t)
 
 
 class TestUnfoldings:
@@ -89,22 +88,6 @@ class TestKronecker:
         lhs = kronecker(np.eye(2), kronecker(np.eye(3), m))
         rhs = kronecker(np.eye(6), m)
         assert np.array_equal(lhs, rhs)
-
-
-class TestReshape:
-    def test_flat_sequence_unchanged(self, rng):
-        t = rng.standard_normal((2, 3))
-        out = reshape(t, (3, 2))
-        assert np.array_equal(vectorize(out), vectorize(t))
-
-    def test_matrix_tensor_round_trip(self, rng):
-        m = rng.standard_normal((6, 4))
-        t = reshape(m, (2, 3, 4))
-        assert np.array_equal(left_unfold(t), m)
-
-    def test_count_mismatch(self, rng):
-        with pytest.raises(ValueError, match="cannot reshape"):
-            reshape(rng.standard_normal((2, 3)), (4, 2))
 
 
 class TestFrobeniusNorm:

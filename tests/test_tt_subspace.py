@@ -6,7 +6,7 @@ from conftest import brute_tt_svd, random_orthonormal_chain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttnpe.errors import DataError
+from ttnpe.errors import ConfigError, DataError
 from ttnpe.tensor_core import kronecker, left_unfold, merge_product, vectorize
 from ttnpe.tt_subspace import (
     TTChain,
@@ -73,9 +73,14 @@ class TestTTSVD:
 
     def test_invalid_tau(self, rng):
         data = rng.standard_normal((2, 2, 3))
-        for tau in (0.0, -1.0, 1.5):
-            with pytest.raises(ValueError, match="tau"):
+        for tau in (0.0, -1.0, 1.5, True, "0.3", float("nan")):
+            with pytest.raises(ConfigError, match="tau"):
                 tt_svd(data, tau)
+
+    @pytest.mark.parametrize("cap", [2.5, 0, -3, True, "3", [2, 2, 2], (2, 2.0)], ids=repr)
+    def test_invalid_rank_cap(self, rng, cap):
+        with pytest.raises(ConfigError, match="rank_cap"):
+            tt_svd(rng.standard_normal((3, 3, 12)), 0.3, rank_cap=cap)
 
     def test_empty_dataset(self):
         with pytest.raises(DataError):
