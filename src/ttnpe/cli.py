@@ -58,8 +58,15 @@ def _keep_freed_buffers() -> None:
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ttnpe", description=__doc__)
+    parser = _Parser(prog="ttnpe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, summary, out, seed=True, variant=False, model=False):
@@ -69,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, help="override config seed")
         if variant:
-            p.add_argument("--variant", choices=["tn", "atn"], help="override solver variant")
+            p.add_argument("--variant", help="override solver variant")
         if model:
             p.add_argument("--model", required=True, help="saved chain JSON")
 
@@ -154,10 +161,14 @@ def main(argv=None) -> int:
     tens of thousands of page faults to get it back. Results do not depend
     on it. Library callers get the same effect from the environment:
     ``MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=1073741824``.
+
+    A usage error (a missing or unknown flag, a ``--seed`` that is not an
+    int) is a config error like a bad ``--variant`` or config value: exit 1
+    with a "config error:" line, no traceback. ``--help`` exits 0.
     """
     _keep_freed_buffers()
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _load_config(args)
         if args.command == "fit":
             _cmd_fit(args, config)

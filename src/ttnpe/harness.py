@@ -18,12 +18,13 @@ import numpy as np
 from ttnpe.classifier import evaluate
 from ttnpe.datasets import add_noise, load_csv, load_idx, noise_sigma
 from ttnpe.errors import ConfigError, DataError, NumericError, is_int, is_number, require_int
-from ttnpe.neighborhood_graph import AffinityConfig
+from ttnpe.nearest import check_k
+from ttnpe.neighborhood_graph import AffinityConfig, check_graph_k
 from ttnpe.solver import check_sweep_args, fit
 from ttnpe.tt_subspace import check_tt_args
 
-_DATASET_KEYS = {"idx": {"format": str, "image_path": str, "label_path": str},
-                 "csv": {"format": str, "path": str, "label_column": int}}
+_DATASET_KEYS = {"idx": ("format", "image_path", "label_path"),
+                 "csv": ("format", "path", "label_column")}
 
 
 @dataclass(kw_only=True)
@@ -78,10 +79,12 @@ class ExperimentConfig:
         unknown = set(self.dataset) - set(_DATASET_KEYS[fmt])
         if unknown:
             raise ConfigError(f"a {fmt} dataset does not read the keys {sorted(unknown)}")
-        for key, kind in _DATASET_KEYS[fmt].items():
+        for key in _DATASET_KEYS[fmt]:
             value = self.dataset.get(key)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ConfigError(f"a {fmt} dataset needs a {kind.__name__} {key}, got {value!r}")
+            if key == "label_column":
+                require_int(value, "dataset.label_column", 0)
+            elif not isinstance(value, str):
+                raise ConfigError(f"a {fmt} dataset needs a str {key}, got {value!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -168,14 +171,12 @@ def trial_split(config: ExperimentConfig, labels: np.ndarray,
 def check_split(config: ExperimentConfig, labels: np.ndarray) -> int:
     """The number of training points in every trial's split.
 
-    Raises DataError when a class cannot fill the split, and ConfigError
-    when the graph's ``k_graph`` is not below that number, before any
-    output is opened.
+    Raises DataError when a class cannot fill the split, and ConfigError,
+    by the graph's own rule (``neighborhood_graph.check_graph_k``), when
+    ``k_graph`` is not below that number, before any output is opened.
     """
     n_train = len(trial_split(config, labels)[0])  # every trial's split has these sizes
-    if config.k_graph >= n_train:
-        raise ConfigError(f"K must be < number of training points, "
-                          f"got k_graph={config.k_graph}, N={n_train}")
+    check_graph_k(config.k_graph, n_train)
     return n_train
 
 
@@ -235,16 +236,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
     ``wall_time``, its TN ``core_solves``, its ``kyfan_bound`` and
     ``kyfan_gap``, the final objective minus that bound), and a flat CSV of
     (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``. The split,
-    ``k_graph`` and ``k_classify`` against the split's training points, and
-    every noise level are checked before any output path is opened, and all
-    three are probed (:func:`probe_output`) before the first fit: a failed
-    run leaves a previous report as it was, and a bad path fails fast.
+    ``k_graph`` and ``k_classify`` against the split's training points (by
+    :func:`check_split` and ``nearest.check_k``, the graph's and the
+    classifier's own rules), and every noise level are checked before any
+    output path is opened, and all three are probed (:func:`probe_output`)
+    before the first fit: a failed run leaves a previous report as it was,
+    and a bad path fails fast.
     """
     samples, labels = load_dataset(config)
-    n_train = check_split(config, labels)
-    if config.k_classify > n_train:
-        raise ConfigError(f"K must be <= number of training points, "
-                          f"got K={config.k_classify}, N={n_train}")
+    check_k(config.k_classify, check_split(config, labels))
     out = str(config.output_path)
     outputs = (out, out + ".timings.json", out + ".csv")
     for path in outputs:

@@ -101,6 +101,12 @@ def k_nearest(screen: np.ndarray, k: int, slack: np.ndarray, reference):
     return cols[picks], dists[picks]
 
 
+def check_k(k: int, n_train: int) -> None:
+    """Raise ConfigError unless 1 <= k <= n_train: a search needs k training points."""
+    if not 1 <= k <= n_train:
+        raise ConfigError(f"K must be <= number of training points, got K={k}, N={n_train}")
+
+
 def knn_search(train_coords: np.ndarray, test_coords: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k nearest training points of each test point, nearest first.
 
@@ -117,8 +123,7 @@ def knn_search(train_coords: np.ndarray, test_coords: np.ndarray, k: int) -> tup
     require_finite(train_coords, "training coordinates")
     require_finite(test_coords, "test coordinates")
     n_train = train_coords.shape[0]
-    if not 1 <= k <= n_train:
-        raise ConfigError(f"K must be <= number of training points, got K={k}, N={n_train}")
+    check_k(k, n_train)
     train_norms = sq_norms(train_coords)
     test_norms = sq_norms(test_coords)
     n_test = test_coords.shape[0]

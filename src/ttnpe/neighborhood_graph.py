@@ -45,6 +45,12 @@ class AffinityConfig:
             raise ConfigError(f"epsilon must be positive and finite, got {eps!r}")
 
 
+def check_graph_k(k: int, n: int) -> None:
+    """Raise ConfigError unless k < n: each of n samples needs k other samples."""
+    if k >= n:
+        raise ConfigError(f"K must be < number of samples, got K={k}, N={n}")
+
+
 def knn_graph(d_mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The K nearest neighbors of each column of ``d_mat``, self excluded.
 
@@ -55,8 +61,7 @@ def knn_graph(d_mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     points = np.asarray(d_mat, dtype=np.float64).T
     n = points.shape[0]
-    if k >= n:
-        raise ConfigError(f"K must be < number of samples, got K={k}, N={n}")
+    check_graph_k(k, n)
     neighbors, sq_dists = knn_search(points, points, k + 1)
     drop = neighbors == np.arange(n)[:, None]
     drop[:, -1] |= ~drop.any(axis=1)

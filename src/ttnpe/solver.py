@@ -310,9 +310,9 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     from the chain by :func:`objective` and so independent of the carried
     forms, must stay above the Ky Fan bound, less 1e-8 * max(1, ||Z||_F),
     or NumericError is raised. The bound takes no eigensolve when
-    R_n <= d - N, where it is exactly 0.0; otherwise TN takes it from the
-    spectrum of the smaller of Y^T Y and Z, and ATN from the eigenvalues of
-    the one ``eigh`` of Z that also gives its target.
+    R_n <= d - N, where it is exactly 0.0; otherwise TN takes it from
+    ``eigvalsh`` of Z, and ATN from the eigenvalues of the one ``eigh`` of Z
+    that also gives its target. Y is released once Z is built.
     ``opt_cfg`` bounds the power iteration on TN cores 1..n-1 through its
     ``max_inner_iters`` and ``grad_tol``; the last TN core and every ATN
     core update are solved in closed form.
@@ -332,10 +332,7 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     report = SolverReport()
     t0 = time.perf_counter()
     d_mat = data.reshape(d, n_samples, order="F")
-    y = build_residual(d_mat, build_weight_matrix(d_mat, graph_cfg))
-    z = build_gram(y)
-    if variant == "atn" or n_samples >= d:
-        y = None  # only TN's Ky Fan bound reads Y again, and only when N < d
+    z = build_gram(build_residual(d_mat, build_weight_matrix(d_mat, graph_cfg)))
     report.wall_time["graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -354,11 +351,7 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     elif variant == "atn":
         report.kyfan_bound = float(np.sum(eigvals))
     else:
-        # Z = Y Y^T has the spectrum of the smaller Gram Y^T Y, padded with zeros.
-        gram = y.T @ y if n_samples < d else z
-        spectrum = np.concatenate([np.linalg.eigvalsh(gram), np.zeros(d - gram.shape[0])])
-        report.kyfan_bound = float(np.sum(np.sort(spectrum)[:r_n]))
-    y = None
+        report.kyfan_bound = float(np.sum(np.linalg.eigvalsh(z)[:r_n]))
     report.wall_time["eigensolve"] = time.perf_counter() - t0
 
     scale = max(1.0, frobenius_norm(z))

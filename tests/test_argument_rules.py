@@ -2,19 +2,24 @@
 
 ``ExperimentConfig``, ``fit`` and ``tt_svd`` accept and reject the same
 tau, rank_cap, variant and max_sweeps values, because each calls the same
-rule; ``fit`` applies them before it builds the graph.
+rule; ``fit`` applies them before it builds the graph. A ``--variant`` or
+``--seed`` flag is checked as the config value it overrides.
 """
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttnpe import solver
+from ttnpe import harness, solver
 from ttnpe.cli import main
-from ttnpe.errors import ConfigError
+from ttnpe.errors import ConfigError, NumericError
 from ttnpe.harness import ExperimentConfig
 from ttnpe.neighborhood_graph import AffinityConfig
 from ttnpe.solver import fit
@@ -37,6 +42,9 @@ TAUS = st.floats(0.0, 1.0) | VALUES
 CAPS = st.none() | COUNTS | st.lists(st.none() | COUNTS, min_size=4, max_size=4) | VALUES
 VARIANTS = st.sampled_from(["tn", "atn"]) | VALUES
 SWEEPS = COUNTS | VALUES
+
+FLAGS = (st.tuples(st.just("--variant"), st.sampled_from(["tn", "atn", "xx", "", "TN"]))
+         | st.tuples(st.just("--seed"), st.sampled_from(["3", "-1", "x", "1.5"])))
 
 # Each must raise ConfigError from every caller before any work is done.
 BAD_RANK_CAPS = [2.5, 0, -3, True, "3", [2, 2]]
@@ -114,3 +122,64 @@ def test_valid_caps_keep_their_ranks():
         assert tt_svd(data, tau, rank_cap=cap).ranks == ranks, cap
     numpy_cap, int_cap = (tt_svd(four, 1e-12, rank_cap=cap).cores for cap in (np.int64(2), 2))
     assert all(np.array_equal(a, b) for a, b in zip(numpy_cap, int_cap))
+
+
+class FitReached(NumericError):
+    """Raised in place of the fit: the command accepted its config (exit 3)."""
+
+
+def no_fit(*args, **kwargs):
+    raise FitReached("fit reached")
+
+
+def as_json(text):
+    """The config-file value a flag's text stands for: a JSON number, or else the string."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def run_fit(tmp, config, flags=()):
+    """``ttnpe fit`` on ``config``; returns (exit code, stderr)."""
+    path = tmp / "config.json"
+    path.write_text(json.dumps(config))
+    with redirect_stderr(io.StringIO()) as err:
+        code = main(["fit", "--config", str(path), "--out", str(tmp / "model.json"), *flags])
+    return code, err.getvalue()
+
+
+@PROPERTY_SETTINGS
+@given(flag=FLAGS)
+def test_flag_is_checked_as_its_config_value(flag):
+    name, text = flag
+    key = name.removeprefix("--")
+    rows = [[c] + list(range(36)) for c in (0, 1) for _ in range(8)]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        tmp = Path(tmp)
+        patch.setattr(harness, "fit", no_fit)
+        (tmp / "data.csv").write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+        config = {**CONFIG, "dataset": {**CONFIG["dataset"], "path": str(tmp / "data.csv")}}
+        by_flag = run_fit(tmp, config, [name, text])
+        by_file = run_fit(tmp, {**config, key: as_json(text)})
+    assert by_flag[0] == by_file[0] and by_flag[0] in (1, 3), (by_flag, by_file)
+    assert "Traceback" not in by_flag[1]
+    if key == "variant":
+        assert by_flag[1] == by_file[1]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fit", "--out", "m.json"], "the following arguments are required: --config"),
+    (["fit", "--config", "c.json", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["predict", "--config", "c.json"], "argument command: invalid choice"),
+])
+def test_usage_error_is_a_config_error(capsys, args, message):
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ttnpe")

@@ -159,6 +159,7 @@ class TestRunExperiment:
         raw = base_config(tmp_path, rng, max_sweeps=3, rank_cap=2)
         plain = ExperimentConfig.from_dict(dict(raw, output_path=str(tmp_path / "r1.json")))
         numpy = replace(plain, output_path=str(tmp_path / "r2.json"),
+                        dataset={**plain.dataset, "label_column": np.int64(0)},
                         **{key: np.int64(getattr(plain, key))
                            for key in ("seed", "k_graph", "max_sweeps", "rank_cap", "trials")})
         run_experiment(plain)
@@ -400,7 +401,9 @@ class TestCli:
                      "path": "data.csv"}, "['path']"),
         ("dataset", {"format": "idx", "image_path": "images", "label_path": "labels",
                      "label_column": 0}, "label_column"),
-        ("k_graph", 10, "K must be < number of training points, got k_graph=10, N=10"),
+        ("k_graph", 10, "K must be < number of samples, got K=10, N=10"),
+        ("dataset", {"format": "csv", "path": "data.csv", "label_column": -1},
+         "dataset.label_column must be an int >= 0, got -1"),
     ])
     def test_bad_config_value_exit_code(self, tmp_path, rng, capsys, key, value, message):
         cfg, _ = self.write_config(tmp_path, rng, **{key: value})
@@ -425,10 +428,8 @@ class TestCli:
         cfg, _ = self.write_config(tmp_path, rng)
         model = ["--model", "m.json"] if command in ("embed", "classify") else []
         value = "tn" if flag == "--variant" else "1"
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(cfg), *model, flag, value])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert main([command, "--config", str(cfg), *model, flag, value]) == 1
+        assert capsys.readouterr().err == f"config error: unrecognized arguments: {flag} {value}\n"
 
     def test_data_error_exit_code(self, tmp_path, rng):
         # too few samples per class for the requested split
@@ -594,7 +595,7 @@ class TestCli:
         too_big, _ = self.write_config(tmp_path, rng, k_graph=10)
         assert main([command, "--config", str(too_big), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(
-            "config error: K must be < number of training points, got k_graph=10, N=10")
+            "config error: K must be < number of samples, got K=10, N=10")
         assert [p.read_bytes() for p in paths] == before
 
     def test_failed_fit_keeps_previous_model(self, tmp_path, rng, capsys):

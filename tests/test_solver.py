@@ -699,8 +699,8 @@ class TestFit:
     ])
     def test_tn_kyfan_bound_is_the_gram_spectrum(self, rng, variant, per_class, tau, regime):
         # d = 8. "null": R_n <= d - N, so the bound is exactly 0 with no
-        # eigensolve; "wide": N = 6 < d < N + R_n (TN takes the N x N Gram);
-        # "tall": N = 12 >= d (TN takes Z itself). ATN sums its eigh of Z.
+        # eigensolve; "wide": N = 6 < d < N + R_n; "tall": N = 12 >= d. TN
+        # sums eigvalsh of Z, ATN its eigh of Z.
         data, _ = self.separable_data(rng, per_class=per_class)
         graph = AffinityConfig(2)
         chain, report = fit(data, graph, tau=tau, variant=variant, max_sweeps=1)
