@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ttnpe.nearest import knn_search
+from ttnpe.tensor_core import left_unfold
 from ttnpe.tt_subspace import TTChain, compression_ratio, project_many
 
 
@@ -55,8 +56,7 @@ def _vote(votes: np.ndarray, n_classes: int) -> np.ndarray:
 
 def _embed(chain: TTChain | None, data: np.ndarray) -> np.ndarray:
     if chain is None:
-        n = data.shape[-1]
-        return data.reshape(-1, n, order="F").T
+        return left_unfold(data).T
     return project_many(chain, data)
 
 

@@ -11,21 +11,9 @@ import ctypes
 import sys
 from dataclasses import replace
 
-from ttnpe.classifier import evaluate
 from ttnpe.errors import ConfigError, DataError, NumericError
-from ttnpe.harness import (
-    ExperimentConfig,
-    check_split,
-    fit_config,
-    load_dataset,
-    json_text,
-    probe_output,
-    run_convergence,
-    run_experiment,
-    trial_data,
-    write_output,
-)
-from ttnpe.tt_subspace import TTChain, load_chain, project_many, save_chain
+from ttnpe.harness import (ExperimentConfig, run_classify, run_convergence, run_embed,
+                           run_experiment, run_fit)
 
 # glibc's mallopt parameter numbers (malloc.h).
 M_TRIM_THRESHOLD = -1
@@ -102,57 +90,11 @@ def _load_config(args) -> ExperimentConfig:
     return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _cmd_fit(args, config) -> None:
-    if args.out is None:
-        raise ConfigError("fit requires --out for the model path")
-    samples, labels = load_dataset(config)
-    check_split(config, labels)
-    train = trial_data(config, samples, labels)[0]
-    probe_output(args.out)
-    chain, _report = fit_config(config, train, config.tau_list[0])
-    save_chain(chain, args.out)
-
-
-def _load_model(path, samples) -> TTChain:
-    chain = load_chain(path)
-    if chain.mode_dims != samples.shape[:-1]:
-        raise DataError(f"model mode dims {list(chain.mode_dims)} do not match the "
-                        f"configured reshape {list(samples.shape[:-1])}")
-    return chain
-
-
-def _cmd_embed(args, config) -> None:
-    if args.out is None:
-        raise ConfigError("embed requires --out for the coordinates CSV")
-    samples, labels = load_dataset(config)
-    coords = project_many(_load_model(args.model, samples), samples)
-    lines = ["index,label," + ",".join(f"t{i}" for i in range(coords.shape[1])) + "\n"]
-    lines += [f"{i},{lab}," + ",".join(repr(v) for v in row.tolist()) + "\n"
-              for i, (lab, row) in enumerate(zip(labels.tolist(), coords))]
-    write_output(args.out, "".join(lines))
-
-
-def _cmd_classify(args, config) -> None:
-    samples, labels = load_dataset(config)
-    chain = _load_model(args.model, samples)
-    train, train_labels, test, test_labels = trial_data(config, samples, labels)
-    result = evaluate(chain, train, train_labels, test, test_labels, config.k_classify)
-    doc = {
-        "n_test": result.n_test,
-        "n_wrong": result.n_wrong,
-        "error_rate": result.error_rate,
-        "predictions": result.predictions.tolist(),
-        "labels": test_labels.tolist(),
-    }
-    text = json_text(doc, separators=(",", ":"))
-    if args.out:
-        write_output(args.out, text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
+
+    Each subcommand runs one ``ttnpe.harness`` function (``run_<command>``)
+    on the config with the flags' overrides; ``main`` maps its typed errors.
 
     Before it reads the config, every call sets the process's C allocator
     to keep freed buffers (:func:`_keep_freed_buffers`). Without that, glibc
@@ -170,12 +112,15 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _load_config(args)
+        if args.command in ("fit", "embed") and args.out is None:
+            what = "the model path" if args.command == "fit" else "the coordinates CSV"
+            raise ConfigError(f"{args.command} requires --out for {what}")
         if args.command == "fit":
-            _cmd_fit(args, config)
+            run_fit(config, args.out)
         elif args.command == "embed":
-            _cmd_embed(args, config)
+            run_embed(config, args.model, args.out)
         elif args.command == "classify":
-            _cmd_classify(args, config)
+            run_classify(config, args.model, args.out)
         elif args.command == "experiment":
             run_experiment(config)
         elif args.command == "convergence":

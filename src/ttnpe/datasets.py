@@ -9,6 +9,7 @@ import struct
 import numpy as np
 
 from ttnpe.errors import ConfigError, DataError
+from ttnpe.tensor_core import left_unfold
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -104,7 +105,7 @@ def noise_sigma(samples: np.ndarray, snr_db: float) -> float:
     Raises ConfigError naming ``noise_snr_db`` when the level is not finite or
     4 d variance (the bound ``nearest.sq_norms`` checks) times 2**10 (room for
     the tails of the noise) is not a finite float."""
-    flat = np.asarray(samples, dtype=np.float64).reshape(-1, np.shape(samples)[-1], order="F")
+    flat = left_unfold(np.asarray(samples, dtype=np.float64))
     d = flat.shape[0]
     signal_power = float(np.mean(np.sum(flat * flat, axis=0)) / d)
     try:

@@ -1,6 +1,6 @@
 """Experiment driver: declarative configs, seeded train/test splits, tau
 sweeps producing error-vs-compression curves, convergence traces, and
-machine-readable reports.
+machine-readable reports; one ``run_<command>`` function per CLI subcommand.
 
 The main report document is fully determined by (config, seed): wall-clock
 timings are written to a separate ``<out>.timings.json`` sidecar so the
@@ -10,6 +10,7 @@ report bytes stay reproducible.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
@@ -21,7 +22,7 @@ from ttnpe.errors import ConfigError, DataError, NumericError, is_int, is_number
 from ttnpe.nearest import check_k
 from ttnpe.neighborhood_graph import AffinityConfig, check_graph_k
 from ttnpe.solver import check_sweep_args, fit
-from ttnpe.tt_subspace import check_tt_args
+from ttnpe.tt_subspace import TTChain, check_tt_args, load_chain, project_many, save_chain
 
 _DATASET_KEYS = {"idx": ("format", "image_path", "label_path"),
                  "csv": ("format", "path", "label_column")}
@@ -325,19 +326,65 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return report_doc
 
 
+def first_cell_train(config: ExperimentConfig, out) -> np.ndarray:
+    """The report's first cell's training split, once :func:`check_split` has
+    passed and ``out`` is probed (:func:`probe_output`)."""
+    samples, labels = load_dataset(config)
+    check_split(config, labels)
+    train = trial_data(config, samples, labels)[0]
+    probe_output(out)
+    return train
+
+
+def run_fit(config: ExperimentConfig, out) -> TTChain:
+    """Fit the first cell's training split at the first tau and save the chain
+    to ``out``, probed before the fit, so a failed fit keeps a previous model."""
+    chain = fit_config(config, first_cell_train(config, out), config.tau_list[0])[0]
+    save_chain(chain, out)
+    return chain
+
+
+def run_embed(config: ExperimentConfig, model, out) -> np.ndarray:
+    """Write every sample's coordinates under the chain saved at ``model`` as an
+    (index, label, t0, ...) CSV to ``out``; returns them. Mode dims that differ
+    from ``reshape`` raise DataError (``project_many``) before ``out`` is opened."""
+    samples, labels = load_dataset(config)
+    coords = project_many(load_chain(model), samples)
+    lines = ["index,label," + ",".join(f"t{i}" for i in range(coords.shape[1])) + "\n"]
+    lines += [f"{i},{lab}," + ",".join(repr(v) for v in row.tolist()) + "\n"
+              for i, (lab, row) in enumerate(zip(labels.tolist(), coords))]
+    write_output(out, "".join(lines))
+    return coords
+
+
+def run_classify(config: ExperimentConfig, model, out=None) -> dict:
+    """Classify the first cell's test split with the chain saved at ``model`` and
+    write the result JSON to ``out`` (stdout when empty); returns the document.
+    A chain from :func:`run_fit` gives the ``n_wrong`` of the report's first
+    cell. Mode dims that differ from ``reshape`` raise DataError (``evaluate``)."""
+    samples, labels = load_dataset(config)
+    chain = load_chain(model)
+    train, train_labels, test, test_labels = trial_data(config, samples, labels)
+    result = evaluate(chain, train, train_labels, test, test_labels, config.k_classify)
+    doc = {"n_test": result.n_test, "n_wrong": result.n_wrong, "error_rate": result.error_rate,
+           "predictions": result.predictions.tolist(), "labels": test_labels.tolist()}
+    text = json_text(doc, separators=(",", ":"))
+    if out:
+        write_output(out, text)
+    else:
+        sys.stdout.write(text)
+    return doc
+
+
 def run_convergence(config: ExperimentConfig) -> dict:
     """Run both solver variants on the report's first cell's training split; record traces.
 
     A variant failing with a library error (as in ``run_experiment``) is
-    recorded with its reason; the other variant still runs. The split and
-    ``k_graph`` are checked, by :func:`check_split`, before the output is
-    probed by :func:`probe_output`.
+    recorded with its reason; the other variant still runs. The set-up is
+    :func:`first_cell_train`'s.
     """
-    samples, labels = load_dataset(config)
-    check_split(config, labels)
-    train = trial_data(config, samples, labels)[0]
+    train = first_cell_train(config, config.output_path)
     tau = config.tau_list[0]
-    probe_output(config.output_path)
     traces = {}
     for variant in ("tn", "atn"):
         entry = {}

@@ -331,7 +331,7 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
 
     report = SolverReport()
     t0 = time.perf_counter()
-    d_mat = data.reshape(d, n_samples, order="F")
+    d_mat = left_unfold(data)
     z = build_gram(build_residual(d_mat, build_weight_matrix(d_mat, graph_cfg)))
     report.wall_time["graph"] = time.perf_counter() - t0
 

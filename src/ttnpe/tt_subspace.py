@@ -214,12 +214,12 @@ def right_environments(chain: TTChain) -> list[np.ndarray]:
 
 
 def project_many(chain: TTChain, samples: np.ndarray) -> np.ndarray:
-    """Embed samples stacked along the last mode; returns an (N, R_n) array."""
+    """Embed samples stacked along the last mode; returns an (N, R_n) array.
+    Samples whose dims differ from the chain's mode dims raise DataError."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape[:-1] != chain.mode_dims:
-        raise ValueError(
-            f"sample dims {samples.shape[:-1]} do not match mode dims {chain.mode_dims}"
-        )
+        raise DataError(f"sample dims {list(samples.shape[:-1])} do not match "
+                        f"mode dims {list(chain.mode_dims)}")
     cur = samples.reshape(chain.mode_dims[0], -1, order="F")
     for core, i_next in zip(chain.cores, chain.mode_dims[1:] + (1,)):
         cur = project_left(left_unfold(core), cur, i_next)
@@ -259,7 +259,8 @@ def compression_ratio(chain: TTChain, n_train: int) -> float:
 
 
 def save_chain(chain: TTChain, path) -> None:
-    """Persist a chain as a JSON document; numeric payload round-trips bit-exactly."""
+    """Persist a chain as a JSON document, built whole before ``path`` is opened;
+    numeric payload round-trips bit-exactly."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "mode_dims": list(chain.mode_dims),
@@ -274,9 +275,9 @@ def save_chain(chain: TTChain, path) -> None:
             for c in chain.cores
         ],
     }
+    text = json.dumps(doc, separators=(",", ":")) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_chain(path) -> TTChain:

@@ -116,6 +116,12 @@ class TestEvaluate:
         assert len(res.predictions) == res.n_test
         assert np.count_nonzero(res.predictions != labels) == res.n_wrong
 
+    def test_model_dims_mismatch_is_data_error(self, rng):
+        data, labels = self.clustered(rng, dims=(2, 4))
+        chain = random_orthonormal_chain(rng, (2, 2, 2), (2, 2, 1))
+        with pytest.raises(DataError, match=r"sample dims \[2, 4\] do not match mode dims \[2, 2, 2\]"):
+            evaluate(chain, data, labels, data, labels, 1)
+
     def test_error_rate_range(self, rng):
         data = rng.standard_normal((2, 2, 12))
         labels = rng.integers(0, 2, 12)

@@ -496,6 +496,7 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "mode dims [2, 2, 2]" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", ["{not json", '{"format_version": 1}', "[1, 2]",
                                       '{"format_version": 1, "cores": [5]}'])
@@ -647,6 +648,48 @@ class TestCli:
         d1 = json.loads(r1.read_text())
         d2 = json.loads(r2.read_text())
         assert d1["n_test"] == d2["n_test"] == 6
+
+
+class TestRunCommands:
+    """``run_fit``, ``run_classify`` and ``run_embed`` write what their subcommands write."""
+
+    @staticmethod
+    def tiny_csv_config(tmp_path):
+        # the tiny CSV config of the CI's installed-command step
+        rng = np.random.default_rng(0)
+        rows = [[c] + list(6.0 * c + 0.3 * rng.standard_normal(8)) for c in (0, 1) for _ in range(8)]
+        np.savetxt(tmp_path / "data.csv", rows, delimiter=",")
+        raw = {"dataset": {"format": "csv", "path": str(tmp_path / "data.csv"), "label_column": 0},
+               "reshape": [2, 2, 2], "n_train_per_class": 5, "n_test_per_class": 3,
+               "tau_list": [0.3], "k_graph": 3, "k_classify": 1, "max_sweeps": 5,
+               "output_path": str(tmp_path / "report.json")}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_same_bytes_as_the_cli(self, tmp_path, capsys, variant):
+        cfg = self.tiny_csv_config(tmp_path)
+        config = replace(ExperimentConfig.from_file(cfg), variant=variant)
+        model, result, coords = (str(tmp_path / name)
+                                 for name in ("model.json", "classify.json", "coords.csv"))
+        harness.run_fit(config, model)
+        doc = harness.run_classify(config, model, result)
+        harness.run_embed(config, model, coords)
+        outputs = (model, result, coords)
+        library = [Path(p).read_bytes() for p in outputs]
+        assert main(["fit", "--config", cfg, "--variant", variant, "--out", model]) == 0
+        assert main(["classify", "--config", cfg, "--model", model, "--out", result]) == 0
+        assert main(["embed", "--config", cfg, "--model", model, "--out", coords]) == 0
+        assert [Path(p).read_bytes() for p in outputs] == library
+        assert json.loads(library[1]) == doc
+        cell = run_experiment(config)["cells"][0]
+        assert (doc["n_wrong"], doc["error_rate"]) == (cell["n_wrong"], cell["error_rate"])
+
+        assert main(["classify", "--config", cfg, "--model", model]) == 0
+        assert capsys.readouterr().out.encode() == library[1]
+        harness.run_classify(config, model)
+        assert capsys.readouterr().out.encode() == library[1]
 
 
 def raising(exc):

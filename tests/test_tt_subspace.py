@@ -269,7 +269,7 @@ class TestProject:
 
     def test_shape_mismatch(self, rng):
         chain = random_orthonormal_chain(rng, (2, 2), (2, 2))
-        with pytest.raises(ValueError, match="do not match mode dims"):
+        with pytest.raises(DataError, match=r"sample dims \[2, 3\] do not match mode dims \[2, 2\]"):
             project_many(chain, rng.standard_normal((2, 3, 4)))
 
     def test_full_rank_isometry(self, rng):
@@ -340,3 +340,24 @@ class TestPersistence:
         loaded = load_chain(path)
         samples = rng.standard_normal(chain.mode_dims + (3,))
         assert np.max(np.abs(project_many(chain, samples) - project_many(loaded, samples))) < 1e-15
+
+    def test_failed_encoding_keeps_previous_model(self, rng, tmp_path):
+        # the encoder raises on a tau JSON cannot hold; the text is built
+        # before the file is opened, so the saved model is not truncated
+        chain = random_orthonormal_chain(rng, (2, 2), (2, 1))
+        path = tmp_path / "model.json"
+        save_chain(chain, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_chain(TTChain(chain.cores, tau=object()), path)
+        assert path.read_bytes() == before
+
+    def test_text_is_the_streamed_encoding(self, rng, tmp_path):
+        chain = tt_svd(rng.standard_normal((2, 3, 2, 7)), 0.2)
+        path = tmp_path / "model.json"
+        save_chain(chain, path)
+        doc = json.loads(path.read_text())
+        with open(tmp_path / "streamed.json", "w") as fh:
+            json.dump(doc, fh, separators=(",", ":"))
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "streamed.json").read_bytes()
