@@ -359,7 +359,7 @@ def run_embed(config: ExperimentConfig, model, out) -> np.ndarray:
 
 def run_classify(config: ExperimentConfig, model, out=None) -> dict:
     """Classify the first cell's test split with the chain saved at ``model`` and
-    write the result JSON to ``out`` (stdout when empty); returns the document.
+    write the result JSON to ``out`` (stdout when None); returns the document.
     A chain from :func:`run_fit` gives the ``n_wrong`` of the report's first
     cell. Mode dims that differ from ``reshape`` raise DataError (``evaluate``)."""
     samples, labels = load_dataset(config)
@@ -369,10 +369,10 @@ def run_classify(config: ExperimentConfig, model, out=None) -> dict:
     doc = {"n_test": result.n_test, "n_wrong": result.n_wrong, "error_rate": result.error_rate,
            "predictions": result.predictions.tolist(), "labels": test_labels.tolist()}
     text = json_text(doc, separators=(",", ":"))
-    if out:
-        write_output(out, text)
-    else:
+    if out is None:
         sys.stdout.write(text)
+    else:
+        write_output(out, text)
     return doc
 
 

@@ -227,28 +227,13 @@ def project_many(chain: TTChain, samples: np.ndarray) -> np.ndarray:
 
 
 def storage_count(chain: TTChain, n_train: int) -> dict:
-    """Parameter counts for storing the subspace factors plus embedded data.
-
-    ``paper_formula_total`` reports the uniform-dimension closed form
-    (n-1)(m r^2 - r^2) + (m r - r^2) + r N_tr when all mode dims and all
-    ranks are equal, else None.
-    """
-    dims = chain.mode_dims
-    ranks = chain.ranks
+    """Parameter counts for storing the subspace factors plus embedded data."""
     factor_params = int(sum(c.size for c in chain.cores))
     embedded_params = int(chain.embedding_dim * n_train)
-    total = factor_params + embedded_params
-    formula = None
-    if len(set(dims)) == 1 and len(set(ranks)) == 1:
-        n = chain.n_modes
-        m = dims[0]
-        r = ranks[0]
-        formula = int((n - 1) * (m * r * r - r * r) + (m * r - r * r) + r * n_train)
     return {
         "factor_params": factor_params,
         "embedded_params": embedded_params,
-        "total": total,
-        "paper_formula_total": formula,
+        "total": factor_params + embedded_params,
     }
 
 

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -110,11 +111,11 @@ def test_noise_level_runs_or_keeps_previous_report(level):
                 with open(name, "w") as fh:
                     json.dump(dict(valid_config(), noise_snr_db=noise), fh)
             assert main(["experiment", "--config", "plain.json"]) == 0
-            before = [open(p, "rb").read() for p in outputs]
+            before = [Path(p).read_bytes() for p in outputs]
             code = main(["experiment", "--config", "noisy.json"])
             assert code in (0, 1)
             if code == 1:
-                assert [open(p, "rb").read() for p in outputs] == before
+                assert [Path(p).read_bytes() for p in outputs] == before
             else:
                 with open("report.json") as fh:
                     assert [c["snr_db"] for c in json.load(fh)["cells"]] == [level]

@@ -481,9 +481,9 @@ class TestCli:
     def test_nan_csv_exit_code(self, tmp_path, rng):
         cfg, raw = self.write_config(tmp_path, rng)
         path = raw["dataset"]["path"]
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
-        open(path, "w").write("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
         assert main(["experiment", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize("command", ["embed", "classify"])
@@ -556,6 +556,20 @@ class TestCli:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write output") and "no-such-dir" in err
+
+    @pytest.mark.parametrize("command", ["experiment", "convergence", "fit", "embed", "classify"])
+    def test_empty_output_path_exit_code(self, tmp_path, rng, capsys, command):
+        # an empty --out names no file; only a missing --out means stdout (classify)
+        cfg, _ = self.write_config(tmp_path, rng)
+        model = tmp_path / "model.json"
+        assert main(["fit", "--config", str(cfg), "--out", str(model)]) == 0
+        capsys.readouterr()
+        args = [command, "--config", str(cfg), "--out", ""]
+        if command in ("embed", "classify"):
+            args += ["--model", str(model)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: cannot write output ''") and not captured.out
 
     @pytest.mark.parametrize("command, blocked", [
         ("experiment", ""), ("experiment", ".timings.json"), ("experiment", ".csv"),

@@ -2,9 +2,11 @@
 
 Inputs are drawn to stress the screen's rounding bound and the tie rules:
 duplicate samples, exact distance ties, values on the 1/255 pixel grid,
-sample norms that differ by 1e6, K = N - 1, and both memory layouts; C and F
-copies of the same values must give bit-identical results. Block sizes down
-to one entry exercise the blocked screens and chunked re-ranking.
+sample norms that differ by 1e6, sets of equal samples, K = N - 1, and both
+memory layouts; C and F copies of the same values must give bit-identical
+results. Block sizes down to one entry exercise the blocked screens and
+chunked re-ranking. Each oracle runs once more with ``WIDE_WINDOW`` at 0, so
+that every row takes the bounded window of ``nearest.wide_window``.
 """
 
 from unittest import mock
@@ -28,13 +30,24 @@ from ttnpe.neighborhood_graph import (
     symmetrize_normalize,
 )
 
-KINDS = ("gaussian", "grid255", "duplicates", "lattice_ties", "norms_1e6")
+KINDS = ("gaussian", "grid255", "duplicates", "lattice_ties", "norms_1e6", "constant")
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 BLOCKS = st.sampled_from([1, 2, 5, 16, nearest.BLOCK_ELEMENTS])
+WIDTHS = (nearest.WIDE_WINDOW, 0)
 
 
 def blocks_of(entries):
     return mock.patch.object(nearest, "BLOCK_ELEMENTS", entries)
+
+
+def windows_over(width):
+    return mock.patch.object(nearest, "WIDE_WINDOW", width)
+
+
+def sample_count(draw, kind, low, high):
+    # every window holds all of a constant sample set, so a larger set makes
+    # windows wider than WIDE_WINDOW * K
+    return draw(st.integers(low, 4 * high if kind == "constant" else high))
 
 
 def samples(rng, kind, n, d):
@@ -48,6 +61,8 @@ def samples(rng, kind, n, d):
         return base[rng.integers(0, len(base), n)]
     if kind == "lattice_ties":
         return rng.integers(-1, 2, (n, d)).astype(np.float64)
+    if kind == "constant":  # at the origin half the time, where the screen's slack is 0
+        return np.repeat(rng.integers(0, 2) * rng.standard_normal((1, d)), n, axis=0)
     scale = np.ones((n, 1))
     scale[::2] = 1e6
     return scale * rng.standard_normal((n, d))
@@ -63,21 +78,22 @@ def layout(a, order):
 
 @st.composite
 def graph_problems(draw):
-    n = draw(st.integers(2, 24))
+    kind = draw(st.sampled_from(KINDS))
+    n = sample_count(draw, kind, 2, 24)
     d = draw(st.integers(1, 16))
     k = draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d_mat = samples(rng, draw(st.sampled_from(KINDS)), n, d).T
+    d_mat = samples(rng, kind, n, d).T
     return layout(d_mat, draw(st.sampled_from("CF"))), k
 
 
 @st.composite
 def classify_problems(draw):
-    n_train = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(KINDS))
+    n_train = sample_count(draw, kind, 1, 16)
     n_new = draw(st.integers(0, 24))
     d = draw(st.integers(1, 16))
     k = draw(st.one_of(st.just(n_train), st.integers(1, n_train)))
-    kind = draw(st.sampled_from(KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     both = samples(rng, kind, n_train + n_new, d)
     train = both[:n_train]
@@ -94,11 +110,12 @@ def test_graph_knn_sets_and_distances_match_loop(problem, block):
     d_mat, k = problem
     expected_sq = brute_pairwise_sq_dists(d_mat)
     expected = brute_knn_sets(expected_sq, k)
-    with blocks_of(block):
-        neighbors, sq = knn_graph(d_mat, k)
     rows = np.arange(d_mat.shape[1])[:, None]
-    assert np.array_equal(neighbors, expected)
-    assert np.array_equal(bits(sq), bits(expected_sq[rows, expected]))
+    for width in WIDTHS:
+        with blocks_of(block), windows_over(width):
+            neighbors, sq = knn_graph(d_mat, k)
+        assert np.array_equal(neighbors, expected)
+        assert np.array_equal(bits(sq), bits(expected_sq[rows, expected]))
 
 
 @PROPERTY_SETTINGS
@@ -126,10 +143,11 @@ def test_weight_matrix_matches_loop(problem, block):
 def test_knn_search_matches_loop(problem, block):
     train, labels, test, k = problem
     _, expected, expected_dists = brute_knn_classify(train, labels, test, k)
-    with blocks_of(block):
-        neighbors, dists = knn_search(train, test, k)
-    assert np.array_equal(neighbors, expected)
-    assert np.array_equal(bits(dists), bits(expected_dists))
+    for width in WIDTHS:
+        with blocks_of(block), windows_over(width):
+            neighbors, dists = knn_search(train, test, k)
+        assert np.array_equal(neighbors, expected)
+        assert np.array_equal(bits(dists), bits(expected_dists))
 
 
 @PROPERTY_SETTINGS
@@ -168,8 +186,9 @@ def test_graph_and_weights_ignore_memory_layout(problem, block):
 def test_knn_classify_matches_loop(problem, block):
     train, labels, test, k = problem
     expected, _, _ = brute_knn_classify(train, labels, test, k)
-    with blocks_of(block):
-        assert np.array_equal(knn_classify(train, labels, test, k), expected)
+    for width in WIDTHS:
+        with blocks_of(block), windows_over(width):
+            assert np.array_equal(knn_classify(train, labels, test, k), expected)
 
 
 def test_lone_window_pair_summed_in_loop_order():
@@ -183,3 +202,16 @@ def test_lone_window_pair_summed_in_loop_order():
         neighbors, dists = knn_search(train, test, 1)
         assert np.array_equal(neighbors, expected)
         assert np.array_equal(bits(dists), bits(expected_dists))
+
+
+def test_collapsed_training_set_reranks_at_most_2k_pairs_per_query():
+    # a collapsed embedding maps every sample to the origin: every screen
+    # distance ties and the full window is the whole training set, while the
+    # bounded window holds only the k lowest indices (the slack is 0 there)
+    k, n_test = 5, 7
+    train, test = np.zeros((300, 10)), np.zeros((n_test, 10))
+    with mock.patch.object(nearest, "reference_sq_dists", wraps=nearest.reference_sq_dists) as ref:
+        neighbors, dists = knn_search(train, test, k)
+    assert sum(len(call.args[2]) for call in ref.call_args_list) <= 2 * k * n_test
+    assert np.array_equal(neighbors, np.tile(np.arange(k), (n_test, 1)))
+    assert not dists.any()

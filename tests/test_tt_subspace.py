@@ -292,15 +292,10 @@ class TestStorage:
         assert counts["factor_params"] == 24
         assert counts["embedded_params"] == 200
         assert counts["total"] == 224
-        assert counts["paper_formula_total"] == 216
 
     def test_rank_one(self):
         cores = [np.zeros((1, 2, 1)), np.zeros((1, 2, 1))]
         assert storage_count(TTChain(cores), 0)["factor_params"] == 4
-
-    def test_formula_absent_for_nonuniform(self):
-        cores = [np.zeros((1, 2, 2)), np.zeros((2, 3, 1))]
-        assert storage_count(TTChain(cores), 5)["paper_formula_total"] is None
 
     def test_ratio_monotone_in_embedding_dim(self, rng):
         data = rng.standard_normal((2, 2, 2, 10))
