@@ -10,6 +10,7 @@ report bytes stay reproducible.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -69,6 +70,9 @@ class ExperimentConfig:
         snr = [] if self.noise_snr_db is None else self.noise_snr_db
         if not isinstance(snr, (list, tuple)) or not all(s is None or is_number(s) for s in snr):
             raise ConfigError(f"noise_snr_db must be null or a list of nulls and numbers, got {snr!r}")
+        for name, values in (("tau_list", self.tau_list), ("noise_snr_db", snr)):
+            if len(set(values)) < len(values):  # each repeat would count twice in the aggregates
+                raise ConfigError(f"{name} must not repeat an entry, got {values!r}")
         if not isinstance(self.output_path, str):
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         _graph_config(self)
@@ -205,10 +209,14 @@ def fit_config(config: ExperimentConfig, train: np.ndarray, tau: float):
 
 
 def probe_output(path) -> None:
-    """Raise ConfigError if ``path`` cannot be written. It is created if missing
-    and never truncated, so a run that fails later keeps the previous output."""
+    """Raise ConfigError if ``path`` cannot be written. It is never truncated,
+    and a file the probe creates is removed again, so a run that fails later
+    keeps the previous output and leaves no new output file."""
     try:
+        existed = os.path.lexists(path)
         open(path, "a").close()
+        if not existed:
+            os.remove(path)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 

@@ -13,17 +13,10 @@ point that can be among an anchor's K nearest therefore lies in the window
 {j : screen_j <= screen_(K) + 2 * slack}, and only the window is re-ranked
 on reference distances under the total order (distance, index).
 
-A window can hold far more than K points: when many screen distances lie
-within 2 * slack of the K-th, as when every point coincides (a collapsed
-embedding maps every sample to 0), the window is the whole training set.
-A row whose window holds more than ``WIDE_WINDOW`` * K points is re-ranked
-on a narrower window instead. Its K screen-nearest points under (screen,
-index) are candidates; let (r*, c*) be the largest (reference, index) pair
-among them. K points rank at or before (r*, c*), so every one of the K
-nearest does too, and since a reference distance is at least screen - slack,
-each of them satisfies (screen - slack, index) <= (r*, c*). Only those
-points are re-ranked, on the same reference distances, so neighbors,
-distances and tie order are exactly those of the full window.
+A row whose slack is 0 keeps only its first K window columns. Since
+``knn_search`` rejects training values too small for a positive slack, a
+zero slack means every training point is the origin, so all of the row's
+distances tie and (distance, index) order picks columns 0 ... K - 1.
 """
 
 from __future__ import annotations
@@ -33,14 +26,10 @@ import numpy as np
 from ttnpe.errors import ConfigError, DataError, require_finite
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
 # Entries per temporary block (1 MiB of float64): small next to the data,
 # and large enough that the Python cost per block stays negligible.
 BLOCK_ELEMENTS = 1 << 17
-# Rows whose screen window holds more than this many times K entries take the
-# bounded window of ``wide_window``. Narrower windows cost less to re-rank
-# whole than to bound: the bound computes K extra reference distances and
-# several full-width masks.
-WIDE_WINDOW = 4
 
 
 def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
@@ -105,46 +94,20 @@ def mask_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
-def wide_window(screen: np.ndarray, kth: np.ndarray, k: int, slack: np.ndarray,
-                reference) -> np.ndarray:
-    """Mask of the points that can still be among each row's k nearest.
-
-    Takes each row's k candidates by (screen, index): every entry below
-    ``kth``, then the lowest-index entries equal to it. Computes their
-    reference distances, and keeps the points with (screen - slack, index)
-    <= the candidates' largest (reference, index) pair.
-    """
-    below = screen < kth[:, None]
-    tied = screen == kth[:, None]
-    need = k - np.count_nonzero(below, axis=1)
-    first_tied = tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= need[:, None])
-    rows, cand = mask_pairs(below | first_tied)
-    dists = reference(rows, cand).reshape(-1, k)
-    r_max = dists.max(axis=1)[:, None]
-    c_max = np.where(dists == r_max, cand.reshape(-1, k), -1).max(axis=1)
-    lower = screen - slack[:, None]
-    return (lower < r_max) | ((lower == r_max) & (np.arange(screen.shape[1]) <= c_max[:, None]))
-
-
 def k_nearest(screen: np.ndarray, k: int, slack: np.ndarray, reference):
     """Each screen row's k nearest columns under (reference distance, index).
 
     ``screen`` holds squared distances within ``slack[row]`` of the
     reference, at least k per row. ``reference(rows, cols)`` returns the
-    reference distances of the window pairs. Rows whose window holds more
-    than ``WIDE_WINDOW`` * k entries are re-ranked on ``wide_window``.
-    Returns the (rows, k) neighbor indices, nearest first, and their
-    reference distances.
+    reference distances of the window pairs. A row whose slack is 0 keeps
+    only its first k window columns: its screens all tie (see the module
+    docstring). Returns the (rows, k) neighbor indices, nearest first, and
+    their reference distances.
     """
     kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
     window = screen <= (kth + 2.0 * slack)[:, None]
+    window[slack == 0.0, k:] = False
     counts = np.count_nonzero(window, axis=1)
-    wide = np.flatnonzero(counts > WIDE_WINDOW * k)
-    if wide.size:
-        bounded = wide_window(screen[wide], kth[wide], k, slack[wide],
-                              lambda rows, cols: reference(wide[rows], cols))
-        window[wide] = bounded
-        counts[wide] = np.count_nonzero(bounded, axis=1)
     if counts.min(initial=k) < k:
         raise DataError("non-finite squared distances")
     rows, cols = mask_pairs(window)
@@ -170,6 +133,11 @@ def knn_search(train_coords: np.ndarray, test_coords: np.ndarray, k: int) -> tup
     and each query's candidate window is re-ranked on the reference distance
     over those rows, so the result is that of ranking every training point by
     that distance, whatever the memory layout of the inputs.
+
+    Raises DataError when a training point is nonzero but the slack of a
+    zero-norm query is below the smallest normal float: distances that small
+    round in absolute terms the slack does not cover, and a zero slack must
+    mean that every training point is the origin.
     """
     train_coords = np.ascontiguousarray(train_coords, dtype=np.float64)
     test_coords = np.ascontiguousarray(test_coords, dtype=np.float64)
@@ -178,6 +146,8 @@ def knn_search(train_coords: np.ndarray, test_coords: np.ndarray, k: int) -> tup
     n_train = train_coords.shape[0]
     check_k(k, n_train)
     train_norms = sq_norms(train_coords)
+    if screen_slack(0.0, train_norms, train_coords.shape[1]) < _SMALLEST_NORMAL and train_coords.any():
+        raise DataError("sample values are too small for exact squared distances")
     test_norms = sq_norms(test_coords)
     n_test = test_coords.shape[0]
     neighbors = np.empty((n_test, k), dtype=np.intp)

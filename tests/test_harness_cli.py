@@ -80,6 +80,15 @@ class TestConfig:
         config = ExperimentConfig.from_dict(base_config(tmp_path, rng, rank_cap=rank_cap))
         assert config.rank_cap == rank_cap
 
+    @pytest.mark.parametrize("key, values", [
+        ("tau_list", [0.3, 0.3]), ("tau_list", [0.3, 0.1, 0.3]),
+        ("noise_snr_db", [0, 0.0]), ("noise_snr_db", [None, 5, None]),
+    ])
+    def test_repeated_entry_rejected(self, tmp_path, rng, key, values):
+        # a repeated tau or noise level would count its cells twice in the aggregates
+        with pytest.raises(ConfigError, match=f"{key} must not repeat an entry"):
+            ExperimentConfig.from_dict(base_config(tmp_path, rng, **{key: values}))
+
     def test_invalid_json_file(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("{not json")
@@ -641,9 +650,34 @@ class TestCli:
             main([command, "--config", str(cfg), "--out", str(out)])
         assert [p.read_bytes() for p in paths] == before
 
-    def test_probe_creates_a_missing_output(self, tmp_path):
+    def test_failed_fit_leaves_no_new_model(self, tmp_path, rng, capsys):
+        tiny_eps, _ = self.write_config(tmp_path, rng, epsilon=1e-300)
+        model = tmp_path / "model.json"
+        assert main(["fit", "--config", str(tiny_eps), "--out", str(model)]) == 2
+        assert "zero row sum" in capsys.readouterr().err
+        assert not os.path.lexists(model)
+
+    @pytest.mark.parametrize("command, suffixes", [
+        ("experiment", ("", ".timings.json", ".csv")), ("convergence", ("",)),
+    ])
+    def test_interrupted_run_leaves_no_new_output(self, tmp_path, rng, monkeypatch,
+                                                  command, suffixes):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        cfg, _ = self.write_config(tmp_path, rng)
+        monkeypatch.setattr(harness, "fit", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main([command, "--config", str(cfg), "--out", str(tmp_path / "out.json")])
+        assert not any(os.path.lexists(tmp_path / ("out.json" + s)) for s in suffixes)
+
+    def test_probe_leaves_no_new_output(self, tmp_path):
         harness.probe_output(tmp_path / "new.json")
-        assert (tmp_path / "new.json").read_bytes() == b""
+        assert not os.path.lexists(tmp_path / "new.json")
+        old = tmp_path / "old.json"
+        old.write_bytes(b"{}\n")
+        harness.probe_output(old)
+        assert old.read_bytes() == b"{}\n"
 
     def test_missing_out_for_fit(self, tmp_path, rng):
         cfg, _ = self.write_config(tmp_path, rng)

@@ -2,13 +2,15 @@
 
 Inputs are drawn to stress the screen's rounding bound and the tie rules:
 duplicate samples, exact distance ties, values on the 1/255 pixel grid,
-sample norms that differ by 1e6, sets of equal samples, K = N - 1, and both
-memory layouts; C and F copies of the same values must give bit-identical
-results. Block sizes down to one entry exercise the blocked screens and
-chunked re-ranking. Each oracle runs once more with ``WIDE_WINDOW`` at 0, so
-that every row takes the bounded window of ``nearest.wide_window``.
+sample norms that differ by 1e6, sets of equal samples (at the origin, the
+screen's slack is 0), samples so small that their squared norms underflow,
+K = N - 1, and both memory layouts; C and F copies of the same values must
+give bit-identical results. Block sizes down to one entry exercise the
+blocked screens and chunked re-ranking. A search may raise DataError only on
+samples too small for exact squared distances.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -30,24 +32,24 @@ from ttnpe.neighborhood_graph import (
     symmetrize_normalize,
 )
 
-KINDS = ("gaussian", "grid255", "duplicates", "lattice_ties", "norms_1e6", "constant")
+KINDS = ("gaussian", "grid255", "duplicates", "lattice_ties", "norms_1e6", "constant", "tiny")
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 BLOCKS = st.sampled_from([1, 2, 5, 16, nearest.BLOCK_ELEMENTS])
-WIDTHS = (nearest.WIDE_WINDOW, 0)
 
 
 def blocks_of(entries):
     return mock.patch.object(nearest, "BLOCK_ELEMENTS", entries)
 
 
-def windows_over(width):
-    return mock.patch.object(nearest, "WIDE_WINDOW", width)
-
-
-def sample_count(draw, kind, low, high):
-    # every window holds all of a constant sample set, so a larger set makes
-    # windows wider than WIDE_WINDOW * K
-    return draw(st.integers(low, 4 * high if kind == "constant" else high))
+@contextmanager
+def unless_too_small(samples):
+    """Lets the body's DataError pass only for samples whose squared norms
+    underflow, or nearly so; the search rejects those."""
+    try:
+        yield
+    except DataError:
+        if not 0 < np.abs(samples).max() < 1e-140:
+            raise
 
 
 def samples(rng, kind, n, d):
@@ -63,6 +65,9 @@ def samples(rng, kind, n, d):
         return rng.integers(-1, 2, (n, d)).astype(np.float64)
     if kind == "constant":  # at the origin half the time, where the screen's slack is 0
         return np.repeat(rng.integers(0, 2) * rng.standard_normal((1, d)), n, axis=0)
+    if kind == "tiny":  # lattice or Gaussian values, at scales where squared norms underflow
+        values = rng.integers(-2, 3, (n, d)) if rng.integers(0, 2) else rng.standard_normal((n, d))
+        return values * 10.0 ** rng.integers(-170, -99)
     scale = np.ones((n, 1))
     scale[::2] = 1e6
     return scale * rng.standard_normal((n, d))
@@ -79,7 +84,7 @@ def layout(a, order):
 @st.composite
 def graph_problems(draw):
     kind = draw(st.sampled_from(KINDS))
-    n = sample_count(draw, kind, 2, 24)
+    n = draw(st.integers(2, 24))
     d = draw(st.integers(1, 16))
     k = draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -90,7 +95,7 @@ def graph_problems(draw):
 @st.composite
 def classify_problems(draw):
     kind = draw(st.sampled_from(KINDS))
-    n_train = sample_count(draw, kind, 1, 16)
+    n_train = draw(st.integers(1, 16))
     n_new = draw(st.integers(0, 24))
     d = draw(st.integers(1, 16))
     k = draw(st.one_of(st.just(n_train), st.integers(1, n_train)))
@@ -111,9 +116,8 @@ def test_graph_knn_sets_and_distances_match_loop(problem, block):
     expected_sq = brute_pairwise_sq_dists(d_mat)
     expected = brute_knn_sets(expected_sq, k)
     rows = np.arange(d_mat.shape[1])[:, None]
-    for width in WIDTHS:
-        with blocks_of(block), windows_over(width):
-            neighbors, sq = knn_graph(d_mat, k)
+    with blocks_of(block), unless_too_small(d_mat):
+        neighbors, sq = knn_graph(d_mat, k)
         assert np.array_equal(neighbors, expected)
         assert np.array_equal(bits(sq), bits(expected_sq[rows, expected]))
 
@@ -134,7 +138,7 @@ def test_weight_matrix_matches_loop(problem, block):
         with pytest.raises(DataError), blocks_of(block):
             build_weight_matrix(d_mat, cfg)
         return
-    with blocks_of(block):
+    with blocks_of(block), unless_too_small(d_mat):
         assert np.array_equal(bits(build_weight_matrix(d_mat, cfg)), bits(expected))
 
 
@@ -143,9 +147,8 @@ def test_weight_matrix_matches_loop(problem, block):
 def test_knn_search_matches_loop(problem, block):
     train, labels, test, k = problem
     _, expected, expected_dists = brute_knn_classify(train, labels, test, k)
-    for width in WIDTHS:
-        with blocks_of(block), windows_over(width):
-            neighbors, dists = knn_search(train, test, k)
+    with blocks_of(block), unless_too_small(train):
+        neighbors, dists = knn_search(train, test, k)
         assert np.array_equal(neighbors, expected)
         assert np.array_equal(bits(dists), bits(expected_dists))
 
@@ -154,12 +157,12 @@ def test_knn_search_matches_loop(problem, block):
 @given(classify_problems(), BLOCKS)
 def test_search_and_classify_ignore_memory_layout(problem, block):
     train, labels, test, k = problem
-    with blocks_of(block):
+    with blocks_of(block), unless_too_small(train):
         runs = [(*knn_search(layout(train, o), layout(test, o), k),
                  knn_classify(layout(train, o), labels, layout(test, o), k)) for o in "CF"]
-    (nbr_c, dist_c, pred_c), (nbr_f, dist_f, pred_f) = runs
-    assert np.array_equal(nbr_c, nbr_f) and np.array_equal(pred_c, pred_f)
-    assert np.array_equal(bits(dist_c), bits(dist_f))
+        (nbr_c, dist_c, pred_c), (nbr_f, dist_f, pred_f) = runs
+        assert np.array_equal(nbr_c, nbr_f) and np.array_equal(pred_c, pred_f)
+        assert np.array_equal(bits(dist_c), bits(dist_f))
 
 
 @PROPERTY_SETTINGS
@@ -167,18 +170,19 @@ def test_search_and_classify_ignore_memory_layout(problem, block):
 def test_graph_and_weights_ignore_memory_layout(problem, block):
     d_mat, k = problem
     runs = []
-    for o in "CF":
-        with blocks_of(block):
-            neighbors, sq = knn_graph(layout(d_mat, o), k)
-            try:
-                weights = bits(build_weight_matrix(layout(d_mat, o), AffinityConfig(k)))
-            except DataError:
-                weights = None
-        runs.append((neighbors, bits(sq), weights))
-    (nbr_c, sq_c, w_c), (nbr_f, sq_f, w_f) = runs
-    assert np.array_equal(nbr_c, nbr_f) and np.array_equal(sq_c, sq_f)
-    assert (w_c is None) == (w_f is None)
-    assert w_c is None or np.array_equal(w_c, w_f)
+    with unless_too_small(d_mat):
+        for o in "CF":
+            with blocks_of(block):
+                neighbors, sq = knn_graph(layout(d_mat, o), k)
+                try:
+                    weights = bits(build_weight_matrix(layout(d_mat, o), AffinityConfig(k)))
+                except DataError:
+                    weights = None
+            runs.append((neighbors, bits(sq), weights))
+        (nbr_c, sq_c, w_c), (nbr_f, sq_f, w_f) = runs
+        assert np.array_equal(nbr_c, nbr_f) and np.array_equal(sq_c, sq_f)
+        assert (w_c is None) == (w_f is None)
+        assert w_c is None or np.array_equal(w_c, w_f)
 
 
 @PROPERTY_SETTINGS
@@ -186,9 +190,8 @@ def test_graph_and_weights_ignore_memory_layout(problem, block):
 def test_knn_classify_matches_loop(problem, block):
     train, labels, test, k = problem
     expected, _, _ = brute_knn_classify(train, labels, test, k)
-    for width in WIDTHS:
-        with blocks_of(block), windows_over(width):
-            assert np.array_equal(knn_classify(train, labels, test, k), expected)
+    with blocks_of(block), unless_too_small(train):
+        assert np.array_equal(knn_classify(train, labels, test, k), expected)
 
 
 def test_lone_window_pair_summed_in_loop_order():
@@ -204,14 +207,60 @@ def test_lone_window_pair_summed_in_loop_order():
         assert np.array_equal(bits(dists), bits(expected_dists))
 
 
-def test_collapsed_training_set_reranks_at_most_2k_pairs_per_query():
-    # a collapsed embedding maps every sample to the origin: every screen
-    # distance ties and the full window is the whole training set, while the
-    # bounded window holds only the k lowest indices (the slack is 0 there)
-    k, n_test = 5, 7
-    train, test = np.zeros((300, 10)), np.zeros((n_test, 10))
+def reference_pairs(train, test, k):
+    """knn_search's result and the number of reference distances it computed."""
     with mock.patch.object(nearest, "reference_sq_dists", wraps=nearest.reference_sq_dists) as ref:
         neighbors, dists = knn_search(train, test, k)
-    assert sum(len(call.args[2]) for call in ref.call_args_list) <= 2 * k * n_test
+    return neighbors, dists, sum(len(call.args[2]) for call in ref.call_args_list)
+
+
+def test_collapsed_training_set_reranks_k_pairs_per_query():
+    # a collapsed embedding maps every sample to the origin: every screen
+    # distance ties and the slack is 0, so each query re-ranks only the k
+    # lowest indices instead of the whole training set
+    k, n_test = 5, 7
+    neighbors, dists, pairs = reference_pairs(np.zeros((300, 10)), np.zeros((n_test, 10)), k)
+    assert pairs == k * n_test
     assert np.array_equal(neighbors, np.tile(np.arange(k), (n_test, 1)))
     assert not dists.any()
+
+
+def test_identical_nonzero_training_set_reranks_its_window_once():
+    # the slack is above 0, so the window is every training point, and each
+    # of them is re-ranked once
+    rng = np.random.default_rng(4)
+    train = np.repeat(rng.standard_normal((1, 10)), 300, axis=0)
+    test = np.concatenate([np.zeros((3, 10)), train[:4]])
+    neighbors, dists, pairs = reference_pairs(train, test, 5)
+    assert pairs == 300 * len(test)
+    _, expected, expected_dists = brute_knn_classify(train, np.zeros(300), test, 5)
+    assert np.array_equal(neighbors, expected)
+    assert np.array_equal(bits(dists), bits(expected_dists))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-158, 1e-157, 1e-148])
+def test_samples_too_small_for_exact_distances_raise(scale):
+    # subnormal squared distances round in absolute terms the slack does not
+    # cover: at 1e-158 the search used to rank an index 19 before an index 3
+    # at an equal distance; squared norms that underflow to 0 are caught too
+    x = np.random.default_rng(1).integers(-2, 3, (20, 4)) * scale
+    with pytest.raises(DataError, match="too small"):
+        knn_search(x, x, 5)
+
+
+@pytest.mark.parametrize("scale", [1e-147, 1e-120, 1e-100])
+def test_small_samples_above_the_floor_match_loop(scale):
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        x = rng.integers(-2, 3, (20, 4)) * scale
+        _, expected, expected_dists = brute_knn_classify(x, np.zeros(20), x, 5)
+        neighbors, dists = knn_search(x, x, 5)
+        assert np.array_equal(neighbors, expected)
+        assert np.array_equal(bits(dists), bits(expected_dists))
+
+
+def test_underflowing_norms_with_a_nonzero_point_raise():
+    # every squared norm rounds to 0, yet the distance from -1e-162 to 1e-162
+    # does not: a zero slack would rank index 0 first, the loop ranks index 1
+    with pytest.raises(DataError, match="too small"):
+        knn_search(np.array([[1e-162], [0.0]]), np.array([[-1e-162]]), 1)
