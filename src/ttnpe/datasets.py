@@ -52,6 +52,8 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(
             f"image/label count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
         )
+    if images.shape[0] == 0:
+        raise DataError(f"{images_path}: no images")
     return images.astype(np.float64) / 255.0, labels.astype(np.int64)
 
 

@@ -1,5 +1,6 @@
 """Exception types mapped to CLI exit codes, and the shared input checks."""
 
+import json
 from numbers import Integral, Real
 
 import numpy as np
@@ -21,6 +22,18 @@ def require_finite(array, what: str) -> None:
     """Raise DataError when ``array`` holds NaN or infinite entries."""
     if not np.all(np.isfinite(array)):
         raise DataError(f"{what} contain NaN or infinite values")
+
+
+def load_json(path, error: type[ValueError], what: str) -> dict:
+    """The JSON object in the file ``path``; raises ``error`` naming ``what`` when there is none."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise error(f"{path}: cannot read {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: {what} must be a JSON object")
+    return doc
 
 
 def is_number(value) -> bool:

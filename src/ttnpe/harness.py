@@ -19,7 +19,7 @@ import numpy as np
 
 from ttnpe.classifier import evaluate
 from ttnpe.datasets import add_noise, load_csv, load_idx, noise_sigma
-from ttnpe.errors import ConfigError, DataError, NumericError, is_int, is_number, require_int
+from ttnpe.errors import ConfigError, DataError, NumericError, is_int, is_number, load_json, require_int
 from ttnpe.nearest import check_k
 from ttnpe.neighborhood_graph import AffinityConfig, check_graph_k
 from ttnpe.solver import check_sweep_args, fit
@@ -103,14 +103,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
-            raise ConfigError(f"{path}: invalid config document: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(load_json(path, ConfigError, "config"))
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -210,13 +203,14 @@ def fit_config(config: ExperimentConfig, train: np.ndarray, tau: float):
 
 def probe_output(path) -> None:
     """Raise ConfigError if ``path`` cannot be written. It is never truncated,
-    and a file the probe creates is removed again, so a run that fails later
-    keeps the previous output and leaves no new output file."""
+    and a file the probe creates (at a symlink's target too) is removed again,
+    so a run that fails later keeps the previous output and leaves no new file."""
     try:
-        existed = os.path.lexists(path)
-        open(path, "a").close()
+        target = os.path.realpath(path)
+        existed = os.path.lexists(target)
+        open(target, "a").close()
         if not existed:
-            os.remove(path)
+            os.remove(target)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ttnpe.errors import ConfigError, DataError, require_finite
+from ttnpe.errors import ConfigError, DataError
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
@@ -38,11 +38,11 @@ def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
-def sq_norms(points: np.ndarray) -> np.ndarray:
-    """Squared row norms; rejects rows whose screen distances could overflow."""
+def sq_norms(points: np.ndarray, what: str) -> np.ndarray:
+    """Squared row norms; DataError naming ``what`` unless 4 max ||x||^2 is finite (no NaN or inf)."""
     norms = np.einsum("ij,ij->i", points, points)
     if norms.size and not np.isfinite(4.0 * norms.max()):
-        raise DataError("sample values are non-finite or too large for squared distances")
+        raise DataError(f"{what} contain NaN or infinite values, or values too large for squared distances")
     return norms
 
 
@@ -97,19 +97,17 @@ def mask_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def k_nearest(screen: np.ndarray, k: int, slack: np.ndarray, reference):
     """Each screen row's k nearest columns under (reference distance, index).
 
-    ``screen`` holds squared distances within ``slack[row]`` of the
-    reference, at least k per row. ``reference(rows, cols)`` returns the
-    reference distances of the window pairs. A row whose slack is 0 keeps
-    only its first k window columns: its screens all tie (see the module
-    docstring). Returns the (rows, k) neighbor indices, nearest first, and
-    their reference distances.
+    ``screen`` holds finite squared distances (``sq_norms`` bounds the norms)
+    within ``slack[row]`` of the reference, so every window holds k or more.
+    ``reference(rows, cols)`` returns the reference distances of the window
+    pairs. A row whose slack is 0 keeps only its first k window columns: its
+    screens all tie (see the module docstring). Returns the (rows, k)
+    neighbor indices, nearest first, and their reference distances.
     """
     kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
     window = screen <= (kth + 2.0 * slack)[:, None]
     window[slack == 0.0, k:] = False
     counts = np.count_nonzero(window, axis=1)
-    if counts.min(initial=k) < k:
-        raise DataError("non-finite squared distances")
     rows, cols = mask_pairs(window)
     dists = reference(rows, cols)
     order = np.lexsort((cols, dists, rows))
@@ -141,14 +139,12 @@ def knn_search(train_coords: np.ndarray, test_coords: np.ndarray, k: int) -> tup
     """
     train_coords = np.ascontiguousarray(train_coords, dtype=np.float64)
     test_coords = np.ascontiguousarray(test_coords, dtype=np.float64)
-    require_finite(train_coords, "training coordinates")
-    require_finite(test_coords, "test coordinates")
+    train_norms = sq_norms(train_coords, "training coordinates")
+    test_norms = sq_norms(test_coords, "test coordinates")
     n_train = train_coords.shape[0]
     check_k(k, n_train)
-    train_norms = sq_norms(train_coords)
     if screen_slack(0.0, train_norms, train_coords.shape[1]) < _SMALLEST_NORMAL and train_coords.any():
         raise DataError("sample values are too small for exact squared distances")
-    test_norms = sq_norms(test_coords)
     n_test = test_coords.shape[0]
     neighbors = np.empty((n_test, k), dtype=np.intp)
     dists = np.empty((n_test, k))

@@ -133,6 +133,14 @@ def largest_eigenvalue(a: np.ndarray) -> float:
     raise AssertionError("unreachable: the loop returns by step m")
 
 
+def _start(x0: np.ndarray, cfg: OptimizerConfig | None) -> tuple[np.ndarray, OptimizerConfig]:
+    """A float64 copy of x0 and ``cfg`` or the default; NumericError unless x0 is feasible."""
+    x = np.array(x0, dtype=np.float64)
+    if feasibility_defect(x) > FEASIBILITY_TOL:
+        raise NumericError("initial point is not feasible (columns not orthonormal)")
+    return x, cfg or OptimizerConfig()
+
+
 def minimize(f, grad, x0: np.ndarray, cfg: OptimizerConfig | None = None) -> OptimizeResult:
     """Minimize f over orthonormal-column matrices starting from feasible x0.
 
@@ -140,10 +148,7 @@ def minimize(f, grad, x0: np.ndarray, cfg: OptimizerConfig | None = None) -> Opt
     Each step is polar(X - t P(G)). Terminates on a small projected gradient
     (relative to 1 + |f|), the iteration cap, or step underflow.
     """
-    cfg = cfg or OptimizerConfig()
-    x = np.array(x0, dtype=np.float64)
-    if feasibility_defect(x) > FEASIBILITY_TOL:
-        raise NumericError("initial point is not feasible (columns not orthonormal)")
+    x, cfg = _start(x0, cfg)
     fx = float(f(x))
     if not np.isfinite(fx):
         raise NumericError("objective is not finite at the initial point")
@@ -197,10 +202,7 @@ def minimize_quadratic(a: np.ndarray, x0: np.ndarray, cfg: OptimizerConfig | Non
     that does not lower f is never taken, so an optimal x0 is returned as
     is.
     """
-    cfg = cfg or OptimizerConfig()
-    x = np.array(x0, dtype=np.float64)
-    if feasibility_defect(x) > FEASIBILITY_TOL:
-        raise NumericError("initial point is not feasible (columns not orthonormal)")
+    x, cfg = _start(x0, cfg)
     vec = x.reshape(-1, order="F")
     a_vec = a @ vec
     fx = float(vec @ a_vec)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ttnpe.errors import ConfigError, DataError, is_int, is_number, require_finite
+from ttnpe.errors import ConfigError, DataError, is_int, is_number, load_json, require_finite
 from ttnpe.stiefel import feasibility_defect
 from ttnpe.tensor_core import left_unfold, vectorize
 
@@ -267,13 +267,7 @@ def save_chain(chain: TTChain, path) -> None:
 
 def load_chain(path) -> TTChain:
     """Load a chain saved by :func:`save_chain`; an unreadable or malformed model raises DataError."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
-        raise DataError(f"{path}: cannot read model: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: model must be a JSON object")
+    doc = load_json(path, DataError, "model")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format_version {version!r}")

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_orthonormal_chain
 import ttnpe
 from ttnpe import cli, harness, solver
 from ttnpe.cli import main
@@ -23,6 +24,7 @@ from ttnpe.harness import (
     run_experiment,
     split_per_class,
 )
+from ttnpe.tt_subspace import load_chain, save_chain
 
 
 def write_cluster_csv(path, rng, per_class=8, d=8, sep=6.0):
@@ -92,8 +94,24 @@ class TestConfig:
     def test_invalid_json_file(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("{not json")
-        with pytest.raises(ConfigError, match="invalid config"):
+        with pytest.raises(ConfigError, match="cannot read config"):
             ExperimentConfig.from_file(p)
+
+    @pytest.mark.parametrize("reader, error, what", [
+        (ExperimentConfig.from_file, ConfigError, "config"), (load_chain, DataError, "model"),
+    ], ids=["config", "model"])
+    @pytest.mark.parametrize("content, wording", [
+        (None, "cannot read {what}: "), (b"{not json", "cannot read {what}: "),
+        (b'{"a": "\xff"}', "cannot read {what}: "), (b"[1, 2]", "{what} must be a JSON object"),
+    ], ids=["missing", "bad-json", "bad-utf8", "list"])
+    def test_json_documents_share_one_reader(self, tmp_path, reader, error, what, content, wording):
+        path = tmp_path / "doc.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(error) as info:
+            reader(path)
+        assert type(info.value) is error
+        assert str(info.value).startswith(f"{path}: " + wording.format(what=what))
 
 
 class TestLoadDataset:
@@ -678,6 +696,41 @@ class TestCli:
         old.write_bytes(b"{}\n")
         harness.probe_output(old)
         assert old.read_bytes() == b"{}\n"
+
+    def test_probe_leaves_no_target_behind_a_dangling_symlink(self, tmp_path):
+        link = tmp_path / "link.json"
+        link.symlink_to(tmp_path / "target.json")
+        harness.probe_output(link)
+        assert link.is_symlink() and not os.path.lexists(tmp_path / "target.json")
+        with pytest.raises(ConfigError, match=r"cannot write output 'a\\x00b'"):
+            harness.probe_output("a\0b")
+
+    def test_output_symlink_is_written_through(self, tmp_path, rng, capsys):
+        link, target = tmp_path / "link.json", tmp_path / "target.json"
+        link.symlink_to(target)
+        tiny_eps, _ = self.write_config(tmp_path, rng, epsilon=1e-300)
+        assert main(["fit", "--config", str(tiny_eps), "--out", str(link)]) == 2
+        assert "zero row sum" in capsys.readouterr().err
+        assert link.is_symlink() and not os.path.lexists(target)
+        cfg, _ = self.write_config(tmp_path, rng)
+        assert main(["fit", "--config", str(cfg), "--out", str(link)]) == 0
+        assert link.is_symlink() and load_chain(target).ranks
+
+    @pytest.mark.parametrize("command", ["experiment", "embed"])
+    def test_idx_without_images_exit_code(self, tmp_path, rng, capsys, command):
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        images.write_bytes(struct.pack(">iiii", 0x803, 0, 2, 2))
+        labels.write_bytes(struct.pack(">ii", 0x801, 0))
+        dataset = {"format": "idx", "image_path": str(images), "label_path": str(labels)}
+        cfg, _ = self.write_config(tmp_path, rng, dataset=dataset, reshape=[2, 2])
+        model = tmp_path / "model.json"
+        save_chain(random_orthonormal_chain(rng, (2, 2), (1, 1)), model)
+        out = tmp_path / "out"
+        args = [command, "--config", str(cfg), "--out", str(out)]
+        assert main(args + (["--model", str(model)] if command == "embed" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "no images" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_out_for_fit(self, tmp_path, rng):
         cfg, _ = self.write_config(tmp_path, rng)

@@ -264,3 +264,15 @@ def test_underflowing_norms_with_a_nonzero_point_raise():
     # does not: a zero slack would rank index 0 first, the loop ranks index 1
     with pytest.raises(DataError, match="too small"):
         knn_search(np.array([[1e-162], [0.0]]), np.array([[-1e-162]]), 1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("bad_set", ["training", "test"])
+def test_bad_value_names_its_set_before_the_k_rule(bad_set, value):
+    # K = 3 > N_train = 2: a bad value is reported before the K rule runs
+    train = np.array([[0.0, 1.0], [2.0, 3.0]])
+    test = np.array([[1.0, 1.0]])
+    (train if bad_set == "training" else test)[-1, 1] = value
+    with pytest.raises(DataError, match=f"^{bad_set} coordinates contain NaN or infinite values"
+                                        ", or values too large for squared distances$"):
+        knn_search(train, test, 3)

@@ -23,7 +23,7 @@ from ttnpe.solver import (
 )
 from ttnpe.stiefel import OptimizerConfig, check_gradient, minimize
 from ttnpe.tensor_core import left_unfold, merge_product, vectorize
-from ttnpe.tt_subspace import TTChain, contract_chain, right_environments
+from ttnpe.tt_subspace import TTChain, contract_chain, project_many, right_environments
 
 
 def make_problem(rng, dims=(2, 2, 2), ranks=(2, 2, 2), variant="tn", z=None):
@@ -634,6 +634,19 @@ class TestScaleEquivariance:
         for got, want in zip(got_chain.cores, chain.cores):
             assert np.array_equal(got, want)
         assert got_report.objective_trace == [4.0 ** k * obj for obj in report.objective_trace]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_tn_training_coordinates_do_not_collapse():
+    # spread: sigma_max of the centered embedded training set over sigma_max of
+    # the centered data. TN's minimizer lies in null(Z) and maps every sample to 0.
+    data, _ = bench_digits(per_class=60, seed=7)
+    chain, _ = fit(data, AffinityConfig(5), 0.5, variant="tn", max_sweeps=5)
+    coords = project_many(chain, data)
+    d_mat = left_unfold(data)
+    spread = (np.linalg.norm(coords - coords.mean(axis=0), 2)
+              / np.linalg.norm(d_mat - d_mat.mean(axis=1, keepdims=True), 2))
+    assert spread > 1e-3
 
 
 class TestFit:
