@@ -123,6 +123,8 @@ def load_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         flat = images.reshape(images.shape[0], -1)  # row-major pixels
     else:
         flat, labels = load_csv(ds["path"], ds["label_column"])
+    if flat.shape[1] == 0:
+        raise DataError("samples have no feature values")
     dims = tuple(int(i) for i in config.reshape)
     d = int(np.prod(dims))
     if flat.shape[1] != d:

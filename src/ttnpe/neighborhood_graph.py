@@ -59,7 +59,7 @@ def knn_graph(d_mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     K + 1 exact copies at smaller indices is not among them; its row keeps
     the first K.
     """
-    points = np.asarray(d_mat, dtype=np.float64).T
+    points = np.ascontiguousarray(np.asarray(d_mat).T, dtype=np.float64)  # knn_search copies neither set
     n = points.shape[0]
     check_graph_k(k, n)
     neighbors, sq_dists = knn_search(points, points, k + 1)

@@ -12,13 +12,15 @@ the chain to the smallest-eigenvector matrix V of Z, solving each core's
 subproblem min ||P X Q - C||_F^2 in closed form as the polar factor of
 P^T C Q^T (orthogonal Procrustes).
 
-Neither sweep forms P or the prefix. Both carry environments, as in
-ALS/MALS (Holtz, Rohwedder & Schneider, SIAM J. Sci. Comput. 2012): the
-suffix right unfoldings Q_k, built once per sweep from right to left
-(Q_n = I), and a left-projected quantity carried from left to right
-through X_k, the just-solved core's left unfolding. A TN sweep carries the
-prefix Gram W_k = P^T Z P: W_1 is a view of Z and W_{k+1} = X_k^T W_k X_k
-over both of W_k's (I_k, R_{k-1}) axes. Core k < n's form is W_k
+Neither sweep forms P or the prefix. Both run through one loop,
+:func:`_sweep`, which carries environments as in ALS/MALS (Holtz,
+Rohwedder & Schneider, SIAM J. Sci. Comput. 2012): the suffix right
+unfoldings Q_k, built once per sweep from right to left (Q_n = I), and a
+left-projected quantity carried from left to right through X_k, the
+just-solved core's left unfolding; each variant supplies only its core
+solve and its carry step. A TN sweep carries the prefix Gram
+W_k = P^T Z P: W_1 is a view of Z and W_{k+1} = X_k^T W_k X_k over both of
+W_k's (I_k, R_{k-1}) axes. Core k < n's form is W_k
 contracted with Q_k Q_k^T over the modes after k, and the last core's B is
 W_n. :func:`build_A` and :func:`build_B` return the forms a sweep solves,
 carrying W through the chain's current cores with the same step. An ATN
@@ -233,10 +235,33 @@ def _carried_form(w: np.ndarray, env: np.ndarray) -> np.ndarray:
     return a
 
 
+def _sweep(problem: TTNPEProblem, carry, solve, step) -> list:
+    """The sweep both variants share; returns each core's record in order.
+
+    At core k, ``solve(k, carry, Q_k, X_k)``, X_k the current core's left
+    unfolding, returns the new left unfolding X and the record; X becomes
+    core k and ``step(carry, X, I_{k+1})`` the next carry. ``problem.chain``
+    is replaced once, after the last core, and no array of the old chain is
+    written.
+    """
+    dims = problem.mode_dims
+    envs = right_environments(problem.chain)
+    cores = list(problem.chain.cores)
+    records = []
+    for k in range(1, len(dims) + 1):
+        x, record = solve(k, carry, envs[k - 1], left_unfold(cores[k - 1]))
+        records.append(record)
+        cores[k - 1] = x.reshape(cores[k - 1].shape[:2] + (-1,), order="F")
+        if k < len(dims):
+            carry = step(carry, x, dims[k])
+    problem.chain = TTChain(cores, tau=problem.chain.tau)
+    return records
+
+
 def sweep_tn(problem: TTNPEProblem, opt_cfg: OptimizerConfig | None = None) -> list[OptimizeResult]:
     """One left-to-right TN sweep over cores 1..n on the carried prefix Gram.
 
-    Replaces ``problem.chain`` core by core, each solved on its exact form
+    Replaces ``problem.chain`` with cores each solved on its exact form
     taken from W_k (W_1 a view of Z), and returns each core's
     ``OptimizeResult``. The last core's form is tr(X^T B X), so B's
     smallest eigenvectors are optimal (Ky Fan; termination "exact"). A core
@@ -245,52 +270,31 @@ def sweep_tn(problem: TTNPEProblem, opt_cfg: OptimizerConfig | None = None) -> l
     objective cannot increase, and a core that already attains its optimum
     is kept.
     """
-    dims = problem.mode_dims
-    n = len(dims)
-    envs = right_environments(problem.chain)
-    w = _first_prefix_gram(problem.z, dims)
-    results = []
-    for k in range(1, n + 1):
-        r_prev, i_k, _ = problem.chain.cores[k - 1].shape
-        x0 = left_unfold(problem.chain.cores[k - 1])
-        if k < n:
-            result = minimize_quadratic(_carried_form(w, envs[k - 1]), x0, opt_cfg)
-        else:
-            result = _exact_last_core(_last_form(w), x0)
-        results.append(result)
-        problem.chain = problem.chain.replace_core(k - 1, result.x.reshape(r_prev, i_k, -1, order="F"))
-        if k < n:
-            w = _next_prefix_gram(w, result.x, dims[k])
-    return results
+    n = len(problem.mode_dims)
 
+    def solve(k, w, env, x0):
+        result = (minimize_quadratic(_carried_form(w, env), x0, opt_cfg) if k < n
+                  else _exact_last_core(_last_form(w), x0))
+        return result.x, result
 
-def _procrustes_step(left: np.ndarray, q: np.ndarray, target_sq: float) -> tuple[np.ndarray, float]:
-    """Polar factor X of H = L Q^T and the residual ||X Q - L||^2 + ||C||^2 - ||L||^2."""
-    x = polar(left @ q.T)
-    surrogate = float(np.sum((x @ q - left) ** 2)) + target_sq - float(np.sum(left * left))
-    return x, surrogate
+    return _sweep(problem, _first_prefix_gram(problem.z, problem.mode_dims), solve, _next_prefix_gram)
 
 
 def sweep_atn(problem: TTNPEProblem, v: np.ndarray) -> list[float]:
     """One left-to-right ATN sweep over cores 1..n on carried environments.
 
-    Replaces ``problem.chain`` core by core, each with the polar factor of
-    L_k Q_k^T, and returns the residual after each core.
+    Replaces ``problem.chain`` with cores each the polar factor X of
+    L_k Q_k^T, and returns the residual ||X Q_k - L_k||^2 + ||V||^2 - ||L_k||^2
+    after each core.
     """
-    dims = problem.mode_dims
     target_sq = float(np.sum(v * v))
-    envs = right_environments(problem.chain)
-    left = v.reshape(dims[0], -1, order="F")
-    surrogates = []
-    for k in range(1, len(dims) + 1):
-        x, surrogate = _procrustes_step(left, envs[k - 1], target_sq)
-        surrogates.append(surrogate)
-        r_prev, i_k, _ = problem.chain.cores[k - 1].shape
-        core = x.reshape(r_prev, i_k, -1, order="F")
-        problem.chain = problem.chain.replace_core(k - 1, core)
-        if k < len(dims):
-            left = project_left(left_unfold(core), left, dims[k])
-    return surrogates
+
+    def solve(k, left, env, x0):
+        x = polar(left @ env.T)
+        return x, float(np.sum((x @ env - left) ** 2)) + target_sq - float(np.sum(left * left))
+
+    return _sweep(problem, v.reshape(problem.mode_dims[0], -1, order="F"), solve,
+                  lambda left, x, i_next: project_left(x, left, i_next))
 
 
 def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = "atn",
@@ -302,7 +306,7 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     Builds the affinity graph and Gram target, initializes the chain by
     TT-SVD with threshold ``tau``, then sweeps cores 1..n with the chosen
     variant's sweep (:func:`sweep_tn`, the one TN core solver, or
-    :func:`sweep_atn`, each on carried environments) until the largest
+    :func:`sweep_atn`, both through :func:`_sweep`) until the largest
     per-core change drops below ``core_change_tol`` or ``max_sweeps`` is
     reached. A bad ``variant``, ``max_sweeps``, ``core_change_tol``, ``tau``
     or ``rank_cap`` raises ConfigError once ``data``'s shape is checked,
@@ -342,16 +346,13 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     t0 = time.perf_counter()
     problem = TTNPEProblem(z=z, mode_dims=mode_dims, chain=chain, variant=variant)
     r_n = chain.embedding_dim
-    v = None
+    v, eigvals = None, ()
     if variant == "atn":
         eigvals, v = smallest_eigvecs(z, r_n)
-    if r_n <= d - n_samples:
-        # rank(Z) <= N leaves at least d - N zero eigenvalues, the R_n smallest.
-        report.kyfan_bound = 0.0
-    elif variant == "atn":
-        report.kyfan_bound = float(np.sum(eigvals))
-    else:
-        report.kyfan_bound = float(np.sum(np.linalg.eigvalsh(z)[:r_n]))
+    elif r_n > d - n_samples:
+        eigvals = np.linalg.eigvalsh(z)[:r_n]
+    # rank(Z) <= N leaves at least d - N zero eigenvalues, the R_n smallest.
+    report.kyfan_bound = float(np.sum(eigvals)) if r_n > d - n_samples else 0.0
     report.wall_time["eigensolve"] = time.perf_counter() - t0
 
     scale = max(1.0, frobenius_norm(z))
@@ -359,7 +360,7 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     t0 = time.perf_counter()
     termination = "max_sweeps"
     for sweep in range(max_sweeps):
-        old_cores = [c.copy() for c in problem.chain.cores]
+        old_cores = problem.chain.cores  # a sweep replaces the chain and writes no core
         if variant == "tn":
             report.core_solves.append([{"steps": r.n_accepted, "stop": r.termination}
                                        for r in sweep_tn(problem, opt_cfg)])
@@ -371,10 +372,9 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
             raise NumericError(
                 f"objective {obj} violates the spectral lower bound {report.kyfan_bound}"
             )
-        change = max(
-            float(np.linalg.norm(new - old))
-            for new, old in zip(problem.chain.cores, old_cores)
-        )
+        # The norm sums in memory order; C order fixes it whatever the cores' layouts.
+        change = max(float(np.linalg.norm(np.subtract(new, old, order="C")))
+                     for new, old in zip(problem.chain.cores, old_cores))
         report.core_change_trace.append(change)
         report.sweeps_run = sweep + 1
         if change < core_change_tol:

@@ -732,6 +732,26 @@ class TestCli:
         assert err.startswith("data error: ") and "no images" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["idx", "csv"])
+    def test_no_feature_values_exit_code(self, tmp_path, rng, capsys, fmt):
+        if fmt == "idx":
+            images, labels = tmp_path / "images", tmp_path / "labels"
+            images.write_bytes(struct.pack(">iiii", 0x803, 4, 0, 0))
+            labels.write_bytes(struct.pack(">ii", 0x801, 4) + bytes(4))
+            dataset = {"format": "idx", "image_path": str(images), "label_path": str(labels)}
+            reshape = [2, 2]
+        else:
+            csv_path = tmp_path / "labels.csv"
+            csv_path.write_text("0\n1\n0\n1\n")
+            dataset = {"format": "csv", "path": str(csv_path), "label_column": 0}
+            reshape = [1]
+        cfg, _ = self.write_config(tmp_path, rng, dataset=dataset, reshape=reshape)
+        out = tmp_path / "out.json"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "no feature values" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_out_for_fit(self, tmp_path, rng):
         cfg, _ = self.write_config(tmp_path, rng)
         assert main(["fit", "--config", str(cfg)]) == 1

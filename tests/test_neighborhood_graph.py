@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_orthonormal_chain
+from ttnpe import neighborhood_graph
 from ttnpe.errors import ConfigError, DataError
 from ttnpe.neighborhood_graph import (
     AffinityConfig,
@@ -13,6 +14,7 @@ from ttnpe.neighborhood_graph import (
     resolve_epsilon,
     symmetrize_normalize,
 )
+from ttnpe.nearest import knn_search
 from ttnpe.tt_subspace import contract_chain
 
 
@@ -59,6 +61,23 @@ class TestKNN:
     def test_squared_norm_overflow_rejected(self):
         with pytest.raises(DataError, match="too large"):
             knn_graph(columns([0.0], [1e160]), 1)
+
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_points_are_one_contiguous_array(self, rng, monkeypatch, order):
+        d_mat = np.asarray(rng.standard_normal((6, 9)), order=order)
+        want = knn_graph(d_mat, 3)
+        calls = []
+
+        def spy(train, test, k):
+            calls.append((train, test))
+            return knn_search(train, test, k)
+
+        monkeypatch.setattr(neighborhood_graph, "knn_search", spy)
+        got = knn_graph(d_mat, 3)
+        [(train, test)] = calls
+        assert train is test and train.flags.c_contiguous
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestAffinity:
