@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ttnpe.errors import DataError
 from ttnpe.nearest import knn_search
 from ttnpe.tensor_core import left_unfold
 from ttnpe.tt_subspace import TTChain, compression_ratio, project_many
@@ -33,8 +34,14 @@ class EvalResult:
 
 def knn_classify(train_coords: np.ndarray, train_labels: np.ndarray,
                  test_coords: np.ndarray, k: int) -> np.ndarray:
-    """Euclidean K-NN majority vote over ``knn_search``; returns predicted labels."""
+    """Euclidean K-NN majority vote over ``knn_search``; returns predicted labels.
+
+    Raises DataError unless there is one label per training row.
+    """
     train_labels = np.asarray(train_labels)
+    if train_labels.shape != np.shape(train_coords)[:1]:
+        raise DataError(f"need one label per training point, got labels of shape {train_labels.shape} "
+                        f"for training coordinates of shape {np.shape(train_coords)}")
     neighbors, _ = knn_search(train_coords, test_coords, k)
     classes, codes = np.unique(train_labels, return_inverse=True)
     return classes[_vote(codes[neighbors], len(classes))]
@@ -66,9 +73,21 @@ def evaluate(chain: TTChain | None, train_data: np.ndarray, train_labels: np.nda
 
     ``chain=None`` is the raw-KNN baseline: no compression (ratio 1),
     classification on the vectorized samples directly. Data arrays stack
-    samples along the last mode.
+    samples along the last mode. Raises DataError unless the train and test
+    mode dims are equal and there is one label for each of at least one
+    test sample.
     """
     n_train = train_data.shape[-1]
+    n_test = test_data.shape[-1]
+    test_labels = np.asarray(test_labels)
+    if train_data.shape[:-1] != test_data.shape[:-1]:
+        raise DataError(f"test sample dims {list(test_data.shape[:-1])} do not match "
+                        f"training sample dims {list(train_data.shape[:-1])}")
+    if n_test == 0:
+        raise DataError("evaluation needs at least one test sample")
+    if test_labels.shape != (n_test,):
+        raise DataError(f"need one label per test sample, got labels of shape "
+                        f"{test_labels.shape} for {n_test} samples")
     t0 = time.perf_counter()
     train_coords = _embed(chain, train_data)
     test_coords = _embed(chain, test_data)
@@ -78,12 +97,11 @@ def evaluate(chain: TTChain | None, train_data: np.ndarray, train_labels: np.nda
     preds = knn_classify(train_coords, np.asarray(train_labels), test_coords, k)
     classify_seconds = time.perf_counter() - t0
 
-    test_labels = np.asarray(test_labels)
     wrong = int(np.count_nonzero(preds != test_labels))
     rho = 1.0 if chain is None else compression_ratio(chain, n_train)
     return EvalResult(
-        error_rate=wrong / len(test_labels),
-        n_test=len(test_labels),
+        error_rate=wrong / n_test,
+        n_test=n_test,
         n_wrong=wrong,
         compression_ratio=rho,
         embed_seconds=embed_seconds,

@@ -132,13 +132,17 @@ def knn_search(train_coords: np.ndarray, test_coords: np.ndarray, k: int) -> tup
     over those rows, so the result is that of ranking every training point by
     that distance, whatever the memory layout of the inputs.
 
-    Raises DataError when a training point is nonzero but the slack of a
-    zero-norm query is below the smallest normal float: distances that small
-    round in absolute terms the slack does not cover, and a zero slack must
-    mean that every training point is the origin.
+    Raises DataError unless both sets are 2-D with equal column counts, and
+    when a training point is nonzero but the slack of a zero-norm query is
+    below the smallest normal float: distances that small round in absolute
+    terms the slack does not cover, and a zero slack must mean that every
+    training point is the origin.
     """
     train_coords = np.ascontiguousarray(train_coords, dtype=np.float64)
     test_coords = np.ascontiguousarray(test_coords, dtype=np.float64)
+    if train_coords.ndim != 2 or test_coords.ndim != 2 or train_coords.shape[1] != test_coords.shape[1]:
+        raise DataError(f"point sets must be 2-D with equal column counts, got training shape "
+                        f"{train_coords.shape} and test shape {test_coords.shape}")
     train_norms = sq_norms(train_coords, "training coordinates")
     test_norms = sq_norms(test_coords, "test coordinates")
     n_train = train_coords.shape[0]

@@ -9,8 +9,11 @@ targets.
 Neighbors come from ``ttnpe.nearest.knn_search``, the one KNN search the
 classifier uses too: ``knn_graph`` searches each sample's K + 1 nearest
 among all samples and drops the sample itself. The KNN sets and the
-distances the affinity reads are exact on the search's reference distance,
-whatever the memory layout of D, and no N x N distance matrix is formed.
+distances the heat kernel reads are exact on the search's reference
+distance, whatever the memory layout of D, and no N x N distance matrix is
+formed. S is the one N x N array of the graph stage: ``build_weight_matrix``
+writes the heat-kernel weights of the (N, K) lists and their transposes
+straight into it and normalizes its rows in place.
 """
 
 from __future__ import annotations
@@ -78,32 +81,25 @@ def resolve_epsilon(sq_dists: np.ndarray, config: AffinityConfig) -> float:
     return eps
 
 
-def affinity(neighbors: np.ndarray, sq_dists: np.ndarray, epsilon: float) -> np.ndarray:
-    """Unnormalized heat-kernel affinity F with F_ij = exp(-d_ij^2/eps) on KNN pairs.
+def build_weight_matrix(d_mat: np.ndarray, config: AffinityConfig) -> np.ndarray:
+    """Row-normalized S from the KNN lists, built in one N x N array.
 
-    ``neighbors`` and ``sq_dists`` are the (N, K) output of ``knn_graph``.
+    The heat-kernel weights F_ij = exp(-d_ij^2 / eps) of the (N, K) lists
+    are written to (i, j) and then added at (j, i), so each entry holds
+    F_ij + F_ji; each row is then divided by its sum in place.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    neighbors, sq_dists = knn_graph(d_mat, config.k_neighbors)
+    w = np.exp(-sq_dists / resolve_epsilon(sq_dists, config))
     n = neighbors.shape[0]
-    f = np.zeros((n, n))
-    f[np.arange(n)[:, None], neighbors] = np.exp(-sq_dists / epsilon)
-    return f
-
-
-def symmetrize_normalize(f: np.ndarray) -> np.ndarray:
-    """S = F + F^T with each row divided by its sum."""
-    s = f + f.T
+    rows = np.arange(n)[:, None]
+    s = np.zeros((n, n))
+    s[rows, neighbors] = w
+    s[neighbors, rows] += w  # a row's neighbors are distinct, so no (j, i) repeats: no np.add.at
     row_sums = s.sum(axis=1)
     if np.any(row_sums <= 0):
         raise DataError("weight matrix has a zero row sum; graph is disconnected at a sample")
-    return s / row_sums[:, None]
-
-
-def build_weight_matrix(d_mat: np.ndarray, config: AffinityConfig) -> np.ndarray:
-    """Full pipeline: KNN sets -> affinity F -> row-normalized S."""
-    neighbors, sq_dists = knn_graph(d_mat, config.k_neighbors)
-    return symmetrize_normalize(affinity(neighbors, sq_dists, resolve_epsilon(sq_dists, config)))
+    s /= row_sums[:, None]
+    return s
 
 
 def build_residual(d_mat: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -115,7 +115,8 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None) -> TTChain:
     only the left-orthonormal cores (the subspace) are returned.
 
     ``rank_cap`` caps the rank at each split as :func:`check_tt_args` reads
-    it. A bad ``tau`` or ``rank_cap`` raises ConfigError before any work.
+    it. A bad ``tau`` or ``rank_cap`` raises ConfigError before any work,
+    and NaN or infinite data raises DataError.
     """
     dataset = np.asarray(dataset, dtype=np.float64)
     if dataset.ndim < 2 or dataset.size == 0:
@@ -123,6 +124,7 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None) -> TTChain:
     n = dataset.ndim - 1
     dims = dataset.shape[:n]
     caps = check_tt_args(tau, rank_cap, n)
+    require_finite(dataset, "dataset")
 
     cores = []
     r_prev = 1

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_orthonormal_chain
+import ttnpe
 from ttnpe.classifier import evaluate, knn_classify
 from ttnpe.errors import DataError
+from ttnpe.nearest import knn_search
 from ttnpe.tt_subspace import tt_svd
 
 
@@ -143,3 +145,44 @@ class TestEvaluate:
         test[0, 1, 0, 2] = np.nan
         with pytest.raises(DataError, match="NaN or infinite"):
             evaluate(None, data, labels, test, labels, 1)
+
+
+class TestInputRules:
+    """Mismatched inputs through the public names: one typed error each."""
+
+    @staticmethod
+    def data(rng, dims, n):
+        return rng.standard_normal(tuple(dims) + (n,))
+
+    @pytest.mark.parametrize("n_train, n_labels", [(6, 8), (4, 3)])
+    def test_one_label_per_training_sample(self, rng, n_train, n_labels):
+        # 8 labels for 6 samples used the first 6; 3 for 4 raised IndexError
+        test = self.data(rng, (2, 3), 2)
+        with pytest.raises(DataError, match="one label per training point"):
+            ttnpe.evaluate(None, self.data(rng, (2, 3), n_train), np.arange(n_labels) % 2,
+                           test, np.array([0, 1]), 1)
+        with pytest.raises(DataError, match="one label per training point"):
+            ttnpe.knn_classify(np.zeros((n_train, 2)), np.arange(n_labels) % 2, np.zeros((1, 2)), 1)
+
+    def test_one_label_per_test_sample(self, rng):
+        with pytest.raises(DataError, match="one label per test sample"):
+            ttnpe.evaluate(None, self.data(rng, (2, 3), 4), np.array([0, 1, 0, 1]),
+                           self.data(rng, (2, 3), 3), np.zeros(5, dtype=int), 1)
+
+    def test_at_least_one_test_sample(self, rng):
+        with pytest.raises(DataError, match="at least one test sample"):
+            ttnpe.evaluate(None, self.data(rng, (2, 3), 4), np.array([0, 1, 0, 1]),
+                           self.data(rng, (2, 3), 0), np.zeros(0, dtype=int), 1)
+
+    @pytest.mark.parametrize("test_dims", [(2, 4), (3, 2)])
+    def test_equal_train_and_test_dims(self, rng, test_dims):
+        # (2, 4) failed in a matmul; (3, 2) has as many entries and scored silently
+        with pytest.raises(DataError, match=r"test sample dims \[\d, \d\] do not match training sample dims \[2, 3\]"):
+            ttnpe.evaluate(None, self.data(rng, (2, 3), 4), np.array([0, 1, 0, 1]),
+                           self.data(rng, test_dims, 3), np.array([0, 1, 0]), 1)
+
+    @pytest.mark.parametrize("train_shape, test_shape", [((4,), (2,)), ((4, 2), (2,)), ((4,), (2, 1)),
+                                                         ((4, 2), (2, 3)), ((4, 2, 1), (2, 2, 1))])
+    def test_knn_search_needs_2d_sets_with_equal_columns(self, train_shape, test_shape):
+        with pytest.raises(DataError, match="2-D with equal column counts"):
+            knn_search(np.zeros(train_shape), np.zeros(test_shape), 1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,11 @@ from ttnpe import neighborhood_graph
 from ttnpe.errors import ConfigError, DataError
 from ttnpe.neighborhood_graph import (
     AffinityConfig,
-    affinity,
     build_gram,
     build_residual,
     build_weight_matrix,
     knn_graph,
     resolve_epsilon,
-    symmetrize_normalize,
 )
 from ttnpe.nearest import knn_search
 from ttnpe.tt_subspace import contract_chain
@@ -82,21 +82,19 @@ class TestKNN:
 
 class TestAffinity:
     def test_identical_neighbors_weight_one(self):
-        f = affinity(*knn_graph(columns([0.0], [0.0]), 1), epsilon=1.0)
-        assert f[0, 1] == 1.0
-        assert f[1, 0] == 1.0
+        # K = 2 links all three pairs both ways: row 0 weighs 1 + 1 at distance 0, twice exp(-9/eps) at 3
+        for epsilon in (1.0, 9.0, 100.0):
+            s = build_weight_matrix(columns([0.0], [0.0], [3.0]), AffinityConfig(2, epsilon=epsilon))
+            assert s[0, 1] == s[1, 0]
+            assert abs(s[0, 1] - 1.0 / (1.0 + np.exp(-9.0 / epsilon))) < 1e-15
 
     def test_distance_equal_to_epsilon(self):
-        f = affinity(*knn_graph(columns([0.0], [2.0]), 1), epsilon=4.0)
-        assert abs(f[0, 1] - np.exp(-1.0)) < 1e-15
+        s = build_weight_matrix(columns([0.0], [0.0], [2.0]), AffinityConfig(2, epsilon=4.0))
+        assert abs(s[0, 2] / s[0, 1] - np.exp(-1.0)) < 1e-15
 
     def test_zero_diagonal(self, rng):
-        f = affinity(*knn_graph(rng.standard_normal((4, 6)), 3), epsilon=1.0)
-        assert np.all(np.diag(f) == 0)
-
-    def test_epsilon_validation(self, rng):
-        with pytest.raises(ValueError, match="epsilon"):
-            affinity(*knn_graph(rng.standard_normal((2, 4)), 1), epsilon=0.0)
+        s = build_weight_matrix(rng.standard_normal((4, 6)), AffinityConfig(3, epsilon=1.0))
+        assert np.all(np.diag(s) == 0)
 
     @pytest.mark.parametrize("epsilon", [[1.0], "mean", None, 0.0, float("inf"), True])
     def test_config_rejects_bad_epsilon(self, epsilon):
@@ -134,11 +132,22 @@ class TestWeightMatrix:
         s = build_weight_matrix(rng.standard_normal((3, 9)), AffinityConfig(k))
         assert np.max(np.count_nonzero(s, axis=1)) <= 2 * k
 
+    def test_one_n_by_n_array(self):
+        # S is the only N x N array: the traced peak stays well below two of them
+        d_mat = np.asfortranarray(np.random.default_rng(7).uniform(size=(784, 1200)))
+        tracemalloc.start()
+        try:
+            s = build_weight_matrix(d_mat, AffinityConfig(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * s.nbytes
+
 
 class TestResidualAndGram:
     def test_identical_samples_zero_residual(self):
         d_mat = np.ones((4, 3))
-        s = symmetrize_normalize(affinity(*knn_graph(d_mat, 1), 1.0))
+        s = build_weight_matrix(d_mat, AffinityConfig(1, epsilon=1.0))
         assert np.max(np.abs(build_residual(d_mat, s))) < 1e-14
 
     def test_two_sample_columns(self):

@@ -6,6 +6,7 @@ from conftest import brute_tt_svd, random_orthonormal_chain
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ttnpe
 from ttnpe.errors import ConfigError, DataError
 from ttnpe.tensor_core import kronecker, left_unfold, merge_product, vectorize
 from ttnpe.tt_subspace import (
@@ -85,6 +86,12 @@ class TestTTSVD:
     def test_empty_dataset(self):
         with pytest.raises(DataError):
             tt_svd(np.empty((2, 0)), 0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_dataset(self, value):
+        # the SVD used to fail to converge with a raw LinAlgError
+        with pytest.raises(DataError, match="dataset contain NaN or infinite values"):
+            ttnpe.tt_svd(np.full((2, 3, 4), value), 0.5)
 
     def test_deterministic(self, rng):
         data = rng.standard_normal((3, 2, 4, 8))
