@@ -27,24 +27,26 @@ def _read_idx(path, expected_magic: int) -> np.ndarray:
     if magic != expected_magic:
         raise DataError(f"{path}: wrong magic 0x{magic:08x}, expected 0x{expected_magic:08x}")
     ndim = expected_magic & 0xFF
-    if len(raw) < 4 + 4 * ndim:
+    header = 4 + 4 * ndim
+    if len(raw) < header:
         raise DataError(f"{path}: truncated header")
-    dims = struct.unpack(f">{ndim}i", raw[4:4 + 4 * ndim])
+    dims = struct.unpack(f">{ndim}i", raw[4:header])
     if min(dims) < 0:
         raise DataError(f"{path}: negative dimension in header {dims}")
     count = math.prod(dims)  # exact: numpy's int64 product can wrap on three int32 dims
-    payload = raw[4 + 4 * ndim:]
-    if len(payload) < count:
-        raise DataError(f"{path}: truncated payload, expected {count} bytes, got {len(payload)}")
-    data = np.frombuffer(payload[:count], dtype=np.uint8)
+    stored = len(raw) - header
+    if stored < count:
+        raise DataError(f"{path}: truncated payload, expected {count} bytes, got {stored}")
+    data = np.frombuffer(raw, dtype=np.uint8, count=count, offset=header)  # a view, no copy
     return data.reshape(dims)  # row-major, as stored
 
 
-def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse an IDX image/label pair.
+def read_idx_pixels(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse an IDX image/label pair as stored.
 
-    Returns (images, labels) with images of shape (N, rows, cols) scaled to
-    [0, 1] as float64 and labels as an int array of length N.
+    Returns (images, labels) with images the file's uint8 pixels of shape
+    (N, rows, cols), a read-only view of its bytes, and labels as an int64
+    array of length N.
     """
     images = _read_idx(images_path, IDX_IMAGES_MAGIC)
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
@@ -54,7 +56,28 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
         )
     if images.shape[0] == 0:
         raise DataError(f"{images_path}: no images")
-    return images.astype(np.float64) / 255.0, labels.astype(np.int64)
+    return images, labels.astype(np.int64)
+
+
+def float_samples(samples: np.ndarray) -> np.ndarray:
+    """``samples`` as float64: uint8 pixels scaled to [0, 1] by the one rule
+    ``pixels.astype(np.float64) / 255.0`` (divided in place, same bits, one
+    copy), any other array as it is."""
+    if samples.dtype != np.uint8:
+        return samples
+    scaled = samples.astype(np.float64)
+    scaled /= 255.0
+    return scaled
+
+
+def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse an IDX image/label pair.
+
+    Returns (images, labels) with images of shape (N, rows, cols) scaled to
+    [0, 1] as float64 and labels as an int array of length N.
+    """
+    images, labels = read_idx_pixels(images_path, labels_path)
+    return float_samples(images), labels
 
 
 def load_csv(path, label_column: int) -> tuple[np.ndarray, np.ndarray]:

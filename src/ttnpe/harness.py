@@ -18,7 +18,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 import numpy as np
 
 from ttnpe.classifier import evaluate
-from ttnpe.datasets import add_noise, load_csv, load_idx, noise_sigma
+from ttnpe.datasets import add_noise, float_samples, load_csv, noise_sigma, read_idx_pixels
 from ttnpe.errors import ConfigError, DataError, NumericError, is_int, is_number, load_json, require_int
 from ttnpe.nearest import check_k
 from ttnpe.neighborhood_graph import AffinityConfig, check_graph_k
@@ -115,11 +115,13 @@ def load_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (samples, labels) with samples of shape (I_1, ..., I_n, N):
     each sample's stored row-major flat vector is folded into the configured
-    mode dims in mode-1-fastest order.
+    mode dims in mode-1-fastest order. An IDX dataset's samples are the
+    file's uint8 pixels, a CSV's its float64 values; ``datasets.float_samples``
+    gives the float64 values of either, as each command uses them.
     """
     ds = config.dataset
     if ds["format"] == "idx":
-        images, labels = load_idx(ds["image_path"], ds["label_path"])
+        images, labels = read_idx_pixels(ds["image_path"], ds["label_path"])
         flat = images.reshape(images.shape[0], -1)  # row-major pixels
     else:
         flat, labels = load_csv(ds["path"], ds["label_column"])
@@ -138,9 +140,11 @@ def load_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         keep = np.isin(labels, config.class_filter)
         flat, labels = flat[keep], labels[keep]
     samples = flat.T.reshape(dims + (flat.shape[0],), order="F")
-    for snr_db in config.noise_snr_db or []:
-        if snr_db is not None:
-            noise_sigma(samples, snr_db)
+    levels = [snr_db for snr_db in config.noise_snr_db or [] if snr_db is not None]
+    if levels:
+        values = float_samples(samples)
+        for snr_db in levels:
+            noise_sigma(values, snr_db)
     return samples, labels
 
 
@@ -182,14 +186,18 @@ def check_split(config: ExperimentConfig, labels: np.ndarray) -> int:
 
 def trial_data(config: ExperimentConfig, samples: np.ndarray, labels: np.ndarray,
                trial: int = 0, level: int = 0):
-    """Report cell (trial, level)'s (train, train_labels, test, test_labels):
-    noise at ``noise_snr_db[level]`` (none when null or unset), seeded by
-    (seed, trial, snr_db). The defaults give the report's first cell."""
+    """Report cell (trial, level)'s (train, train_labels, test, test_labels) as
+    float64: noise at ``noise_snr_db[level]`` (none when null or unset), seeded
+    by (seed, trial, snr_db), is drawn for every sample of ``samples``. On a
+    noise-free level only the split's samples are made float64
+    (``datasets.float_samples``). The defaults give the report's first cell."""
     snr_db = (config.noise_snr_db or [None])[level]
     train_idx, test_idx = trial_split(config, labels, trial)
-    bump = 0 if snr_db is None else int(round(float(snr_db) * 1000)) % 100003
-    noisy = add_noise(samples, snr_db, config.seed + 7919 * (trial + 1) + bump)
-    return noisy[..., train_idx], labels[train_idx], noisy[..., test_idx], labels[test_idx]
+    if snr_db is not None:
+        bump = int(round(float(snr_db) * 1000)) % 100003
+        samples = add_noise(float_samples(samples), snr_db, config.seed + 7919 * (trial + 1) + bump)
+    return (float_samples(samples[..., train_idx]), labels[train_idx],
+            float_samples(samples[..., test_idx]), labels[test_idx])
 
 
 def _graph_config(config: ExperimentConfig) -> AffinityConfig:
@@ -353,7 +361,7 @@ def run_embed(config: ExperimentConfig, model, out) -> np.ndarray:
     (index, label, t0, ...) CSV to ``out``; returns them. Mode dims that differ
     from ``reshape`` raise DataError (``project_many``) before ``out`` is opened."""
     samples, labels = load_dataset(config)
-    coords = project_many(load_chain(model), samples)
+    coords = project_many(load_chain(model), float_samples(samples))
     lines = ["index,label," + ",".join(f"t{i}" for i in range(coords.shape[1])) + "\n"]
     lines += [f"{i},{lab}," + ",".join(repr(v) for v in row.tolist()) + "\n"
               for i, (lab, row) in enumerate(zip(labels.tolist(), coords))]

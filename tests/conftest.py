@@ -1,10 +1,22 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
 from ttnpe.tensor_core import left_unfold
 from ttnpe.tt_subspace import TTChain, left_orthogonalize
+
+
+def write_idx_images(path, images):
+    images = np.asarray(images, dtype=np.uint8)
+    n, rows, cols = images.shape
+    path.write_bytes(struct.pack(">iiii", 0x803, n, rows, cols) + images.tobytes())
+
+
+def write_idx_labels(path, labels):
+    labels = np.asarray(labels, dtype=np.uint8)
+    path.write_bytes(struct.pack(">ii", 0x801, len(labels)) + labels.tobytes())
 
 
 @pytest.fixture

@@ -1,21 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ttnpe.datasets import add_noise, load_csv, load_idx, noise_sigma
+from conftest import write_idx_images, write_idx_labels
+from ttnpe.datasets import add_noise, float_samples, load_csv, load_idx, noise_sigma, read_idx_pixels
 from ttnpe.errors import ConfigError, DataError
-
-
-def write_idx_images(path, images):
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    path.write_bytes(struct.pack(">iiii", 0x803, n, rows, cols) + images.tobytes())
-
-
-def write_idx_labels(path, labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    path.write_bytes(struct.pack(">ii", 0x801, len(labels)) + labels.tobytes())
 
 
 class TestIdx:
@@ -51,7 +42,7 @@ class TestIdx:
     def test_truncated_payload(self, tmp_path):
         (tmp_path / "bad").write_bytes(struct.pack(">iiii", 0x803, 2, 2, 2) + b"\x00" * 5)
         write_idx_labels(tmp_path / "lbls", [0, 1])
-        with pytest.raises(DataError, match="truncated payload"):
+        with pytest.raises(DataError, match="truncated payload, expected 8 bytes, got 5$"):
             load_idx(tmp_path / "bad", tmp_path / "lbls")
 
     def test_count_mismatch(self, tmp_path):
@@ -83,6 +74,45 @@ class TestIdx:
         write_idx_labels(tmp_path / "lbls", [0])
         with pytest.raises(DataError, match="truncated payload"):
             load_idx(tmp_path / "bad", tmp_path / "lbls")
+
+    def test_pixels_as_stored(self, tmp_path):
+        rng = np.random.default_rng(0)
+        imgs = rng.integers(0, 256, (5, 3, 4), dtype=np.uint8)
+        write_idx_images(tmp_path / "imgs", imgs)
+        write_idx_labels(tmp_path / "lbls", [3, 1, 4, 1, 5])
+        images, labels = read_idx_pixels(tmp_path / "imgs", tmp_path / "lbls")
+        assert images.dtype == np.uint8 and np.array_equal(images, imgs)
+        assert labels.dtype == np.int64 and labels.tolist() == [3, 1, 4, 1, 5]
+        floats = load_idx(tmp_path / "imgs", tmp_path / "lbls")[0]
+        assert np.array_equal(floats.view(np.uint64), (imgs.astype(np.float64) / 255.0).view(np.uint64))
+
+    def test_pair_read_holds_each_file_once(self, tmp_path):
+        # the payload is a view of the file's bytes, not a second copy of them
+        rng = np.random.default_rng(0)
+        write_idx_images(tmp_path / "imgs", rng.integers(0, 256, (2000, 28, 28)))
+        write_idx_labels(tmp_path / "lbls", rng.integers(0, 10, 2000))
+        size = (tmp_path / "imgs").stat().st_size + (tmp_path / "lbls").stat().st_size
+        tracemalloc.start()
+        try:
+            read_idx_pixels(tmp_path / "imgs", tmp_path / "lbls")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * size, (peak, size)
+
+
+class TestFloatSamples:
+    def test_pixels_scaled_by_one_rule(self):
+        pixels = np.arange(256, dtype=np.uint8).reshape(16, 16).T  # F-ordered, like a split
+        scaled = float_samples(pixels)
+        assert scaled.dtype == np.float64 and (scaled.min(), scaled.max()) == (0.0, 1.0)
+        assert np.array_equal(scaled.view(np.uint64),
+                              (pixels.astype(np.float64) / 255.0).view(np.uint64))
+        assert scaled.strides == pixels.astype(np.float64).strides
+
+    def test_float_values_as_they_are(self, rng):
+        values = rng.standard_normal((2, 3, 4))
+        assert float_samples(values) is values
 
 
 class TestCsv:

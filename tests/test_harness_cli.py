@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 from dataclasses import replace
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_orthonormal_chain
+from conftest import random_orthonormal_chain, write_idx_images, write_idx_labels
 import ttnpe
 from ttnpe import cli, harness, solver
 from ttnpe.cli import main
@@ -35,6 +36,24 @@ def write_cluster_csv(path, rng, per_class=8, d=8, sep=6.0):
             vals = center + 0.3 * rng.standard_normal(d)
             rows.append([cls] + vals.tolist())
     path.write_text("\n".join(",".join(repr(v) for v in row) for row in rows) + "\n")
+
+
+def write_idx_pair(directory, images, labels):
+    """Write ``images`` and ``labels`` as an IDX pair; returns its dataset entry."""
+    write_idx_images(directory / "images", images)
+    write_idx_labels(directory / "labels", labels)
+    return {"format": "idx", "image_path": str(directory / "images"),
+            "label_path": str(directory / "labels")}
+
+
+def class_pixels(per_class, side, seed=0):
+    """uint8 images of classes 0, 1 and 2 in shuffled order, each a class
+    pattern plus noise, the full range 0..255 included; returns (images, labels)."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(3), per_class))
+    patterns = rng.integers(0, 256, (3, side, side))
+    jitter = rng.integers(-60, 61, (len(labels), side, side))
+    return np.clip(patterns[labels] + jitter, 0, 255).astype(np.uint8), labels
 
 
 def base_config(tmp_path, rng, **overrides):
@@ -136,6 +155,83 @@ class TestLoadDataset:
         config = ExperimentConfig.from_dict(base_config(tmp_path, rng, class_filter=[1, 99]))
         with pytest.raises(ConfigError, match=r"class_filter labels \[99\]"):
             load_dataset(config)
+
+    def idx_config(self, tmp_path, rng, per_class=12, side=4, **overrides):
+        images, labels = class_pixels(per_class, side)
+        dataset = write_idx_pair(tmp_path, images, labels)
+        reshape = [2, side // 2, 2, side // 2]
+        raw = base_config(tmp_path, rng, dataset=dataset, reshape=reshape,
+                          class_filter=[1, 2], **overrides)
+        return ExperimentConfig.from_dict(raw), images, labels
+
+    def test_idx_samples_stay_pixels(self, tmp_path, rng):
+        config, images, labels = self.idx_config(tmp_path, rng)
+        samples, got_labels = load_dataset(config)
+        keep = labels > 0
+        assert samples.dtype == np.uint8 and samples.shape == (2, 2, 2, 2, 24)
+        assert np.array_equal(samples.reshape(16, 24, order="F").T,
+                              images[keep].reshape(24, 16))
+        assert got_labels.dtype == np.int64 and np.array_equal(got_labels, labels[keep])
+        csv_samples = load_dataset(ExperimentConfig.from_dict(base_config(tmp_path, rng)))[0]
+        assert csv_samples.dtype == np.float64
+
+    @pytest.mark.parametrize("snr_db", [None, 0])
+    def test_split_is_the_scaled_pixels(self, tmp_path, rng, snr_db):
+        # the float64 pixels every command saw when the whole file was scaled at load
+        config, images, labels = self.idx_config(tmp_path, rng, noise_snr_db=[snr_db])
+        keep = labels > 0
+        flat = (images.astype(np.float64) / 255.0).reshape(len(labels), -1)[keep]
+        floats = flat.T.reshape((2, 2, 2, 2, len(flat)), order="F")
+        want = harness.trial_data(config, floats, labels[keep])
+        got = harness.trial_data(config, *load_dataset(config))
+        train_idx, test_idx = harness.trial_split(config, labels[keep])
+        if snr_db is None:
+            assert np.array_equal(want[0], floats[..., train_idx])
+            assert np.array_equal(want[2], floats[..., test_idx])
+        else:
+            assert not np.array_equal(want[0], floats[..., train_idx])
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
+        for a, b in (got[0], want[0]), (got[2], want[2]):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[3], want[3])
+
+    def test_idx_load_holds_the_pixels_not_floats(self, tmp_path, rng):
+        # float64 copies of every image would take 8 times the pixel bytes
+        config, images, _ = self.idx_config(tmp_path, rng, per_class=400, side=28)
+        tracemalloc.start()
+        try:
+            load_dataset(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * images.nbytes, (peak, images.nbytes)
+
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_idx_and_csv_of_the_same_pixels_agree(self, tmp_path, rng, variant):
+        images, labels = class_pixels(12, 4)
+        rows = [[label] + [repr(p / 255) for p in image.ravel().tolist()]
+                for label, image in zip(labels.tolist(), images)]
+        (tmp_path / "pixels.csv").write_text("".join(",".join(map(str, r)) + "\n" for r in rows))
+        datasets = {"idx": write_idx_pair(tmp_path, images, labels),
+                    "csv": {"format": "csv", "path": str(tmp_path / "pixels.csv"), "label_column": 0}}
+        reports, coords = {}, {}
+        for fmt, dataset in datasets.items():
+            config = ExperimentConfig.from_dict(base_config(
+                tmp_path, rng, dataset=dataset, reshape=[2, 2, 2, 2], class_filter=[1, 2],
+                tau_list=[0.5, 0.2], noise_snr_db=[None, 0], trials=2, max_sweeps=5,
+                variant=variant, output_path=str(tmp_path / f"{fmt}.json")))
+            reports[fmt] = run_experiment(config)
+            if fmt == "idx":
+                harness.run_fit(config, tmp_path / "model.json")
+            coords[fmt] = harness.run_embed(config, tmp_path / "model.json", tmp_path / f"{fmt}.csv")
+        for key in ("cells", "baselines", "aggregates"):
+            assert reports["idx"][key] == reports["csv"][key]
+        assert all("error" not in cell for cell in reports["idx"]["cells"])
+        assert np.array_equal(coords["idx"].view(np.uint64), coords["csv"].view(np.uint64))
+        written = [[row.split(",")[2:] for row in (tmp_path / f"{fmt}.csv").read_text().splitlines()]
+                   for fmt in datasets]
+        assert written[0] == written[1]
 
 
 class TestSplit:
