@@ -22,7 +22,7 @@ from ttnpe.datasets import add_noise, float_samples, load_csv, noise_sigma, read
 from ttnpe.errors import ConfigError, DataError, NumericError, is_int, is_number, load_json, require_int
 from ttnpe.nearest import check_k
 from ttnpe.neighborhood_graph import AffinityConfig, check_graph_k
-from ttnpe.solver import check_sweep_args, fit
+from ttnpe.solver import GramSpectrum, check_sweep_args, fit
 from ttnpe.tt_subspace import TTChain, check_tt_args, load_chain, project_many, save_chain
 
 _DATASET_KEYS = {"idx": ("format", "image_path", "label_path"),
@@ -204,11 +204,12 @@ def _graph_config(config: ExperimentConfig) -> AffinityConfig:
     return AffinityConfig(k_neighbors=config.k_graph, epsilon=config.epsilon)
 
 
-def fit_config(config: ExperimentConfig, train: np.ndarray, tau: float):
+def fit_config(config: ExperimentConfig, train: np.ndarray, tau: float,
+               spectrum: GramSpectrum | None = None):
     """``fit`` on ``train`` at ``tau`` with the config's graph, variant,
-    sweep limit and rank cap; returns (chain, report)."""
+    sweep limit and rank cap, and ``fit``'s ``spectrum``; returns (chain, report)."""
     return fit(train, _graph_config(config), tau, variant=config.variant,
-               max_sweeps=config.max_sweeps, rank_cap=config.rank_cap)
+               max_sweeps=config.max_sweeps, rank_cap=config.rank_cap, spectrum=spectrum)
 
 
 def probe_output(path) -> None:
@@ -243,7 +244,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     A cell that fails with a library error (``ValueError``, which covers
     ``ConfigError``, ``DataError`` and ``LinAlgError``, or ``NumericError``)
     records its message and the run continues; any other exception is a
-    bug and propagates. Writes the deterministic report to ``output_path``,
+    bug and propagates. The fits of one (trial, noise level) share one
+    ``solver.GramSpectrum``, so ATN decomposes that split's Gram target Z
+    once and every later tau reuses it; the graph and Z are still built per
+    tau. Writes the deterministic report to ``output_path``,
     timings to ``output_path + '.timings.json'`` (per fitted cell: subspace
     learning, embedding and classification, the solver's per-stage
     ``wall_time``, its TN ``core_solves``, its ``kyfan_bound`` and
@@ -270,6 +274,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         for level, snr_db in enumerate(snr_list):
             train, train_labels, test, test_labels = trial_data(
                 config, samples, labels, trial, level)
+            spectrum = GramSpectrum()  # every tau of this split builds the same Z
             base = evaluate(None, train, train_labels, test, test_labels, config.k_classify)
             baselines.append({
                 "trial": trial,
@@ -280,7 +285,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 cell = {"tau": tau, "trial": trial, "snr_db": snr_db}
                 t0 = time.perf_counter()
                 try:
-                    chain, report = fit_config(config, train, tau)
+                    chain, report = fit_config(config, train, tau, spectrum)
                     learn_seconds = time.perf_counter() - t0
                     result = evaluate(chain, train, train_labels, test, test_labels,
                                       config.k_classify)

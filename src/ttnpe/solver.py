@@ -82,8 +82,9 @@ class SolverReport:
     """Traces of one fit. ``kyfan_bound`` is the Ky Fan lower bound on the
     objective: the sum of Z's R_n smallest eigenvalues, exactly 0.0 when
     R_n <= d - N (Z = Y Y^T has rank at most N). ``wall_time`` holds
-    seconds per stage ("graph", "tt_svd", "eigensolve", "sweeps") and is
-    the only non-deterministic field.
+    seconds per stage ("tt_svd", "graph", "eigensolve", "sweeps") and is
+    the only non-deterministic field; "eigensolve" reads near 0 for an ATN
+    fit whose ``GramSpectrum`` already held Z's decomposition.
     ``core_solves`` holds, per TN sweep, each core solve's step count and stop
     reason (``{"steps": int, "stop": str}``); it stays empty for ATN."""
 
@@ -170,11 +171,35 @@ def smallest_eigvecs(z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     Sign-fixed (largest-magnitude entry positive) for determinism. Returns
     (eigenvalues, eigenvectors).
     """
-    d = z.shape[0]
-    if not 1 <= r <= d:
-        raise ValueError(f"r must lie in [1, {d}], got {r}")
-    vals, vecs = np.linalg.eigh(z)
-    return vals[:r], fix_signs(vecs[:, :r].copy())
+    return GramSpectrum().smallest_eigvecs(z, r)[1:]
+
+
+class GramSpectrum:
+    """One split's Gram target Z and its ``np.linalg.eigh``, shared by the fits
+    of every tau, which build the same Z.
+
+    :meth:`smallest_eigvecs` keeps the held pair for a Z equal to the held one
+    bit for bit (compared as ``uint64``, so 0.0 and -0.0 differ) and otherwise
+    replaces it. The old pair is released before ``eigh`` runs, and nothing is
+    held after ``eigh`` raises. It holds Z and its eigenvectors, 2 d^2 float64.
+    """
+
+    def __init__(self):
+        self.z = None
+        self._eigh = None
+
+    def smallest_eigvecs(self, z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(held Z, eigenvalues, eigenvectors): as :func:`smallest_eigvecs`
+        of ``z``, with the held Z, equal to ``z``, in its place."""
+        d = z.shape[0]
+        if not 1 <= r <= d:
+            raise ValueError(f"r must lie in [1, {d}], got {r}")
+        if self.z is None or not np.array_equal(self.z.view(np.uint64), z.view(np.uint64)):
+            self.z = self._eigh = None
+            self._eigh = np.linalg.eigh(z)
+            self.z = z
+        vals, vecs = self._eigh
+        return self.z, vals[:r], fix_signs(vecs[:, :r].copy())
 
 
 def build_PQC(problem: TTNPEProblem, k: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -299,12 +324,13 @@ def sweep_atn(problem: TTNPEProblem, v: np.ndarray) -> list[float]:
 
 def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = "atn",
         max_sweeps: int = 50, core_change_tol: float = 1e-6, rank_cap=None,
-        opt_cfg: OptimizerConfig | None = None) -> tuple[TTChain, SolverReport]:
+        opt_cfg: OptimizerConfig | None = None,
+        spectrum: GramSpectrum | None = None) -> tuple[TTChain, SolverReport]:
     """End-to-end alternating fit.
 
     ``data`` stacks samples along the last mode, shape (I_1, ..., I_n, N).
-    Builds the affinity graph and Gram target, initializes the chain by
-    TT-SVD with threshold ``tau``, then sweeps cores 1..n with the chosen
+    Initializes the chain by TT-SVD with threshold ``tau``, builds the
+    affinity graph and Gram target, then sweeps cores 1..n with the chosen
     variant's sweep (:func:`sweep_tn`, the one TN core solver, or
     :func:`sweep_atn`, both through :func:`_sweep`) until the largest
     per-core change drops below ``core_change_tol`` or ``max_sweeps`` is
@@ -316,7 +342,13 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     or NumericError is raised. The bound takes no eigensolve when
     R_n <= d - N, where it is exactly 0.0; otherwise TN takes it from
     ``eigvalsh`` of Z, and ATN from the eigenvalues of the one ``eigh`` of Z
-    that also gives its target. Y is released once Z is built.
+    that also gives its target. ATN takes that ``eigh`` from ``spectrum``, a
+    :class:`GramSpectrum` (a fresh one when None): given the holder of an
+    earlier fit that built the same Z bit for bit, as every tau of one split
+    does, it runs no eigensolve and continues with the held Z. Z is built
+    after TT-SVD, so a new Z equal to the held one lives only until it is
+    compared, and one d x d Z stays alive. TN leaves the holder untouched.
+    Y is released once Z is built.
     ``opt_cfg`` bounds the power iteration on TN cores 1..n-1 through its
     ``max_inner_iters`` and ``grad_tol``; the last TN core and every ATN
     core update are solved in closed form.
@@ -335,24 +367,24 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
 
     report = SolverReport()
     t0 = time.perf_counter()
+    chain = tt_svd(data, tau, rank_cap=rank_cap)
+    report.wall_time["tt_svd"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     d_mat = left_unfold(data)
     z = build_gram(build_residual(d_mat, build_weight_matrix(d_mat, graph_cfg)))
     report.wall_time["graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    chain = tt_svd(data, tau, rank_cap=rank_cap)
-    report.wall_time["tt_svd"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    problem = TTNPEProblem(z=z, mode_dims=mode_dims, chain=chain, variant=variant)
     r_n = chain.embedding_dim
     v, eigvals = None, ()
     if variant == "atn":
-        eigvals, v = smallest_eigvecs(z, r_n)
+        z, eigvals, v = (GramSpectrum() if spectrum is None else spectrum).smallest_eigvecs(z, r_n)
     elif r_n > d - n_samples:
         eigvals = np.linalg.eigvalsh(z)[:r_n]
     # rank(Z) <= N leaves at least d - N zero eigenvalues, the R_n smallest.
     report.kyfan_bound = float(np.sum(eigvals)) if r_n > d - n_samples else 0.0
+    problem = TTNPEProblem(z=z, mode_dims=mode_dims, chain=chain, variant=variant)
     report.wall_time["eigensolve"] = time.perf_counter() - t0
 
     scale = max(1.0, frobenius_norm(z))

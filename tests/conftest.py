@@ -19,6 +19,22 @@ def write_idx_labels(path, labels):
     path.write_bytes(struct.pack(">ii", 0x801, len(labels)) + labels.tobytes())
 
 
+def spy_square_eigh(monkeypatch, d, fail_first=False):
+    """The inputs of every ``np.linalg.eigh`` call on a d x d array; with
+    ``fail_first`` the first such call raises LinAlgError."""
+    calls, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        if np.shape(a) == (d, d):
+            calls.append(a)
+            if fail_first and len(calls) == 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

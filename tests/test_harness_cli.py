@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_orthonormal_chain, write_idx_images, write_idx_labels
+from conftest import random_orthonormal_chain, spy_square_eigh, write_idx_images, write_idx_labels
 import ttnpe
 from ttnpe import cli, harness, solver
 from ttnpe.cli import main
@@ -394,6 +394,78 @@ class TestRunExperiment:
         assert agg["n_ok"] == 3
         errors = [c["error_rate"] for c in doc["cells"]]
         assert abs(agg["mean_error"] - np.mean(errors)) < 1e-12
+
+
+def float_bits(value):
+    """``value`` with every float written as its exact hex, so -0.0 != 0.0."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: float_bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [float_bits(v) for v in value]
+    return value
+
+
+class TestSharedSpectrum:
+    """Every tau of one (trial, noise level) decomposes that split's Z once."""
+
+    def config(self, tmp_path, rng, name="report.json", **overrides):
+        images, labels = class_pixels(12, 4)
+        raw = base_config(tmp_path, rng, dataset=write_idx_pair(tmp_path, images, labels),
+                          reshape=[2, 2, 2, 2], class_filter=[1, 2], tau_list=[0.5, 0.3, 0.1],
+                          noise_snr_db=[None, 0], trials=2, max_sweeps=5,
+                          output_path=str(tmp_path / name))
+        raw.update(overrides)
+        return ExperimentConfig.from_dict(raw)
+
+    def test_one_eigensolve_per_split(self, tmp_path, rng, monkeypatch):
+        counts = {"fit": 0, "build_weight_matrix": 0, "build_gram": 0}
+        for module, name in ((harness, "fit"), (solver, "build_weight_matrix"), (solver, "build_gram")):
+            def counted(*args, _name=name, _f=getattr(module, name), **kwargs):
+                counts[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        calls = spy_square_eigh(monkeypatch, 16)
+        config = self.config(tmp_path, rng)
+        doc = run_experiment(config)
+        assert len(doc["cells"]) == 12 and all("error" not in c for c in doc["cells"])
+        assert len(calls) == 4  # 2 trials x 2 levels; one per cell would make 12
+        assert counts == {"fit": 12, "build_weight_matrix": 12, "build_gram": 12}
+        one_split = replace(config, trials=1, noise_snr_db=None)
+        for runs in (1, 2):  # each run pays its own eigensolve, even of the same split
+            run_experiment(one_split)
+            assert len(calls) == 4 + runs
+
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_same_report_as_unshared_fits(self, tmp_path, rng, monkeypatch, variant):
+        config = self.config(tmp_path, rng, variant=variant)
+        shared = run_experiment(config)
+        fit_config = harness.fit_config
+        monkeypatch.setattr(harness, "fit_config",
+                            lambda config, train, tau, spectrum=None: fit_config(config, train, tau))
+        alone = run_experiment(replace(config, output_path=str(tmp_path / "alone.json")))
+        assert all("error" not in c for c in shared["cells"])
+        for key in ("cells", "baselines", "aggregates"):
+            assert float_bits(shared[key]) == float_bits(alone[key])
+
+    def test_failed_eigensolve_is_recorded_and_not_held(self, tmp_path, rng, monkeypatch):
+        config = self.config(tmp_path, rng, trials=1, noise_snr_db=None)
+        want = run_experiment(replace(config, output_path=str(tmp_path / "want.json")))
+        held, fit_config = [], harness.fit_config
+
+        def recording(config, train, tau, spectrum=None):
+            try:
+                return fit_config(config, train, tau, spectrum)
+            finally:
+                held.append(spectrum.z is not None)
+
+        monkeypatch.setattr(harness, "fit_config", recording)
+        calls = spy_square_eigh(monkeypatch, 16, fail_first=True)
+        doc = run_experiment(config)
+        assert doc["cells"][0]["error"] == "LinAlgError: Eigenvalues did not converge"
+        assert held == [False, True, True] and len(calls) == 2
+        assert float_bits(doc["cells"][1:]) == float_bits(want["cells"][1:])
 
 
 class TestRunConvergence:

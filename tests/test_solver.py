@@ -1,11 +1,13 @@
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import brute_core_form, random_orthonormal_chain, random_psd
+from conftest import brute_core_form, random_orthonormal_chain, random_psd, spy_square_eigh
+import ttnpe
 from ttnpe import harness, solver, stiefel
 from ttnpe.classifier import evaluate
 from ttnpe.errors import ConfigError
@@ -200,6 +202,63 @@ class TestSmallestEigvecs:
         _, v1 = smallest_eigvecs(z, 3)
         _, v2 = smallest_eigvecs(z, 3)
         assert np.array_equal(v1, v2)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestGramSpectrum:
+    def gram_with_zero(self, rng):
+        z = random_psd(rng, 6)
+        z[0, 5] = z[5, 0] = 0.0
+        return z
+
+    def test_equal_bits_reuse_the_held_pair(self, rng, monkeypatch):
+        z = self.gram_with_zero(rng)
+        want = smallest_eigvecs(z, 2)
+        calls = spy_square_eigh(monkeypatch, 6)
+        spectrum = solver.GramSpectrum()
+        first = spectrum.smallest_eigvecs(z, 2)
+        again = spectrum.smallest_eigvecs(z.copy(), 3)
+        assert len(calls) == 1
+        assert first[0] is z and again[0] is z
+        assert same_bits(first[1], want[0]) and same_bits(first[2], want[1])
+        assert same_bits(again[1][:2], want[0]) and same_bits(again[2][:, :2], want[1])
+
+    @pytest.mark.parametrize("change", ["one-bit", "negative-zero", "shape"])
+    def test_other_bits_recompute(self, rng, monkeypatch, change):
+        z = self.gram_with_zero(rng)
+        other = z.copy()
+        if change == "one-bit":
+            other.view(np.uint64)[3, 2] ^= 1
+        elif change == "negative-zero":
+            other[0, 5] = other[5, 0] = -0.0
+            assert np.array_equal(other, z)  # equal as floats, not as bits
+        else:
+            other = random_psd(rng, 7)
+        calls = spy_square_eigh(monkeypatch, other.shape[0])
+        spectrum = solver.GramSpectrum()
+        spectrum.smallest_eigvecs(z, 2)
+        got = spectrum.smallest_eigvecs(other, 2)
+        assert len(calls) == (2 if change != "shape" else 1)
+        assert got[0] is other and spectrum.z is other
+        want = smallest_eigvecs(other, 2)
+        assert same_bits(got[1], want[0]) and same_bits(got[2], want[1])
+
+    def test_failed_eigensolve_holds_nothing(self, rng, monkeypatch):
+        z = self.gram_with_zero(rng)
+        other = random_psd(rng, 6)
+        spectrum = solver.GramSpectrum()
+        spectrum.smallest_eigvecs(z, 2)
+        calls = spy_square_eigh(monkeypatch, 6, fail_first=True)
+        with pytest.raises(np.linalg.LinAlgError):
+            spectrum.smallest_eigvecs(other, 2)
+        assert spectrum.z is None
+        got = spectrum.smallest_eigvecs(other, 2)
+        assert len(calls) == 2 and spectrum.z is other
+        want = smallest_eigvecs(other, 2)
+        assert same_bits(got[1], want[0]) and same_bits(got[2], want[1])
 
 
 class TestBuildPQC:
@@ -771,6 +830,52 @@ class TestFit:
         z = build_gram(build_residual(d_mat, build_weight_matrix(d_mat, graph)))
         expected = np.sort(np.linalg.eigvalsh(z))[:r_n].sum()
         assert abs(report.kyfan_bound - expected) < 1e-10 * max(1.0, float(np.linalg.norm(z)))
+
+    def test_each_fit_pays_its_own_eigensolve(self, rng, monkeypatch):
+        data, _ = self.separable_data(rng, per_class=12)
+        calls = spy_square_eigh(monkeypatch, 8)
+        for _ in range(2):
+            ttnpe.fit(data, AffinityConfig(3), tau=0.3, variant="atn", max_sweeps=3)
+        assert len(calls) == 2
+        ttnpe.fit(data, AffinityConfig(3), tau=0.3, variant="tn", max_sweeps=3)
+        assert len(calls) == 2  # TN bounds the objective with eigvalsh, not eigh
+
+    def test_shared_spectrum_reuses_the_held_gram(self, rng, monkeypatch):
+        data, _ = self.separable_data(rng, per_class=12)
+        want = [fit(data, AffinityConfig(3), tau, variant="atn", max_sweeps=3) for tau in (0.3, 0.1)]
+        built, seen = [], []
+        gram, split, value = solver.build_gram, solver.tt_svd, solver.objective
+
+        def keep(y):
+            z = gram(y)
+            built.append(weakref.ref(z))
+            return z
+
+        def live():
+            return [ref() for ref in built if ref() is not None]
+
+        def record_split(*args, **kwargs):
+            seen.append(live())
+            return split(*args, **kwargs)
+
+        def record_objective(problem):
+            seen.append([problem.z] + [z for z in live() if z is not problem.z])
+            return value(problem)
+
+        monkeypatch.setattr(solver, "build_gram", keep)
+        monkeypatch.setattr(solver, "tt_svd", record_split)
+        monkeypatch.setattr(solver, "objective", record_objective)
+        calls = spy_square_eigh(monkeypatch, 8)
+        spectrum = solver.GramSpectrum()
+        got = [fit(data, AffinityConfig(3), tau, variant="atn", max_sweeps=3, spectrum=spectrum)
+               for tau in (0.3, 0.1)]
+        assert len(calls) == 1 and len(built) == 2 and spectrum.z is built[0]()
+        # one d x d Z per split: the second fit's own Z is gone before TT-SVD or a sweep
+        assert all(zs == [] or (len(zs) == 1 and zs[0] is spectrum.z) for zs in seen)
+        for (chain, report), (chain_want, report_want) in zip(got, want):
+            assert all(same_bits(a, b) for a, b in zip(chain.cores, chain_want.cores))
+            assert report.objective_trace == report_want.objective_trace
+            assert report.kyfan_bound == report_want.kyfan_bound
 
     def test_kyfan_bound_holds(self, rng):
         data, _ = self.separable_data(rng)
