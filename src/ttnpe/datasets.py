@@ -84,10 +84,11 @@ def load_csv(path, label_column: int) -> tuple[np.ndarray, np.ndarray]:
     """Load a rectangular numeric CSV, one sample per row.
 
     The label column is extracted; remaining values become float64 features
-    (no scaling). A non-numeric first row is treated as a header.
+    (no scaling). The file is read as UTF-8, a leading byte-order mark
+    dropped. A non-numeric first row is treated as a header.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except (OSError, ValueError, csv.Error) as exc:  # ValueError covers bad UTF-8
         raise DataError(f"{path}: cannot read CSV: {exc}") from exc
@@ -129,10 +130,12 @@ def noise_sigma(samples: np.ndarray, snr_db: float) -> float:
     mean per-entry signal power mean_i(||X_i||_F^2 / d) over 10^(snr_db/10).
     Raises ConfigError naming ``noise_snr_db`` when the level is not finite or
     4 d variance (the bound ``nearest.sq_norms`` checks) times 2**10 (room for
-    the tails of the noise) is not a finite float."""
+    the tails of the noise) is not a finite float, a signal power that
+    overflows included."""
     flat = left_unfold(np.asarray(samples, dtype=np.float64))
     d = flat.shape[0]
-    signal_power = float(np.mean(np.sum(flat * flat, axis=0)) / d)
+    with np.errstate(over="ignore"):  # an overflow to inf is the ConfigError below
+        signal_power = float(np.mean(np.sum(flat * flat, axis=0)) / d)
     try:
         variance = signal_power / 10.0 ** (snr_db / 10.0) if math.isfinite(snr_db) else math.inf
     except (OverflowError, ZeroDivisionError):  # the ratio overflows, or underflows to 0

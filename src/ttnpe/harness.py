@@ -22,7 +22,7 @@ from ttnpe.datasets import add_noise, float_samples, load_csv, noise_sigma, read
 from ttnpe.errors import ConfigError, DataError, NumericError, is_int, is_number, load_json, require_int
 from ttnpe.nearest import check_k
 from ttnpe.neighborhood_graph import AffinityConfig, check_graph_k
-from ttnpe.solver import GramSpectrum, check_sweep_args, fit
+from ttnpe.solver import SplitCache, check_sweep_args, fit
 from ttnpe.tt_subspace import TTChain, check_tt_args, load_chain, project_many, save_chain
 
 _DATASET_KEYS = {"idx": ("format", "image_path", "label_path"),
@@ -205,11 +205,13 @@ def _graph_config(config: ExperimentConfig) -> AffinityConfig:
 
 
 def fit_config(config: ExperimentConfig, train: np.ndarray, tau: float,
-               spectrum: GramSpectrum | None = None):
+               split_cache: SplitCache | None = None):
     """``fit`` on ``train`` at ``tau`` with the config's graph, variant,
-    sweep limit and rank cap, and ``fit``'s ``spectrum``; returns (chain, report)."""
+    sweep limit and rank cap, and ``fit``'s ``split_cache``, the holder of
+    ``train``'s KNN graph and Gram eigendecomposition shared by the fits of
+    one split; returns (chain, report)."""
     return fit(train, _graph_config(config), tau, variant=config.variant,
-               max_sweeps=config.max_sweeps, rank_cap=config.rank_cap, spectrum=spectrum)
+               max_sweeps=config.max_sweeps, rank_cap=config.rank_cap, split_cache=split_cache)
 
 
 def probe_output(path) -> None:
@@ -245,9 +247,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     ``ConfigError``, ``DataError`` and ``LinAlgError``, or ``NumericError``)
     records its message and the run continues; any other exception is a
     bug and propagates. The fits of one (trial, noise level) share one
-    ``solver.GramSpectrum``, so ATN decomposes that split's Gram target Z
-    once and every later tau reuses it; the graph and Z are still built per
-    tau. Writes the deterministic report to ``output_path``,
+    ``solver.SplitCache``, so both variants search that split's KNN graph
+    once and ATN decomposes its Gram target Z once, and every later tau
+    reuses them; S, Y and Z are still built per tau. Writes the
+    deterministic report to ``output_path``,
     timings to ``output_path + '.timings.json'`` (per fitted cell: subspace
     learning, embedding and classification, the solver's per-stage
     ``wall_time``, its TN ``core_solves``, its ``kyfan_bound`` and
@@ -274,7 +277,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         for level, snr_db in enumerate(snr_list):
             train, train_labels, test, test_labels = trial_data(
                 config, samples, labels, trial, level)
-            spectrum = GramSpectrum()  # every tau of this split builds the same Z
+            split_cache = SplitCache()  # every tau of this split searches the same D
             base = evaluate(None, train, train_labels, test, test_labels, config.k_classify)
             baselines.append({
                 "trial": trial,
@@ -285,7 +288,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 cell = {"tau": tau, "trial": trial, "snr_db": snr_db}
                 t0 = time.perf_counter()
                 try:
-                    chain, report = fit_config(config, train, tau, spectrum)
+                    chain, report = fit_config(config, train, tau, split_cache)
                     learn_seconds = time.perf_counter() - t0
                     result = evaluate(chain, train, train_labels, test, test_labels,
                                       config.k_classify)
@@ -398,15 +401,17 @@ def run_convergence(config: ExperimentConfig) -> dict:
 
     A variant failing with a library error (as in ``run_experiment``) is
     recorded with its reason; the other variant still runs. The set-up is
-    :func:`first_cell_train`'s.
+    :func:`first_cell_train`'s. Both fits share one ``solver.SplitCache``,
+    so the split's KNN graph is searched once.
     """
     train = first_cell_train(config, config.output_path)
     tau = config.tau_list[0]
+    split_cache = SplitCache()
     traces = {}
     for variant in ("tn", "atn"):
         entry = {}
         try:
-            chain, report = fit_config(replace(config, variant=variant), train, tau)
+            chain, report = fit_config(replace(config, variant=variant), train, tau, split_cache)
             entry.update({
                 "objective_trace": report.objective_trace,
                 "surrogate_trace": report.surrogate_trace,

@@ -13,7 +13,8 @@ distances the heat kernel reads are exact on the search's reference
 distance, whatever the memory layout of D, and no N x N distance matrix is
 formed. S is the one N x N array of the graph stage: ``build_weight_matrix``
 writes the heat-kernel weights of the (N, K) lists and their transposes
-straight into it and normalizes its rows in place.
+straight into it and normalizes its rows in place. It takes the lists from
+the search it is given, ``knn_graph`` by default.
 """
 
 from __future__ import annotations
@@ -81,15 +82,20 @@ def resolve_epsilon(sq_dists: np.ndarray, config: AffinityConfig) -> float:
     return eps
 
 
-def build_weight_matrix(d_mat: np.ndarray, config: AffinityConfig) -> np.ndarray:
+def build_weight_matrix(d_mat: np.ndarray, config: AffinityConfig, search=knn_graph) -> np.ndarray:
     """Row-normalized S from the KNN lists, built in one N x N array.
 
-    The heat-kernel weights F_ij = exp(-d_ij^2 / eps) of the (N, K) lists
+    ``search(d_mat, K)`` returns the (N, K) lists as :func:`knn_graph` does;
+    ``solver.fit`` passes its ``SplitCache``'s, which searches each split
+    once. The heat-kernel weights F_ij = exp(-d_ij^2 / eps) of the lists
     are written to (i, j) and then added at (j, i), so each entry holds
-    F_ij + F_ji; each row is then divided by its sum in place.
+    F_ij + F_ji; each row is then divided by its sum in place. An eps so
+    small that d_ij^2 / eps overflows gives F_ij = 0, silently, and so the
+    zero-row-sum DataError.
     """
-    neighbors, sq_dists = knn_graph(d_mat, config.k_neighbors)
-    w = np.exp(-sq_dists / resolve_epsilon(sq_dists, config))
+    neighbors, sq_dists = search(d_mat, config.k_neighbors)
+    with np.errstate(over="ignore"):
+        w = np.exp(-sq_dists / resolve_epsilon(sq_dists, config))
     n = neighbors.shape[0]
     rows = np.arange(n)[:, None]
     s = np.zeros((n, n))

@@ -31,6 +31,7 @@ L_{k+1} = X_k^T L_k reshaped). As P^T P = I, the residual of core k is
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -42,6 +43,7 @@ from ttnpe.neighborhood_graph import (
     build_gram,
     build_residual,
     build_weight_matrix,
+    knn_graph,
 )
 from ttnpe.stiefel import OptimizeResult, OptimizerConfig, minimize_quadratic, polar
 from ttnpe.tensor_core import frobenius_norm, kronecker, left_unfold
@@ -83,8 +85,10 @@ class SolverReport:
     objective: the sum of Z's R_n smallest eigenvalues, exactly 0.0 when
     R_n <= d - N (Z = Y Y^T has rank at most N). ``wall_time`` holds
     seconds per stage ("tt_svd", "graph", "eigensolve", "sweeps") and is
-    the only non-deterministic field; "eigensolve" reads near 0 for an ATN
-    fit whose ``GramSpectrum`` already held Z's decomposition.
+    the only non-deterministic field; "graph" drops by the KNN search for a
+    fit whose ``SplitCache`` already held the split's graph, and
+    "eigensolve" reads near 0 for an ATN fit whose ``SplitCache`` already
+    held Z's decomposition.
     ``core_solves`` holds, per TN sweep, each core solve's step count and stop
     reason (``{"steps": int, "stop": str}``); it stays empty for ATN."""
 
@@ -171,22 +175,41 @@ def smallest_eigvecs(z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     Sign-fixed (largest-magnitude entry positive) for determinism. Returns
     (eigenvalues, eigenvectors).
     """
-    return GramSpectrum().smallest_eigvecs(z, r)[1:]
+    return SplitCache().smallest_eigvecs(z, r)[1:]
 
 
-class GramSpectrum:
-    """One split's Gram target Z and its ``np.linalg.eigh``, shared by the fits
-    of every tau, which build the same Z.
+class SplitCache:
+    """One split's KNN graph and Gram target Z with its ``np.linalg.eigh``,
+    shared by the fits of every tau, which search the same D and build the
+    same Z.
 
-    :meth:`smallest_eigvecs` keeps the held pair for a Z equal to the held one
-    bit for bit (compared as ``uint64``, so 0.0 and -0.0 differ) and otherwise
-    replaces it. The old pair is released before ``eigh`` runs, and nothing is
-    held after ``eigh`` raises. It holds Z and its eigenvectors, 2 d^2 float64.
+    :meth:`knn_graph` keeps the held lists for a D of the same shape and
+    dtype, the same K and the same SHA-256 of D's bytes in F order, which
+    hashes a view when D is F-contiguous, as ``fit``'s is; other bits, even
+    -0.0 for 0.0 or another matrix with the same buffer, search anew.
+    :meth:`smallest_eigvecs` keeps the held pair for a Z equal to the held
+    one bit for bit (compared as ``uint64``, so 0.0 and -0.0 differ). Either
+    replacement releases the old entry before the new search or ``eigh``
+    runs, and nothing is held after it raises. It holds the (N, K) lists
+    (read-only), Z and Z's eigenvectors, 2 d^2 float64.
     """
 
     def __init__(self):
+        self.graph_key = self.graph = None
         self.z = None
         self._eigh = None
+
+    def knn_graph(self, d_mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``neighborhood_graph.knn_graph(d_mat, k)``, searched once per key."""
+        digest = hashlib.sha256(np.ascontiguousarray(d_mat.T)).digest()  # F order of D
+        key = (d_mat.shape, d_mat.dtype.str, k, digest)
+        if self.graph_key != key:
+            self.graph_key = self.graph = None
+            self.graph = knn_graph(d_mat, k)
+            for held in self.graph:
+                held.flags.writeable = False
+            self.graph_key = key
+        return self.graph
 
     def smallest_eigvecs(self, z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(held Z, eigenvalues, eigenvectors): as :func:`smallest_eigvecs`
@@ -325,7 +348,7 @@ def sweep_atn(problem: TTNPEProblem, v: np.ndarray) -> list[float]:
 def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = "atn",
         max_sweeps: int = 50, core_change_tol: float = 1e-6, rank_cap=None,
         opt_cfg: OptimizerConfig | None = None,
-        spectrum: GramSpectrum | None = None) -> tuple[TTChain, SolverReport]:
+        split_cache: SplitCache | None = None) -> tuple[TTChain, SolverReport]:
     """End-to-end alternating fit.
 
     ``data`` stacks samples along the last mode, shape (I_1, ..., I_n, N).
@@ -342,13 +365,16 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     or NumericError is raised. The bound takes no eigensolve when
     R_n <= d - N, where it is exactly 0.0; otherwise TN takes it from
     ``eigvalsh`` of Z, and ATN from the eigenvalues of the one ``eigh`` of Z
-    that also gives its target. ATN takes that ``eigh`` from ``spectrum``, a
-    :class:`GramSpectrum` (a fresh one when None): given the holder of an
-    earlier fit that built the same Z bit for bit, as every tau of one split
-    does, it runs no eigensolve and continues with the held Z. Z is built
-    after TT-SVD, so a new Z equal to the held one lives only until it is
-    compared, and one d x d Z stays alive. TN leaves the holder untouched.
-    Y is released once Z is built.
+    that also gives its target. Given ``split_cache``, the
+    :class:`SplitCache` of earlier fits on the same training data (as every
+    tau of one split is), both variants take the KNN graph from it
+    (``build_weight_matrix``'s ``search``) and ATN its ``eigh``, neither
+    recomputed, and ATN continues with the held Z. With None, ``knn_graph``
+    searches the graph and nothing is hashed, and ATN decomposes Z in a
+    fresh holder. S, Y and Z are built on every call.
+    Z is built after TT-SVD, so a new Z equal to the held one lives only
+    until it is compared, and one d x d Z stays alive. Y is released once
+    Z is built.
     ``opt_cfg`` bounds the power iteration on TN cores 1..n-1 through its
     ``max_inner_iters`` and ``grad_tol``; the last TN core and every ATN
     core update are solved in closed form.
@@ -372,14 +398,15 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
 
     t0 = time.perf_counter()
     d_mat = left_unfold(data)
-    z = build_gram(build_residual(d_mat, build_weight_matrix(d_mat, graph_cfg)))
+    search = knn_graph if split_cache is None else split_cache.knn_graph
+    z = build_gram(build_residual(d_mat, build_weight_matrix(d_mat, graph_cfg, search)))
     report.wall_time["graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     r_n = chain.embedding_dim
     v, eigvals = None, ()
     if variant == "atn":
-        z, eigvals, v = (GramSpectrum() if spectrum is None else spectrum).smallest_eigvecs(z, r_n)
+        z, eigvals, v = (SplitCache() if split_cache is None else split_cache).smallest_eigvecs(z, r_n)
     elif r_n > d - n_samples:
         eigvals = np.linalg.eigvalsh(z)[:r_n]
     # rank(Z) <= N leaves at least d - N zero eigenvalues, the R_n smallest.

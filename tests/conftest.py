@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from ttnpe import solver
 from ttnpe.tensor_core import left_unfold
 from ttnpe.tt_subspace import TTChain, left_orthogonalize
 
@@ -32,6 +33,22 @@ def spy_square_eigh(monkeypatch, d, fail_first=False):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+def spy_graph_searches(monkeypatch, first=None):
+    """The shape of D in every KNN graph search of a fit, ``solver.knn_graph``
+    (the name ``fit`` and ``SplitCache`` look up); with ``first``, the first
+    search returns ``first(knn_graph, d_mat, k)`` instead."""
+    calls, search = [], solver.knn_graph
+
+    def spy(d_mat, k):
+        calls.append(d_mat.shape)
+        if first is not None and len(calls) == 1:
+            return first(search, d_mat, k)
+        return search(d_mat, k)
+
+    monkeypatch.setattr(solver, "knn_graph", spy)
     return calls
 
 

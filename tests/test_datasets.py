@@ -174,6 +174,23 @@ class TestCsv:
         with pytest.raises(DataError, match="out of range"):
             load_csv(p, 5)
 
+    def test_byte_order_mark_keeps_the_first_sample(self, tmp_path):
+        text = b"0,1.5,2\n1,3,4.25\n0,5,6\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        features, labels = load_csv(marked, 0)
+        want_features, want_labels = load_csv(plain, 0)
+        assert features.shape == (3, 2)
+        assert np.array_equal(features, want_features) and np.array_equal(labels, want_labels)
+
+    def test_byte_order_mark_before_a_header_drops_only_the_header(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbflabel,a\n1,2\n3,4\n")
+        features, labels = load_csv(p, 0)
+        assert np.array_equal(features, [[2.0], [4.0]])
+        assert labels.tolist() == [1.0, 3.0]
+
 
 class TestNoise:
     def test_none_is_identity(self, rng):
@@ -208,6 +225,12 @@ class TestNoise:
             noise_sigma(data, snr_db)
         with pytest.raises(ConfigError, match="noise_snr_db"):
             add_noise(data, snr_db, seed=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_signal_power_rejected_without_a_warning(self):
+        data = np.full((2, 4, 3), 1e200)  # each squared entry overflows
+        with pytest.raises(ConfigError, match="noise_snr_db"):
+            noise_sigma(data, 0)
 
     def test_high_snr_small_perturbation(self, rng):
         data = rng.standard_normal((4, 4, 20))

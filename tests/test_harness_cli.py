@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_orthonormal_chain, spy_square_eigh, write_idx_images, write_idx_labels
+from conftest import (random_orthonormal_chain, spy_graph_searches, spy_square_eigh, write_idx_images,
+                      write_idx_labels)
 import ttnpe
 from ttnpe import cli, harness, solver
 from ttnpe.cli import main
@@ -407,8 +408,20 @@ def float_bits(value):
     return value
 
 
+def count_calls(monkeypatch, *names):
+    """Calls of each ``(module, name)``, counted by name."""
+    counts = dict.fromkeys((name for _, name in names), 0)
+    for module, name in names:
+        def counted(*args, _name=name, _f=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
 class TestSharedSpectrum:
-    """Every tau of one (trial, noise level) decomposes that split's Z once."""
+    """Every tau of one (trial, noise level) searches that split's KNN graph
+    once and decomposes its Z once."""
 
     def config(self, tmp_path, rng, name="report.json", **overrides):
         images, labels = class_pixels(12, 4)
@@ -420,12 +433,8 @@ class TestSharedSpectrum:
         return ExperimentConfig.from_dict(raw)
 
     def test_one_eigensolve_per_split(self, tmp_path, rng, monkeypatch):
-        counts = {"fit": 0, "build_weight_matrix": 0, "build_gram": 0}
-        for module, name in ((harness, "fit"), (solver, "build_weight_matrix"), (solver, "build_gram")):
-            def counted(*args, _name=name, _f=getattr(module, name), **kwargs):
-                counts[_name] += 1
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+        counts = count_calls(monkeypatch, (harness, "fit"), (solver, "build_weight_matrix"),
+                             (solver, "build_gram"))
         calls = spy_square_eigh(monkeypatch, 16)
         config = self.config(tmp_path, rng)
         doc = run_experiment(config)
@@ -438,27 +447,65 @@ class TestSharedSpectrum:
             assert len(calls) == 4 + runs
 
     @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_one_graph_search_per_split(self, tmp_path, rng, monkeypatch, variant):
+        counts = count_calls(monkeypatch, (harness, "fit"), (solver, "build_weight_matrix"),
+                             (solver, "build_gram"))
+        searches = spy_graph_searches(monkeypatch)
+        doc = run_experiment(self.config(tmp_path, rng, variant=variant))
+        assert len(doc["cells"]) == 12 and all("error" not in c for c in doc["cells"])
+        assert len(searches) == 4  # 2 trials x 2 levels; one per cell would make 12
+        assert counts == {"fit": 12, "build_weight_matrix": 12, "build_gram": 12}
+
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
     def test_same_report_as_unshared_fits(self, tmp_path, rng, monkeypatch, variant):
         config = self.config(tmp_path, rng, variant=variant)
+        searches = spy_graph_searches(monkeypatch)
         shared = run_experiment(config)
+        assert len(searches) == 4
         fit_config = harness.fit_config
         monkeypatch.setattr(harness, "fit_config",
-                            lambda config, train, tau, spectrum=None: fit_config(config, train, tau))
+                            lambda config, train, tau, split_cache=None: fit_config(config, train, tau))
         alone = run_experiment(replace(config, output_path=str(tmp_path / "alone.json")))
+        assert len(searches) == 4 + 12
         assert all("error" not in c for c in shared["cells"])
         for key in ("cells", "baselines", "aggregates"):
             assert float_bits(shared[key]) == float_bits(alone[key])
+
+    @pytest.mark.parametrize("failure, error", [
+        (lambda search, d_mat, k: search(d_mat, d_mat.shape[1]),
+         "ConfigError: K must be < number of samples"),
+        (lambda search, d_mat, k: search(d_mat * 1e-300, k),
+         "DataError: sample values are too small"),
+    ], ids=["check_graph_k", "too-small"])
+    def test_failed_graph_search_is_recorded_and_not_held(self, tmp_path, rng, monkeypatch,
+                                                          failure, error):
+        config = self.config(tmp_path, rng, trials=1, noise_snr_db=None)
+        want = run_experiment(replace(config, output_path=str(tmp_path / "want.json")))
+        held, fit_config = [], harness.fit_config
+
+        def recording(config, train, tau, split_cache=None):
+            try:
+                return fit_config(config, train, tau, split_cache)
+            finally:
+                held.append(split_cache.graph is not None)
+
+        monkeypatch.setattr(harness, "fit_config", recording)
+        searches = spy_graph_searches(monkeypatch, first=failure)
+        doc = run_experiment(config)
+        assert doc["cells"][0]["error"].startswith(error)
+        assert held == [False, True, True] and len(searches) == 2
+        assert float_bits(doc["cells"][1:]) == float_bits(want["cells"][1:])
 
     def test_failed_eigensolve_is_recorded_and_not_held(self, tmp_path, rng, monkeypatch):
         config = self.config(tmp_path, rng, trials=1, noise_snr_db=None)
         want = run_experiment(replace(config, output_path=str(tmp_path / "want.json")))
         held, fit_config = [], harness.fit_config
 
-        def recording(config, train, tau, spectrum=None):
+        def recording(config, train, tau, split_cache=None):
             try:
-                return fit_config(config, train, tau, spectrum)
+                return fit_config(config, train, tau, split_cache)
             finally:
-                held.append(spectrum.z is not None)
+                held.append(split_cache.z is not None)
 
         monkeypatch.setattr(harness, "fit_config", recording)
         calls = spy_square_eigh(monkeypatch, 16, fail_first=True)
@@ -469,6 +516,20 @@ class TestSharedSpectrum:
 
 
 class TestRunConvergence:
+    def test_one_graph_search_for_both_variants(self, tmp_path, rng, monkeypatch):
+        config = ExperimentConfig.from_dict(
+            base_config(tmp_path, rng, output_path=str(tmp_path / "conv.json")))
+        searches = spy_graph_searches(monkeypatch)
+        shared = run_convergence(config)
+        assert len(searches) == 1
+        fit_config = harness.fit_config
+        monkeypatch.setattr(harness, "fit_config",
+                            lambda config, train, tau, split_cache=None: fit_config(config, train, tau))
+        alone = run_convergence(replace(config, output_path=str(tmp_path / "alone.json")))
+        assert len(searches) == 1 + 2
+        assert not any("error" in entry for entry in shared["traces"].values())
+        assert float_bits(shared["traces"]) == float_bits(alone["traces"])
+
     def test_both_variants_traced(self, tmp_path, rng):
         config = ExperimentConfig.from_dict(
             base_config(tmp_path, rng, output_path=str(tmp_path / "conv.json"))
@@ -680,6 +741,26 @@ class TestCli:
         lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
         Path(path).write_text("\n".join(lines) + "\n")
         assert main(["experiment", "--config", str(cfg)]) == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_epsilon_is_a_data_error_without_a_warning(self, tmp_path, rng, capsys):
+        # d_ij^2 / 5e-324 overflows, so every weight and every row sum is 0
+        cfg, raw = self.write_config(tmp_path, rng, epsilon=5e-324)
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "model.json")]) == 2
+        assert "zero row sum" in capsys.readouterr().err
+        doc = run_experiment(ExperimentConfig.from_dict(raw))
+        assert doc["cells"][0]["error"].startswith("DataError: weight matrix has a zero row sum")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_signal_power_is_a_config_error_without_a_warning(self, tmp_path, rng,
+                                                                          capsys):
+        cfg, raw = self.write_config(tmp_path, rng, noise_snr_db=[0])
+        path = Path(raw["dataset"]["path"])
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        path.write_text("".join(f"{row[0]}," + ",".join(repr(1e200 * (1.0 + 0.01 * float(v)))
+                                                        for v in row[1:]) + "\n" for row in rows))
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert "noise_snr_db" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["embed", "classify"])
     def test_model_reshape_mismatch_exit_code(self, tmp_path, rng, capsys, command):

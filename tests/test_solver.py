@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import brute_core_form, random_orthonormal_chain, random_psd, spy_square_eigh
+from conftest import (brute_core_form, random_orthonormal_chain, random_psd, spy_graph_searches,
+                      spy_square_eigh)
 import ttnpe
 from ttnpe import harness, solver, stiefel
 from ttnpe.classifier import evaluate
-from ttnpe.errors import ConfigError
-from ttnpe.neighborhood_graph import AffinityConfig, build_gram, build_residual, build_weight_matrix
+from ttnpe.errors import ConfigError, DataError
+from ttnpe.neighborhood_graph import (AffinityConfig, build_gram, build_residual, build_weight_matrix,
+                                     knn_graph)
 from ttnpe.solver import (
     TTNPEProblem,
     build_A,
@@ -218,9 +220,9 @@ class TestGramSpectrum:
         z = self.gram_with_zero(rng)
         want = smallest_eigvecs(z, 2)
         calls = spy_square_eigh(monkeypatch, 6)
-        spectrum = solver.GramSpectrum()
-        first = spectrum.smallest_eigvecs(z, 2)
-        again = spectrum.smallest_eigvecs(z.copy(), 3)
+        cache = solver.SplitCache()
+        first = cache.smallest_eigvecs(z, 2)
+        again = cache.smallest_eigvecs(z.copy(), 3)
         assert len(calls) == 1
         assert first[0] is z and again[0] is z
         assert same_bits(first[1], want[0]) and same_bits(first[2], want[1])
@@ -238,27 +240,94 @@ class TestGramSpectrum:
         else:
             other = random_psd(rng, 7)
         calls = spy_square_eigh(monkeypatch, other.shape[0])
-        spectrum = solver.GramSpectrum()
-        spectrum.smallest_eigvecs(z, 2)
-        got = spectrum.smallest_eigvecs(other, 2)
+        cache = solver.SplitCache()
+        cache.smallest_eigvecs(z, 2)
+        got = cache.smallest_eigvecs(other, 2)
         assert len(calls) == (2 if change != "shape" else 1)
-        assert got[0] is other and spectrum.z is other
+        assert got[0] is other and cache.z is other
         want = smallest_eigvecs(other, 2)
         assert same_bits(got[1], want[0]) and same_bits(got[2], want[1])
 
     def test_failed_eigensolve_holds_nothing(self, rng, monkeypatch):
         z = self.gram_with_zero(rng)
         other = random_psd(rng, 6)
-        spectrum = solver.GramSpectrum()
-        spectrum.smallest_eigvecs(z, 2)
+        cache = solver.SplitCache()
+        cache.smallest_eigvecs(z, 2)
         calls = spy_square_eigh(monkeypatch, 6, fail_first=True)
         with pytest.raises(np.linalg.LinAlgError):
-            spectrum.smallest_eigvecs(other, 2)
-        assert spectrum.z is None
-        got = spectrum.smallest_eigvecs(other, 2)
-        assert len(calls) == 2 and spectrum.z is other
+            cache.smallest_eigvecs(other, 2)
+        assert cache.z is None
+        got = cache.smallest_eigvecs(other, 2)
+        assert len(calls) == 2 and cache.z is other
         want = smallest_eigvecs(other, 2)
         assert same_bits(got[1], want[0]) and same_bits(got[2], want[1])
+
+
+def same_graph(got, want):
+    return np.array_equal(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+class TestSplitCacheGraph:
+    """``SplitCache.knn_graph`` searches once per (shape, dtype, K, SHA-256 of D in F order)."""
+
+    def d_mat(self, rng):
+        d_mat = rng.standard_normal((8, 12))
+        d_mat[0, 3] = 0.0
+        return d_mat
+
+    def test_equal_bits_reuse_the_held_graph(self, rng, monkeypatch):
+        d_mat = self.d_mat(rng)
+        want = knn_graph(d_mat, 3)
+        calls = spy_graph_searches(monkeypatch)
+        cache = solver.SplitCache()
+        first = cache.knn_graph(d_mat, 3)
+        again = cache.knn_graph(np.asfortranarray(d_mat), 3)  # the same matrix in another layout
+        assert len(calls) == 1 and again is first and same_graph(first, want)
+        assert not any(held.flags.writeable for held in first)
+
+    @pytest.mark.parametrize("change", ["one-bit", "negative-zero", "k", "shape", "dtype",
+                                        "same-buffer"])
+    def test_other_input_searches_again(self, rng, monkeypatch, change):
+        d_mat = self.d_mat(rng)
+        other, k = d_mat.copy(), 3
+        if change == "one-bit":
+            other.view(np.uint64)[2, 5] ^= 1
+        elif change == "negative-zero":
+            other[0, 3] = -0.0
+            assert np.array_equal(other, d_mat)  # equal as floats, not as bits
+        elif change == "k":
+            k = 4
+        elif change == "dtype":
+            other = d_mat.view(np.int64)
+        elif change == "shape":  # the same bytes in F order
+            other = np.asfortranarray(d_mat).reshape(12, 8, order="F")
+            assert other.tobytes(order="F") == d_mat.tobytes(order="F")
+        else:
+            other = d_mat.reshape(-1).reshape(d_mat.shape, order="F")  # D's buffer, read in F order
+            assert other.tobytes(order="A") == d_mat.tobytes(order="A")
+            assert not np.array_equal(other, d_mat)
+        calls = spy_graph_searches(monkeypatch)
+        cache = solver.SplitCache()
+        cache.knn_graph(d_mat, 3)
+        got = cache.knn_graph(other, k)
+        assert len(calls) == 2 and cache.graph is got
+        assert same_graph(got, knn_graph(other, k))
+
+    @pytest.mark.parametrize("failure", ["k", "tiny"])
+    def test_failed_search_holds_nothing(self, rng, monkeypatch, failure):
+        d_mat = self.d_mat(rng)
+        calls = spy_graph_searches(monkeypatch)
+        cache = solver.SplitCache()
+        cache.knn_graph(d_mat, 3)
+        if failure == "k":  # check_graph_k: each sample needs K others
+            with pytest.raises(ConfigError, match="K must be < number of samples"):
+                cache.knn_graph(d_mat, 12)
+        else:
+            with pytest.raises(DataError, match="too small"):
+                cache.knn_graph(d_mat * 1e-300, 3)
+        assert cache.graph is None and cache.graph_key is None
+        got = cache.knn_graph(d_mat, 3)
+        assert len(calls) == 3 and same_graph(got, knn_graph(d_mat, 3))
 
 
 class TestBuildPQC:
@@ -840,6 +909,44 @@ class TestFit:
         ttnpe.fit(data, AffinityConfig(3), tau=0.3, variant="tn", max_sweeps=3)
         assert len(calls) == 2  # TN bounds the objective with eigvalsh, not eigh
 
+    def test_each_fit_pays_its_own_graph_search(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a fit without a holder hashed its data")
+
+        data, _ = self.separable_data(rng, per_class=12)
+        calls = spy_graph_searches(monkeypatch)
+        monkeypatch.setattr(solver.SplitCache, "knn_graph", fail)
+        for variant in ("atn", "tn"):
+            ttnpe.fit(data, AffinityConfig(3), tau=0.3, variant=variant, max_sweeps=3)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_shared_cache_reuses_the_held_graph(self, rng, monkeypatch, variant):
+        data, _ = self.separable_data(rng, per_class=12)
+        want = [fit(data, AffinityConfig(3), tau, variant=variant, max_sweeps=3) for tau in (0.3, 0.1)]
+        calls = spy_graph_searches(monkeypatch)
+        cache = solver.SplitCache()
+        got = [fit(data, AffinityConfig(3), tau, variant=variant, max_sweeps=3, split_cache=cache)
+               for tau in (0.3, 0.1)]
+        assert len(calls) == 1 and cache.graph is not None
+        for (chain, report), (chain_want, report_want) in zip(got, want):
+            assert all(same_bits(a, b) for a, b in zip(chain.cores, chain_want.cores))
+            assert report.objective_trace == report_want.objective_trace
+            assert report.kyfan_bound == report_want.kyfan_bound
+
+    def test_failed_graph_search_is_not_held(self, rng):
+        data, _ = self.separable_data(rng, per_class=6)
+        want = fit(data, AffinityConfig(3), 0.3, variant="atn", max_sweeps=3)
+        cache = solver.SplitCache()
+        fit(data, AffinityConfig(3), 0.5, variant="atn", max_sweeps=3, split_cache=cache)
+        with pytest.raises(ConfigError, match="K must be < number of samples"):
+            fit(data, AffinityConfig(12), 0.3, variant="atn", max_sweeps=3, split_cache=cache)
+        assert cache.graph is None
+        chain, report = fit(data, AffinityConfig(3), 0.3, variant="atn", max_sweeps=3,
+                            split_cache=cache)
+        assert all(same_bits(a, b) for a, b in zip(chain.cores, want[0].cores))
+        assert report.objective_trace == want[1].objective_trace
+
     def test_shared_spectrum_reuses_the_held_gram(self, rng, monkeypatch):
         data, _ = self.separable_data(rng, per_class=12)
         want = [fit(data, AffinityConfig(3), tau, variant="atn", max_sweeps=3) for tau in (0.3, 0.1)]
@@ -866,12 +973,12 @@ class TestFit:
         monkeypatch.setattr(solver, "tt_svd", record_split)
         monkeypatch.setattr(solver, "objective", record_objective)
         calls = spy_square_eigh(monkeypatch, 8)
-        spectrum = solver.GramSpectrum()
-        got = [fit(data, AffinityConfig(3), tau, variant="atn", max_sweeps=3, spectrum=spectrum)
+        cache = solver.SplitCache()
+        got = [fit(data, AffinityConfig(3), tau, variant="atn", max_sweeps=3, split_cache=cache)
                for tau in (0.3, 0.1)]
-        assert len(calls) == 1 and len(built) == 2 and spectrum.z is built[0]()
+        assert len(calls) == 1 and len(built) == 2 and cache.z is built[0]()
         # one d x d Z per split: the second fit's own Z is gone before TT-SVD or a sweep
-        assert all(zs == [] or (len(zs) == 1 and zs[0] is spectrum.z) for zs in seen)
+        assert all(zs == [] or (len(zs) == 1 and zs[0] is cache.z) for zs in seen)
         for (chain, report), (chain_want, report_want) in zip(got, want):
             assert all(same_bits(a, b) for a, b in zip(chain.cores, chain_want.cores))
             assert report.objective_trace == report_want.objective_trace
@@ -902,7 +1009,7 @@ class TestFit:
         assert all(b <= a + 1e-12 for a, b in zip(flat, flat[1:]))
 
     def test_unknown_variant_rejected_before_any_work(self, rng, monkeypatch):
-        from ttnpe.errors import ConfigError
+        from ttnpe.errors import ConfigError, DataError
 
         def no_graph(*args):
             raise AssertionError("graph built for an unknown variant")
