@@ -157,7 +157,7 @@ def split_per_class(labels: np.ndarray, n_train: int, n_test: int,
         pool = np.flatnonzero(labels == cls)
         if len(pool) < n_train + n_test:
             raise DataError(
-                f"class {cls!r} has {len(pool)} samples, needs {n_train + n_test}"
+                f"class {cls.item()} has {len(pool)} samples, needs {n_train + n_test}"
             )
         perm = rng.permutation(len(pool))
         train_idx.append(pool[perm[:n_train]])
@@ -208,8 +208,8 @@ def fit_config(config: ExperimentConfig, train: np.ndarray, tau: float,
                split_cache: SplitCache | None = None):
     """``fit`` on ``train`` at ``tau`` with the config's graph, variant,
     sweep limit and rank cap, and ``fit``'s ``split_cache``, the holder of
-    ``train``'s KNN graph and Gram eigendecomposition shared by the fits of
-    one split; returns (chain, report)."""
+    ``train``'s TT-SVD steps, KNN graph and Gram eigendecomposition shared
+    by the fits of one split; returns (chain, report)."""
     return fit(train, _graph_config(config), tau, variant=config.variant,
                max_sweeps=config.max_sweeps, rank_cap=config.rank_cap, split_cache=split_cache)
 
@@ -247,9 +247,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     ``ConfigError``, ``DataError`` and ``LinAlgError``, or ``NumericError``)
     records its message and the run continues; any other exception is a
     bug and propagates. The fits of one (trial, noise level) share one
-    ``solver.SplitCache``, so both variants search that split's KNN graph
-    once and ATN decomposes its Gram target Z once, and every later tau
-    reuses them; S, Y and Z are still built per tau. Writes the
+    ``solver.SplitCache``, so both variants factor each TT-SVD rank prefix
+    of that split once and search its KNN graph once, and ATN decomposes
+    its Gram target Z once; every later tau reuses them, whatever order
+    ``tau_list`` has, and S, Y and Z are still built per tau. Writes the
     deterministic report to ``output_path``,
     timings to ``output_path + '.timings.json'`` (per fitted cell: subspace
     learning, embedding and classification, the solver's per-stage
@@ -402,7 +403,7 @@ def run_convergence(config: ExperimentConfig) -> dict:
     A variant failing with a library error (as in ``run_experiment``) is
     recorded with its reason; the other variant still runs. The set-up is
     :func:`first_cell_train`'s. Both fits share one ``solver.SplitCache``,
-    so the split's KNN graph is searched once.
+    so the split's TT-SVD runs once and its KNN graph is searched once.
     """
     train = first_cell_train(config, config.output_path)
     tau = config.tau_list[0]

@@ -85,7 +85,9 @@ class SolverReport:
     objective: the sum of Z's R_n smallest eigenvalues, exactly 0.0 when
     R_n <= d - N (Z = Y Y^T has rank at most N). ``wall_time`` holds
     seconds per stage ("tt_svd", "graph", "eigensolve", "sweeps") and is
-    the only non-deterministic field; "graph" drops by the KNN search for a
+    the only non-deterministic field; "tt_svd", which also times the
+    ``SplitCache`` hash of D, drops to the splits whose rank prefix the
+    holder did not yet hold, "graph" drops by the KNN search for a
     fit whose ``SplitCache`` already held the split's graph, and
     "eigensolve" reads near 0 for an ATN fit whose ``SplitCache`` already
     held Z's decomposition.
@@ -178,31 +180,55 @@ def smallest_eigvecs(z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     return SplitCache().smallest_eigvecs(z, r)[1:]
 
 
-class SplitCache:
-    """One split's KNN graph and Gram target Z with its ``np.linalg.eigh``,
-    shared by the fits of every tau, which search the same D and build the
-    same Z.
+def _digest(a: np.ndarray) -> bytes:
+    """SHA-256 of ``a``'s bytes in F order, which hashes a view when ``a`` is
+    F-contiguous, as ``fit``'s data is."""
+    return hashlib.sha256(np.ascontiguousarray(a.T)).digest()
 
+
+class SplitCache:
+    """One split's TT-SVD steps, KNN graph and Gram target Z with its
+    ``np.linalg.eigh``, shared by the fits of every tau, which factor and
+    search the same D and build the same Z.
+
+    :meth:`hold` hashes a fit's data D (stacked (I_1, ..., I_n, N)) once and
+    keys it on its shape, dtype and SHA-256 in F order; a D of other bits,
+    even -0.0 for 0.0, releases the TT-SVD steps and the graph together.
+    ``steps`` is the dict ``tt_svd`` reads and fills: each rank prefix's
+    (U, s), read-only, at most (R_{k-1} I_k)^2 floats each.
     :meth:`knn_graph` keeps the held lists for a D of the same shape and
-    dtype, the same K and the same SHA-256 of D's bytes in F order, which
-    hashes a view when D is F-contiguous, as ``fit``'s is; other bits, even
-    -0.0 for 0.0 or another matrix with the same buffer, search anew.
-    :meth:`smallest_eigvecs` keeps the held pair for a Z equal to the held
-    one bit for bit (compared as ``uint64``, so 0.0 and -0.0 differ). Either
-    replacement releases the old entry before the new search or ``eigh``
-    runs, and nothing is held after it raises. It holds the (N, K) lists
-    (read-only), Z and Z's eigenvectors, 2 d^2 float64.
+    dtype, the same K and the same SHA-256 of D's bytes in F order; other
+    bits, even -0.0 for 0.0 or another matrix with the same buffer, search
+    anew. :meth:`smallest_eigvecs` keeps the held pair for a Z equal to the
+    held one bit for bit (compared as ``uint64``, so 0.0 and -0.0 differ).
+    Either replacement releases the old entry before the new search or
+    ``eigh`` runs, and nothing is held after it raises. It holds the steps,
+    the (N, K) lists (read-only), Z and Z's eigenvectors, 2 d^2 float64.
     """
 
     def __init__(self):
+        self.data_key = None
+        self.steps = {}
         self.graph_key = self.graph = None
         self.z = None
         self._eigh = None
 
-    def knn_graph(self, d_mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """``neighborhood_graph.knn_graph(d_mat, k)``, searched once per key."""
-        digest = hashlib.sha256(np.ascontiguousarray(d_mat.T)).digest()  # F order of D
-        key = (d_mat.shape, d_mat.dtype.str, k, digest)
+    def hold(self, data: np.ndarray):
+        """Hash ``data`` once for one fit; returns (``steps``, a ``search``
+        for ``build_weight_matrix`` that keys the graph on that hash)."""
+        digest = _digest(data)
+        key = (data.shape, data.dtype.str, digest)
+        if self.data_key != key:
+            self.data_key, self.steps = key, {}
+            self.graph_key = self.graph = None
+        return self.steps, lambda d_mat, k: self.knn_graph(d_mat, k, digest)
+
+    def knn_graph(self, d_mat: np.ndarray, k: int, digest: bytes | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """``neighborhood_graph.knn_graph(d_mat, k)``, searched once per key;
+        ``digest``, when given, is ``d_mat``'s SHA-256 in F order, taken by
+        :meth:`hold`."""
+        key = (d_mat.shape, d_mat.dtype.str, k, _digest(d_mat) if digest is None else digest)
         if self.graph_key != key:
             self.graph_key = self.graph = None
             self.graph = knn_graph(d_mat, k)
@@ -367,11 +393,14 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     ``eigvalsh`` of Z, and ATN from the eigenvalues of the one ``eigh`` of Z
     that also gives its target. Given ``split_cache``, the
     :class:`SplitCache` of earlier fits on the same training data (as every
-    tau of one split is), both variants take the KNN graph from it
-    (``build_weight_matrix``'s ``search``) and ATN its ``eigh``, neither
-    recomputed, and ATN continues with the held Z. With None, ``knn_graph``
-    searches the graph and nothing is hashed, and ATN decomposes Z in a
-    fresh holder. S, Y and Z are built on every call.
+    tau of one split is), the fit hashes ``data`` once (:meth:`SplitCache.hold`),
+    ``tt_svd`` factors only the rank prefixes the holder lacks (its
+    ``steps``), both variants take the KNN graph from it
+    (``build_weight_matrix``'s ``search``) and ATN its ``eigh``, none
+    recomputed, and ATN continues with the held Z. The chain and traces are
+    those of a fit without it, bit for bit. With None, ``tt_svd`` factors
+    every split, ``knn_graph`` searches the graph and nothing is hashed, and
+    ATN decomposes Z in a fresh holder. S, Y and Z are built on every call.
     Z is built after TT-SVD, so a new Z equal to the held one lives only
     until it is compared, and one d x d Z stays alive. Y is released once
     Z is built.
@@ -393,12 +422,12 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
 
     report = SolverReport()
     t0 = time.perf_counter()
-    chain = tt_svd(data, tau, rank_cap=rank_cap)
+    steps, search = (None, knn_graph) if split_cache is None else split_cache.hold(data)
+    chain = tt_svd(data, tau, rank_cap=rank_cap, steps=steps)
     report.wall_time["tt_svd"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     d_mat = left_unfold(data)
-    search = knn_graph if split_cache is None else split_cache.knn_graph
     z = build_gram(build_residual(d_mat, build_weight_matrix(d_mat, graph_cfg, search)))
     report.wall_time["graph"] = time.perf_counter() - t0
 

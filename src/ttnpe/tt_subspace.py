@@ -101,7 +101,7 @@ def check_tt_args(tau, rank_cap, n: int, tau_name: str = "tau") -> list:
     return caps
 
 
-def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None) -> TTChain:
+def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None, steps: dict | None = None) -> TTChain:
     """Sequential-SVD TT decomposition of a dataset stacked along the last mode.
 
     ``dataset`` has shape (I_1, ..., I_n, N). At each of the n splits,
@@ -117,6 +117,18 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None) -> TTChain:
     ``rank_cap`` caps the rank at each split as :func:`check_tt_args` reads
     it. A bad ``tau`` or ``rank_cap`` raises ConfigError before any work,
     and NaN or infinite data raises DataError.
+
+    Split k's unfolding depends only on the dataset and the rank prefix
+    (R_1, ..., R_{k-1}); tau and ``rank_cap`` only pick R_k from its
+    singular values. ``steps``, a dict that belongs to this one dataset
+    (``solver.SplitCache`` holds one per split), maps each prefix already
+    factored to that split's unsliced (U, s), read-only. A held split skips
+    its QR and SVD; a new one is factored and held, at most
+    (R_{k-1} I_k)^2 + R_{k-1} I_k floats. The unfolding is carried only up to
+    a split that is factored, through the same kept vectors in the same
+    order as without ``steps``, so the chain is equal bit for bit, whatever
+    order the taus come in. With None, every split is factored and nothing
+    is held.
     """
     dataset = np.asarray(dataset, dtype=np.float64)
     if dataset.ndim < 2 or dataset.size == 0:
@@ -127,22 +139,33 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None) -> TTChain:
     require_finite(dataset, "dataset")
 
     cores = []
+    kept = []  # each core's left unfolding, the sign-fixed U_r
     r_prev = 1
-    mat = dataset.reshape(r_prev * dims[0], -1, order="F")
+    mat, at = dataset.reshape(dims[0], -1, order="F"), 0  # the unfolding of split `at`
     for k in range(n):
-        # mat = R^T Q^T, so mat and R^T share their left singular pairs.
-        tri = np.linalg.qr(mat.T, mode="r")
-        u, s, _ = np.linalg.svd(tri.T, full_matrices=False)
+        prefix = tuple(c.shape[2] for c in cores)
+        pair = None if steps is None else steps.get(prefix)
+        if pair is None:
+            for j in range(at, k):
+                mat = project_left(kept[j], mat, dims[j + 1])
+            at = k
+            # mat = R^T Q^T, so mat and R^T share their left singular pairs.
+            tri = np.linalg.qr(mat.T, mode="r")
+            pair = np.linalg.svd(tri.T, full_matrices=False)[:2]
+            if steps is not None:
+                for a in pair:
+                    a.flags.writeable = False
+                steps[prefix] = pair
+        u, s = pair
         if s[0] > 0:
             r = max(1, int(np.count_nonzero(s >= tau * s[0])))
         else:
             r = 1
         if caps[k] is not None:
             r = min(r, caps[k])
-        u = fix_signs(u[:, :r])
+        u = fix_signs(u.copy()[:, :r])  # a held U is read-only, and fix_signs flips in place
         cores.append(u.reshape(r_prev, dims[k], r, order="F"))
-        if k + 1 < n:
-            mat = project_left(u, mat, dims[k + 1])
+        kept.append(u)
         r_prev = r
     return TTChain(cores, tau=float(tau))
 

@@ -52,6 +52,23 @@ def spy_graph_searches(monkeypatch, first=None):
     return calls
 
 
+def spy_qr(monkeypatch):
+    """The shape of every ``np.linalg.qr`` input; ``tt_svd`` factors each
+    split it does not hold with one."""
+    calls, qr = [], np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    return calls
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

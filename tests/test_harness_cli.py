@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (random_orthonormal_chain, spy_graph_searches, spy_square_eigh, write_idx_images,
-                      write_idx_labels)
+from conftest import (random_orthonormal_chain, spy_graph_searches, spy_qr, spy_square_eigh,
+                      write_idx_images, write_idx_labels)
 import ttnpe
 from ttnpe import cli, harness, solver
 from ttnpe.cli import main
@@ -459,14 +459,18 @@ class TestSharedSpectrum:
     @pytest.mark.parametrize("variant", ["atn", "tn"])
     def test_same_report_as_unshared_fits(self, tmp_path, rng, monkeypatch, variant):
         config = self.config(tmp_path, rng, variant=variant)
-        searches = spy_graph_searches(monkeypatch)
+        searches, factored = spy_graph_searches(monkeypatch), spy_qr(monkeypatch)
         shared = run_experiment(config)
         assert len(searches) == 4
+        # one QR per rank prefix of each split, against 4 per cell unshared
+        prefixes = {(c["trial"], c["snr_db"], tuple(c["ranks"][:k]))
+                    for c in shared["cells"] for k in range(4)}
+        assert len(factored) == len(prefixes) < 4 * 12
         fit_config = harness.fit_config
         monkeypatch.setattr(harness, "fit_config",
                             lambda config, train, tau, split_cache=None: fit_config(config, train, tau))
         alone = run_experiment(replace(config, output_path=str(tmp_path / "alone.json")))
-        assert len(searches) == 4 + 12
+        assert len(searches) == 4 + 12 and len(factored) == len(prefixes) + 4 * 12
         assert all("error" not in c for c in shared["cells"])
         for key in ("cells", "baselines", "aggregates"):
             assert float_bits(shared[key]) == float_bits(alone[key])
@@ -519,14 +523,14 @@ class TestRunConvergence:
     def test_one_graph_search_for_both_variants(self, tmp_path, rng, monkeypatch):
         config = ExperimentConfig.from_dict(
             base_config(tmp_path, rng, output_path=str(tmp_path / "conv.json")))
-        searches = spy_graph_searches(monkeypatch)
+        searches, factored = spy_graph_searches(monkeypatch), spy_qr(monkeypatch)
         shared = run_convergence(config)
-        assert len(searches) == 1
+        assert len(searches) == 1 and len(factored) == 3  # the ATN fit reuses TN's TT-SVD
         fit_config = harness.fit_config
         monkeypatch.setattr(harness, "fit_config",
                             lambda config, train, tau, split_cache=None: fit_config(config, train, tau))
         alone = run_convergence(replace(config, output_path=str(tmp_path / "alone.json")))
-        assert len(searches) == 1 + 2
+        assert len(searches) == 1 + 2 and len(factored) == 3 + 2 * 3
         assert not any("error" in entry for entry in shared["traces"].values())
         assert float_bits(shared["traces"]) == float_bits(alone["traces"])
 
@@ -686,6 +690,15 @@ class TestCli:
         value = "tn" if flag == "--variant" else "1"
         assert main([command, "--config", str(cfg), *model, flag, value]) == 1
         assert capsys.readouterr().err == f"config error: unrecognized arguments: {flag} {value}\n"
+
+    @pytest.mark.parametrize("fmt, label", [("csv", "0.0"), ("idx", "0")])
+    def test_short_class_error_names_the_plain_label(self, tmp_path, rng, capsys, fmt, label):
+        overrides = {}
+        if fmt == "idx":  # int64 labels from the file's uint8 bytes, 8 per class
+            overrides = {"dataset": write_idx_pair(tmp_path, *class_pixels(8, 2)), "reshape": [2, 2]}
+        cfg, _ = self.write_config(tmp_path, rng, n_train_per_class=6, **overrides)
+        assert main(["experiment", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"data error: class {label} has 8 samples, needs 9\n"
 
     def test_data_error_exit_code(self, tmp_path, rng):
         # too few samples per class for the requested split

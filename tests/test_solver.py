@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (brute_core_form, random_orthonormal_chain, random_psd, spy_graph_searches,
-                      spy_square_eigh)
+from conftest import (brute_core_form, random_orthonormal_chain, random_psd, same_bits,
+                      spy_graph_searches, spy_qr, spy_square_eigh)
 import ttnpe
 from ttnpe import harness, solver, stiefel
 from ttnpe.classifier import evaluate
@@ -206,10 +206,6 @@ class TestSmallestEigvecs:
         assert np.array_equal(v1, v2)
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 class TestGramSpectrum:
     def gram_with_zero(self, rng):
         z = random_psd(rng, 6)
@@ -265,6 +261,18 @@ class TestGramSpectrum:
 
 def same_graph(got, want):
     return np.array_equal(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def spy_hashes(monkeypatch):
+    """One entry per ``hashlib.sha256`` call."""
+    calls, sha256 = [], solver.hashlib.sha256
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return sha256(*args, **kwargs)
+
+    monkeypatch.setattr(solver.hashlib, "sha256", spy)
+    return calls
 
 
 class TestSplitCacheGraph:
@@ -946,6 +954,81 @@ class TestFit:
                             split_cache=cache)
         assert all(same_bits(a, b) for a, b in zip(chain.cores, want[0].cores))
         assert report.objective_trace == want[1].objective_trace
+
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_shared_cache_factors_each_rank_prefix_once(self, rng, monkeypatch, variant):
+        data, _ = self.separable_data(rng, per_class=12)
+        taus = (0.5, 0.3, 0.1)
+        want = [fit(data, AffinityConfig(3), tau, variant=variant, max_sweeps=3) for tau in taus]
+        calls, hashes = spy_qr(monkeypatch), spy_hashes(monkeypatch)
+        cache = solver.SplitCache()
+        got = [fit(data, AffinityConfig(3), tau, variant=variant, max_sweeps=3, split_cache=cache)
+               for tau in taus]
+        prefixes = {chain.ranks[:k] for chain, _ in want for k in range(3)}
+        assert len(calls) == len(prefixes) == len(cache.steps) < 3 * len(taus)
+        assert len(hashes) == len(taus)  # one SHA-256 per fit keys both the steps and the graph
+        for (chain, report), (chain_want, report_want) in zip(got, want):
+            assert chain.tau == chain_want.tau
+            assert all(same_bits(a, b) for a, b in zip(chain.cores, chain_want.cores))
+            assert report.objective_trace == report_want.objective_trace
+
+    @pytest.mark.parametrize("change", ["one-bit", "negative-zero"])
+    def test_other_bits_factor_again(self, rng, monkeypatch, change):
+        data, _ = self.separable_data(rng, per_class=12)
+        data[0, 0, 0, 0] = 0.0
+        other = data.copy()
+        if change == "one-bit":
+            other.view(np.uint64)[1, 0, 1, 5] ^= 1
+        else:
+            other[0, 0, 0, 0] = -0.0
+            assert np.array_equal(other, data)  # equal as floats, not as bits
+        want = fit(other, AffinityConfig(3), 0.3, max_sweeps=3)
+        cache = solver.SplitCache()
+        fit(data, AffinityConfig(3), 0.3, max_sweeps=3, split_cache=cache)
+        calls, searches = spy_qr(monkeypatch), spy_graph_searches(monkeypatch)
+        chain, report = fit(other, AffinityConfig(3), 0.3, max_sweeps=3, split_cache=cache)
+        assert len(calls) == 3 and len(searches) == 1
+        assert set(cache.steps) == {chain.ranks[:k] for k in range(3)}
+        assert all(same_bits(a, b) for a, b in zip(chain.cores, want[0].cores))
+        assert report.objective_trace == want[1].objective_trace
+
+    def test_failed_tt_svd_holds_nothing(self, rng, monkeypatch):
+        data, _ = self.separable_data(rng, per_class=12)
+        want = fit(data, AffinityConfig(3), 0.3, max_sweeps=3)
+        cache = solver.SplitCache()
+        bad = data.copy()
+        bad[0, 0, 0, 0] = np.nan
+        with pytest.raises(DataError, match="NaN or infinite"):
+            fit(bad, AffinityConfig(3), 0.3, max_sweeps=3, split_cache=cache)
+        assert cache.data_key is None and cache.steps == {} and cache.graph is None
+        svd, seen = np.linalg.svd, []
+
+        def second_fails(a, *args, **kwargs):  # split 2's SVD, as fit's TT-SVD runs first
+            seen.append(a)
+            if len(seen) == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", second_fails)
+        with pytest.raises(np.linalg.LinAlgError):
+            fit(data, AffinityConfig(3), 0.3, max_sweeps=3, split_cache=cache)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert list(cache.steps) == [()]  # only the split that was factored
+        chain, report = fit(data, AffinityConfig(3), 0.3, max_sweeps=3, split_cache=cache)
+        assert all(same_bits(a, b) for a, b in zip(chain.cores, want[0].cores))
+        assert report.objective_trace == want[1].objective_trace
+
+    def test_each_fit_pays_its_own_tt_svd(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a fit without a holder hashed its data")
+
+        data, _ = self.separable_data(rng, per_class=12)
+        monkeypatch.setattr(solver.hashlib, "sha256", fail)
+        monkeypatch.setattr(solver.SplitCache, "hold", fail)
+        calls = spy_qr(monkeypatch)
+        for variant in ("atn", "tn", "atn"):
+            ttnpe.fit(data, AffinityConfig(3), tau=0.3, variant=variant, max_sweeps=3)
+        assert len(calls) == 9  # 3 splits per fit: nothing is held between fits
 
     def test_shared_spectrum_reuses_the_held_gram(self, rng, monkeypatch):
         data, _ = self.separable_data(rng, per_class=12)

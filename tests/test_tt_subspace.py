@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import brute_tt_svd, random_orthonormal_chain
+from conftest import brute_tt_svd, random_orthonormal_chain, same_bits, spy_qr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,6 +99,54 @@ class TestTTSVD:
         b = tt_svd(data, 0.2)
         for ca, cb in zip(a.cores, b.cores):
             assert np.array_equal(ca, cb)
+
+
+class TestHeldSteps:
+    """``tt_svd`` with ``steps``: each rank prefix of one dataset is factored once."""
+
+    TAUS = (0.5, 0.35, 0.25, 0.18, 0.12, 0.08)
+    CAPS = (None, 2, [2, None, 3, None])
+
+    def dataset(self, rng):
+        """Every mode's entries decay by halves, so the taus pick ranks from
+        (1, 1, 1, 1) to (3, 9, 16, 21), some sharing a prefix."""
+        dims = (3, 4, 3, 4)
+        data = rng.standard_normal(dims + (30,))
+        for k, i in enumerate(dims):
+            data = data * (0.5 ** np.arange(i)).reshape((1,) * k + (i,) + (1,) * (4 - k))
+        return data
+
+    @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+    def test_equal_bits_to_fresh_calls(self, rng, monkeypatch, order):
+        data = self.dataset(rng)
+        runs = [(tau, cap) for cap in self.CAPS for tau in self.TAUS]
+        want = [tt_svd(data, tau, rank_cap=cap) for tau, cap in runs]
+        picks = {"forward": range(len(runs)), "reversed": range(len(runs))[::-1],
+                 "shuffled": rng.permutation(len(runs))}[order]
+        steps = {}
+        calls = spy_qr(monkeypatch)
+        got = {i: tt_svd(data, runs[i][0], rank_cap=runs[i][1], steps=steps) for i in picks}
+        prefixes = {chain.ranks[:k] for chain in want for k in range(4)}
+        assert len(calls) == len(prefixes) == len(steps) < 4 * len(runs)
+        assert set(steps) == prefixes
+        assert not any(a.flags.writeable for pair in steps.values() for a in pair)
+        assert len({chain.ranks for chain in want}) > 6  # the runs pick many rank tuples
+        for i, (tau, _) in enumerate(runs):
+            assert got[i].tau == tau
+            assert all(same_bits(a, b) for a, b in zip(got[i].cores, want[i].cores))
+
+    def test_no_steps_holds_nothing_between_calls(self, rng, monkeypatch):
+        data = self.dataset(rng)
+        calls = spy_qr(monkeypatch)
+        for _ in range(2):
+            tt_svd(data, 0.25)
+        assert len(calls) == 8
+
+    def test_failed_split_holds_nothing(self, rng):
+        steps = {}
+        with pytest.raises(DataError, match="NaN or infinite"):
+            tt_svd(np.full((2, 3, 4), np.nan), 0.5, steps=steps)
+        assert steps == {}
 
 
 def low_rank_dataset(rng, dims, n_samples, rank):
