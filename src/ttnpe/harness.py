@@ -207,9 +207,9 @@ def _graph_config(config: ExperimentConfig) -> AffinityConfig:
 def fit_config(config: ExperimentConfig, train: np.ndarray, tau: float,
                split_cache: SplitCache | None = None):
     """``fit`` on ``train`` at ``tau`` with the config's graph, variant,
-    sweep limit and rank cap, and ``fit``'s ``split_cache``, the holder of
-    ``train``'s TT-SVD steps, KNN graph and Gram eigendecomposition shared
-    by the fits of one split; returns (chain, report)."""
+    sweep limit and rank cap, and ``fit``'s ``split_cache``, the holder
+    bound to ``train`` (its ``data``) and the config's graph that the fits
+    of one split share; returns (chain, report)."""
     return fit(train, _graph_config(config), tau, variant=config.variant,
                max_sweeps=config.max_sweeps, rank_cap=config.rank_cap, split_cache=split_cache)
 
@@ -246,11 +246,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     A cell that fails with a library error (``ValueError``, which covers
     ``ConfigError``, ``DataError`` and ``LinAlgError``, or ``NumericError``)
     records its message and the run continues; any other exception is a
-    bug and propagates. The fits of one (trial, noise level) share one
-    ``solver.SplitCache``, so both variants factor each TT-SVD rank prefix
-    of that split once and search its KNN graph once, and ATN decomposes
-    its Gram target Z once; every later tau reuses them, whatever order
-    ``tau_list`` has, and S, Y and Z are still built per tau. Writes the
+    bug and propagates. Each (trial, noise level) builds one
+    ``solver.SplitCache`` bound to its training split and the config's
+    graph, and its fits are given the holder's ``data``, so both variants
+    factor each TT-SVD rank prefix of that split once and search its KNN
+    graph once, and ATN decomposes its Gram target Z once; every later tau
+    reuses them, whatever order ``tau_list`` has, and S, Y and Z are still
+    built per tau. Writes the
     deterministic report to ``output_path``,
     timings to ``output_path + '.timings.json'`` (per fitted cell: subspace
     learning, embedding and classification, the solver's per-stage
@@ -278,7 +280,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         for level, snr_db in enumerate(snr_list):
             train, train_labels, test, test_labels = trial_data(
                 config, samples, labels, trial, level)
-            split_cache = SplitCache()  # every tau of this split searches the same D
+            split_cache = SplitCache(train, _graph_config(config))
             base = evaluate(None, train, train_labels, test, test_labels, config.k_classify)
             baselines.append({
                 "trial": trial,
@@ -289,7 +291,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 cell = {"tau": tau, "trial": trial, "snr_db": snr_db}
                 t0 = time.perf_counter()
                 try:
-                    chain, report = fit_config(config, train, tau, split_cache)
+                    chain, report = fit_config(config, split_cache.data, tau, split_cache)
                     learn_seconds = time.perf_counter() - t0
                     result = evaluate(chain, train, train_labels, test, test_labels,
                                       config.k_classify)
@@ -402,17 +404,18 @@ def run_convergence(config: ExperimentConfig) -> dict:
 
     A variant failing with a library error (as in ``run_experiment``) is
     recorded with its reason; the other variant still runs. The set-up is
-    :func:`first_cell_train`'s. Both fits share one ``solver.SplitCache``,
+    :func:`first_cell_train`'s. Both fits share one ``solver.SplitCache``
+    bound to that split and the config's graph, and are given its ``data``,
     so the split's TT-SVD runs once and its KNN graph is searched once.
     """
-    train = first_cell_train(config, config.output_path)
+    split_cache = SplitCache(first_cell_train(config, config.output_path), _graph_config(config))
     tau = config.tau_list[0]
-    split_cache = SplitCache()
     traces = {}
     for variant in ("tn", "atn"):
         entry = {}
         try:
-            chain, report = fit_config(replace(config, variant=variant), train, tau, split_cache)
+            chain, report = fit_config(replace(config, variant=variant), split_cache.data, tau,
+                                       split_cache)
             entry.update({
                 "objective_trace": report.objective_trace,
                 "surrogate_trace": report.surrogate_trace,

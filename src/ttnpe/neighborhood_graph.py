@@ -86,8 +86,8 @@ def build_weight_matrix(d_mat: np.ndarray, config: AffinityConfig, search=knn_gr
     """Row-normalized S from the KNN lists, built in one N x N array.
 
     ``search(d_mat, K)`` returns the (N, K) lists as :func:`knn_graph` does;
-    ``solver.fit`` passes its ``SplitCache``'s, which searches each split
-    once. The heat-kernel weights F_ij = exp(-d_ij^2 / eps) of the lists
+    ``solver.fit`` passes its ``SplitCache``'s ``knn_graph``, which
+    searches the holder's split once. The heat-kernel weights F_ij = exp(-d_ij^2 / eps) of the lists
     are written to (i, j) and then added at (j, i), so each entry holds
     F_ij + F_ji; each row is then divided by its sum in place. An eps so
     small that d_ij^2 / eps overflows gives F_ij = 0, silently, and so the

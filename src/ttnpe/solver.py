@@ -31,9 +31,8 @@ L_{k+1} = X_k^T L_k reshaped). As P^T P = I, the residual of core k is
 
 from __future__ import annotations
 
-import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,12 +84,11 @@ class SolverReport:
     objective: the sum of Z's R_n smallest eigenvalues, exactly 0.0 when
     R_n <= d - N (Z = Y Y^T has rank at most N). ``wall_time`` holds
     seconds per stage ("tt_svd", "graph", "eigensolve", "sweeps") and is
-    the only non-deterministic field; "tt_svd", which also times the
-    ``SplitCache`` hash of D, drops to the splits whose rank prefix the
-    holder did not yet hold, "graph" drops by the KNN search for a
-    fit whose ``SplitCache`` already held the split's graph, and
-    "eigensolve" reads near 0 for an ATN fit whose ``SplitCache`` already
-    held Z's decomposition.
+    the only non-deterministic field; with a ``SplitCache`` of earlier fits
+    on the split, "tt_svd" drops to the splits whose rank prefix the holder
+    did not yet hold, "graph" by the KNN search once the holder holds the
+    graph, and "eigensolve" reads near 0 for an ATN fit once it holds Z's
+    decomposition.
     ``core_solves`` holds, per TN sweep, each core solve's step count and stop
     reason (``{"steps": int, "stop": str}``); it stays empty for ATN."""
 
@@ -171,84 +169,61 @@ def build_B(problem: TTNPEProblem) -> tuple[np.ndarray, np.ndarray]:
     return b_mat.reshape(problem.chain.cores[-1].shape[:2] * 2, order="F"), b_mat
 
 
+def _smallest(pair: tuple[np.ndarray, np.ndarray], r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r smallest of an ``np.linalg.eigh`` pair, eigenvectors copied
+    (``fix_signs`` flips in place) and sign-fixed."""
+    vals, vecs = pair
+    if not 1 <= r <= vals.size:
+        raise ValueError(f"r must lie in [1, {vals.size}], got {r}")
+    return vals[:r], fix_signs(vecs[:, :r].copy())
+
+
 def smallest_eigvecs(z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal eigenvectors of the r smallest eigenvalues, ascending.
 
     Sign-fixed (largest-magnitude entry positive) for determinism. Returns
     (eigenvalues, eigenvectors).
     """
-    return SplitCache().smallest_eigvecs(z, r)[1:]
-
-
-def _digest(a: np.ndarray) -> bytes:
-    """SHA-256 of ``a``'s bytes in F order, which hashes a view when ``a`` is
-    F-contiguous, as ``fit``'s data is."""
-    return hashlib.sha256(np.ascontiguousarray(a.T)).digest()
+    return _smallest(np.linalg.eigh(z), r)
 
 
 class SplitCache:
-    """One split's TT-SVD steps, KNN graph and Gram target Z with its
-    ``np.linalg.eigh``, shared by the fits of every tau, which factor and
-    search the same D and build the same Z.
+    """What the fits of every tau on one split share: ``steps``, the dict
+    ``tt_svd`` reads and fills, the (N, K) KNN ``graph`` and the ``eigh``
+    pair of the Gram target Z, each read-only and held once computed. The
+    graph is searched and Z decomposed on first use. It holds no Z.
 
-    :meth:`hold` hashes a fit's data D (stacked (I_1, ..., I_n, N)) once and
-    keys it on its shape, dtype and SHA-256 in F order; a D of other bits,
-    even -0.0 for 0.0, releases the TT-SVD steps and the graph together.
-    ``steps`` is the dict ``tt_svd`` reads and fills: each rank prefix's
-    (U, s), read-only, at most (R_{k-1} I_k)^2 floats each.
-    :meth:`knn_graph` keeps the held lists for a D of the same shape and
-    dtype, the same K and the same SHA-256 of D's bytes in F order; other
-    bits, even -0.0 for 0.0 or another matrix with the same buffer, search
-    anew. :meth:`smallest_eigvecs` keeps the held pair for a Z equal to the
-    held one bit for bit (compared as ``uint64``, so 0.0 and -0.0 differ).
-    Either replacement releases the old entry before the new search or
-    ``eigh`` runs, and nothing is held after it raises. It holds the steps,
-    the (N, K) lists (read-only), Z and Z's eigenvectors, 2 d^2 float64.
+    It is bound to one D (stacked (I_1, ..., I_n, N)) and one graph config:
+    ``data`` is a read-only float64 view of D (of a float64 copy when D is
+    not float64), which :func:`fit` must be given with a config equal to
+    ``graph_cfg``, the holder's copy. D must not be written while it lives.
     """
 
-    def __init__(self):
-        self.data_key = None
+    def __init__(self, data: np.ndarray, graph_cfg: AffinityConfig):
+        self.data = np.asarray(data, dtype=np.float64).view()
+        self.data.flags.writeable = False
+        self.graph_cfg = replace(graph_cfg)
         self.steps = {}
-        self.graph_key = self.graph = None
-        self.z = None
-        self._eigh = None
+        self.graph = self.eigh = None
 
-    def hold(self, data: np.ndarray):
-        """Hash ``data`` once for one fit; returns (``steps``, a ``search``
-        for ``build_weight_matrix`` that keys the graph on that hash)."""
-        digest = _digest(data)
-        key = (data.shape, data.dtype.str, digest)
-        if self.data_key != key:
-            self.data_key, self.steps = key, {}
-            self.graph_key = self.graph = None
-        return self.steps, lambda d_mat, k: self.knn_graph(d_mat, k, digest)
-
-    def knn_graph(self, d_mat: np.ndarray, k: int, digest: bytes | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """``neighborhood_graph.knn_graph(d_mat, k)``, searched once per key;
-        ``digest``, when given, is ``d_mat``'s SHA-256 in F order, taken by
-        :meth:`hold`."""
-        key = (d_mat.shape, d_mat.dtype.str, k, _digest(d_mat) if digest is None else digest)
-        if self.graph_key != key:
-            self.graph_key = self.graph = None
-            self.graph = knn_graph(d_mat, k)
-            for held in self.graph:
+    def knn_graph(self, d_mat: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The held lists, or ``neighborhood_graph.knn_graph(d_mat, k)`` on
+        first use: the ``search`` :func:`fit` gives ``build_weight_matrix``."""
+        if self.graph is None:
+            graph = knn_graph(d_mat, k)
+            for held in graph:
                 held.flags.writeable = False
-            self.graph_key = key
+            self.graph = graph
         return self.graph
 
-    def smallest_eigvecs(self, z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(held Z, eigenvalues, eigenvectors): as :func:`smallest_eigvecs`
-        of ``z``, with the held Z, equal to ``z``, in its place."""
-        d = z.shape[0]
-        if not 1 <= r <= d:
-            raise ValueError(f"r must lie in [1, {d}], got {r}")
-        if self.z is None or not np.array_equal(self.z.view(np.uint64), z.view(np.uint64)):
-            self.z = self._eigh = None
-            self._eigh = np.linalg.eigh(z)
-            self.z = z
-        vals, vecs = self._eigh
-        return self.z, vals[:r], fix_signs(vecs[:, :r].copy())
+    def smallest_eigvecs(self, z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`smallest_eigvecs` from the held ``eigh``, or of ``z`` on first use."""
+        if self.eigh is None:
+            pair = np.linalg.eigh(z)
+            for held in pair:
+                held.flags.writeable = False
+            self.eigh = pair
+        return _smallest(self.eigh, r)
 
 
 def build_PQC(problem: TTNPEProblem, k: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -391,24 +366,26 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     or NumericError is raised. The bound takes no eigensolve when
     R_n <= d - N, where it is exactly 0.0; otherwise TN takes it from
     ``eigvalsh`` of Z, and ATN from the eigenvalues of the one ``eigh`` of Z
-    that also gives its target. Given ``split_cache``, the
-    :class:`SplitCache` of earlier fits on the same training data (as every
-    tau of one split is), the fit hashes ``data`` once (:meth:`SplitCache.hold`),
-    ``tt_svd`` factors only the rank prefixes the holder lacks (its
-    ``steps``), both variants take the KNN graph from it
-    (``build_weight_matrix``'s ``search``) and ATN its ``eigh``, none
-    recomputed, and ATN continues with the held Z. The chain and traces are
-    those of a fit without it, bit for bit. With None, ``tt_svd`` factors
-    every split, ``knn_graph`` searches the graph and nothing is hashed, and
-    ATN decomposes Z in a fresh holder. S, Y and Z are built on every call.
-    Z is built after TT-SVD, so a new Z equal to the held one lives only
-    until it is compared, and one d x d Z stays alive. Y is released once
-    Z is built.
+    that also gives its target.
+
+    Every fit runs through a :class:`SplitCache`, its own when
+    ``split_cache`` is None. A given holder must be bound to this split:
+    ``data`` is its ``data`` and ``graph_cfg`` equals its ``graph_cfg``, or
+    ValueError is raised before any work. ``tt_svd`` factors only the rank
+    prefixes the holder lacks, both variants take its KNN graph
+    (``build_weight_matrix``'s ``search``) and ATN its ``eigh``; the chain
+    and traces are those of a fit without it, bit for bit. S, Y and Z are
+    built on every call, and Y is released once Z is built.
     ``opt_cfg`` bounds the power iteration on TN cores 1..n-1 through its
     ``max_inner_iters`` and ``grad_tol``; the last TN core and every ATN
     core update are solved in closed form.
     """
     data = np.asarray(data, dtype=np.float64)
+    if split_cache is None:
+        split_cache = SplitCache(data, graph_cfg)
+        data = split_cache.data
+    elif not (data is split_cache.data and graph_cfg == split_cache.graph_cfg):
+        raise ValueError("split_cache is bound to another data array or graph config")
     if data.ndim < 2:
         raise DataError("data must stack samples along a trailing mode")
     check_sweep_args(variant, max_sweeps, core_change_tol)
@@ -422,20 +399,20 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
 
     report = SolverReport()
     t0 = time.perf_counter()
-    steps, search = (None, knn_graph) if split_cache is None else split_cache.hold(data)
-    chain = tt_svd(data, tau, rank_cap=rank_cap, steps=steps)
+    chain = tt_svd(data, tau, rank_cap=rank_cap, steps=split_cache.steps)
     report.wall_time["tt_svd"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     d_mat = left_unfold(data)
-    z = build_gram(build_residual(d_mat, build_weight_matrix(d_mat, graph_cfg, search)))
+    z = build_gram(build_residual(
+        d_mat, build_weight_matrix(d_mat, graph_cfg, split_cache.knn_graph)))
     report.wall_time["graph"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     r_n = chain.embedding_dim
     v, eigvals = None, ()
     if variant == "atn":
-        z, eigvals, v = (SplitCache() if split_cache is None else split_cache).smallest_eigvecs(z, r_n)
+        eigvals, v = split_cache.smallest_eigvecs(z, r_n)
     elif r_n > d - n_samples:
         eigvals = np.linalg.eigvalsh(z)[:r_n]
     # rank(Z) <= N leaves at least d - N zero eigenvalues, the R_n smallest.

@@ -126,9 +126,9 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None, steps: dict | None = 
     its QR and SVD; a new one is factored and held, at most
     (R_{k-1} I_k)^2 + R_{k-1} I_k floats. The unfolding is carried only up to
     a split that is factored, through the same kept vectors in the same
-    order as without ``steps``, so the chain is equal bit for bit, whatever
-    order the taus come in. With None, every split is factored and nothing
-    is held.
+    order as with a fresh dict, so the chain is equal bit for bit, whatever
+    order the taus come in. With None, a dict local to the call stands in,
+    so every split is factored and nothing outlives the call.
     """
     dataset = np.asarray(dataset, dtype=np.float64)
     if dataset.ndim < 2 or dataset.size == 0:
@@ -138,13 +138,14 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None, steps: dict | None = 
     caps = check_tt_args(tau, rank_cap, n)
     require_finite(dataset, "dataset")
 
+    steps = {} if steps is None else steps
     cores = []
     kept = []  # each core's left unfolding, the sign-fixed U_r
     r_prev = 1
     mat, at = dataset.reshape(dims[0], -1, order="F"), 0  # the unfolding of split `at`
     for k in range(n):
         prefix = tuple(c.shape[2] for c in cores)
-        pair = None if steps is None else steps.get(prefix)
+        pair = steps.get(prefix)
         if pair is None:
             for j in range(at, k):
                 mat = project_left(kept[j], mat, dims[j + 1])
@@ -152,10 +153,9 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None, steps: dict | None = 
             # mat = R^T Q^T, so mat and R^T share their left singular pairs.
             tri = np.linalg.qr(mat.T, mode="r")
             pair = np.linalg.svd(tri.T, full_matrices=False)[:2]
-            if steps is not None:
-                for a in pair:
-                    a.flags.writeable = False
-                steps[prefix] = pair
+            for a in pair:
+                a.flags.writeable = False
+            steps[prefix] = pair
         u, s = pair
         if s[0] > 0:
             r = max(1, int(np.count_nonzero(s >= tau * s[0])))

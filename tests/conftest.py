@@ -38,8 +38,9 @@ def spy_square_eigh(monkeypatch, d, fail_first=False):
 
 def spy_graph_searches(monkeypatch, first=None):
     """The shape of D in every KNN graph search of a fit, ``solver.knn_graph``
-    (the name ``fit`` and ``SplitCache`` look up); with ``first``, the first
-    search returns ``first(knn_graph, d_mat, k)`` instead."""
+    (the name ``SplitCache.knn_graph`` looks up, through which every fit
+    searches); with ``first``, the first search returns
+    ``first(knn_graph, d_mat, k)`` instead."""
     calls, search = [], solver.knn_graph
 
     def spy(d_mat, k):

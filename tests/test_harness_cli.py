@@ -509,7 +509,7 @@ class TestSharedSpectrum:
             try:
                 return fit_config(config, train, tau, split_cache)
             finally:
-                held.append(split_cache.z is not None)
+                held.append(split_cache.eigh is not None)
 
         monkeypatch.setattr(harness, "fit_config", recording)
         calls = spy_square_eigh(monkeypatch, 16, fail_first=True)
@@ -558,6 +558,14 @@ class TestCli:
         p = tmp_path / "config.json"
         p.write_text(json.dumps(raw))
         return p, raw
+
+    def test_import_leaves_hashlib_unloaded(self):
+        # nothing in ttnpe hashes data; hashlib costs milliseconds of every command's start
+        src = str(Path(ttnpe.__file__).resolve().parents[1])
+        path_dirs = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_dirs)))
+        script = "import sys, ttnpe.cli; assert 'hashlib' not in sys.modules, 'hashlib imported'"
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
 
     def test_experiment_exit_zero(self, tmp_path, rng):
         cfg, raw = self.write_config(tmp_path, rng)

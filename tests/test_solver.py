@@ -206,7 +206,71 @@ class TestSmallestEigvecs:
         assert np.array_equal(v1, v2)
 
 
+def split_data(rng):
+    """A (2, 2, 2, 24) split of two clusters, one entry exactly 0.0."""
+    data = np.concatenate([c + 0.05 * rng.standard_normal((2, 2, 2, 12)) for c in (0.0, 5.0)],
+                          axis=-1)
+    data[0, 0, 0, 0] = 0.0
+    return data
+
+
+def dummy_holder():
+    """A holder whose split is never fitted, for its ``knn_graph`` and ``smallest_eigvecs``."""
+    return solver.SplitCache(np.zeros((2, 3)), AffinityConfig(1))
+
+
+def refused_input(data, change):
+    """(data, graph config) that differ from (``data``, ``AffinityConfig(3)``)
+    as ``change`` names, so a holder bound to those refuses them."""
+    graph = AffinityConfig(3)
+    if change == "k":
+        return data, AffinityConfig(4)
+    if change == "epsilon":
+        return data, AffinityConfig(3, epsilon=1.0)
+    if change == "same-buffer":  # the array the holder was built from, not its view
+        return data, graph
+    if change == "shape":  # the same buffer read as (2, 4, 24)
+        return data.reshape(2, 4, 24), graph
+    if change == "dtype":
+        return data.astype(np.float32), graph
+    other = data.copy()  # "copy": equal bits in another buffer
+    if change == "one-bit":
+        other.view(np.uint64)[1, 0, 1, 5] ^= 1
+    elif change == "negative-zero":
+        other[0, 0, 0, 0] = -0.0
+        assert np.array_equal(other, data)  # equal as floats, not as bits
+    return other, graph
+
+
+def refused_then_refit(rng, monkeypatch, change, spy):
+    """Fit a split through its holder, then hand that holder the input
+    ``change`` makes: it refuses before any work, and a holder of its own
+    fits that input. Returns (``spy``'s calls over both, the new holder, its
+    fit, the same fit without a holder)."""
+    data, graph = split_data(rng), AffinityConfig(3)
+    cache = solver.SplitCache(data, graph)
+    fit(cache.data, graph, 0.3, max_sweeps=1, split_cache=cache)
+    other, other_graph = refused_input(data, change)
+    want = fit(other, other_graph, 0.3, max_sweeps=1)
+    calls = spy(monkeypatch)
+    with pytest.raises(ValueError, match="bound to another"):
+        fit(other, other_graph, 0.3, max_sweeps=1, split_cache=cache)
+    assert calls == []
+    own = solver.SplitCache(other, other_graph)
+    return calls, own, fit(own.data, other_graph, 0.3, max_sweeps=1, split_cache=own), want
+
+
+def same_fit(got, want):
+    (chain, report), (chain_want, report_want) = got, want
+    return (chain.tau == chain_want.tau
+            and all(same_bits(a, b) for a, b in zip(chain.cores, chain_want.cores))
+            and report.objective_trace == report_want.objective_trace
+            and report.kyfan_bound == report_want.kyfan_bound)
+
+
 class TestGramSpectrum:
+    """``SplitCache.smallest_eigvecs`` decomposes Z once, on first use."""
+
     def gram_with_zero(self, rng):
         z = random_psd(rng, 6)
         z[0, 5] = z[5, 0] = 0.0
@@ -214,69 +278,45 @@ class TestGramSpectrum:
 
     def test_equal_bits_reuse_the_held_pair(self, rng, monkeypatch):
         z = self.gram_with_zero(rng)
-        want = smallest_eigvecs(z, 2)
+        want, pair = smallest_eigvecs(z, 3), np.linalg.eigh(z)
         calls = spy_square_eigh(monkeypatch, 6)
-        cache = solver.SplitCache()
+        cache = dummy_holder()
         first = cache.smallest_eigvecs(z, 2)
         again = cache.smallest_eigvecs(z.copy(), 3)
         assert len(calls) == 1
-        assert first[0] is z and again[0] is z
-        assert same_bits(first[1], want[0]) and same_bits(first[2], want[1])
-        assert same_bits(again[1][:2], want[0]) and same_bits(again[2][:, :2], want[1])
+        assert same_bits(first[0], want[0][:2]) and same_bits(first[1], want[1][:, :2])
+        assert same_bits(again[0], want[0]) and same_bits(again[1], want[1])
+        # each caller sign-fixes its own copy; the held pair stays read-only and as eigh gave it
+        assert all(same_bits(held, fresh) and not held.flags.writeable
+                   for held, fresh in zip(cache.eigh, pair))
+        assert not any(np.shares_memory(v, cache.eigh[1]) for v in (first[1], again[1]))
 
     @pytest.mark.parametrize("change", ["one-bit", "negative-zero", "shape"])
     def test_other_bits_recompute(self, rng, monkeypatch, change):
-        z = self.gram_with_zero(rng)
-        other = z.copy()
-        if change == "one-bit":
-            other.view(np.uint64)[3, 2] ^= 1
-        elif change == "negative-zero":
-            other[0, 5] = other[5, 0] = -0.0
-            assert np.array_equal(other, z)  # equal as floats, not as bits
-        else:
-            other = random_psd(rng, 7)
-        calls = spy_square_eigh(monkeypatch, other.shape[0])
-        cache = solver.SplitCache()
-        cache.smallest_eigvecs(z, 2)
-        got = cache.smallest_eigvecs(other, 2)
-        assert len(calls) == (2 if change != "shape" else 1)
-        assert got[0] is other and cache.z is other
-        want = smallest_eigvecs(other, 2)
-        assert same_bits(got[1], want[0]) and same_bits(got[2], want[1])
+        calls, own, got, want = refused_then_refit(
+            rng, monkeypatch, change, lambda mp: spy_square_eigh(mp, 8))
+        assert len(calls) == 1 and own.eigh is not None and same_fit(got, want)
 
     def test_failed_eigensolve_holds_nothing(self, rng, monkeypatch):
         z = self.gram_with_zero(rng)
-        other = random_psd(rng, 6)
-        cache = solver.SplitCache()
-        cache.smallest_eigvecs(z, 2)
+        want = smallest_eigvecs(z, 2)
+        cache = dummy_holder()
         calls = spy_square_eigh(monkeypatch, 6, fail_first=True)
         with pytest.raises(np.linalg.LinAlgError):
-            cache.smallest_eigvecs(other, 2)
-        assert cache.z is None
-        got = cache.smallest_eigvecs(other, 2)
-        assert len(calls) == 2 and cache.z is other
-        want = smallest_eigvecs(other, 2)
-        assert same_bits(got[1], want[0]) and same_bits(got[2], want[1])
+            cache.smallest_eigvecs(z, 2)
+        assert cache.eigh is None
+        got = cache.smallest_eigvecs(z, 2)
+        assert len(calls) == 2 and cache.eigh is not None
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
 def same_graph(got, want):
     return np.array_equal(got[0], want[0]) and same_bits(got[1], want[1])
 
 
-def spy_hashes(monkeypatch):
-    """One entry per ``hashlib.sha256`` call."""
-    calls, sha256 = [], solver.hashlib.sha256
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return sha256(*args, **kwargs)
-
-    monkeypatch.setattr(solver.hashlib, "sha256", spy)
-    return calls
-
-
 class TestSplitCacheGraph:
-    """``SplitCache.knn_graph`` searches once per (shape, dtype, K, SHA-256 of D in F order)."""
+    """``SplitCache.knn_graph`` searches once, on first use, and the holder
+    serves only the D and graph config it was built from."""
 
     def d_mat(self, rng):
         d_mat = rng.standard_normal((8, 12))
@@ -287,55 +327,51 @@ class TestSplitCacheGraph:
         d_mat = self.d_mat(rng)
         want = knn_graph(d_mat, 3)
         calls = spy_graph_searches(monkeypatch)
-        cache = solver.SplitCache()
+        cache = dummy_holder()
         first = cache.knn_graph(d_mat, 3)
-        again = cache.knn_graph(np.asfortranarray(d_mat), 3)  # the same matrix in another layout
+        again = cache.knn_graph(d_mat, 3)
         assert len(calls) == 1 and again is first and same_graph(first, want)
         assert not any(held.flags.writeable for held in first)
 
-    @pytest.mark.parametrize("change", ["one-bit", "negative-zero", "k", "shape", "dtype",
-                                        "same-buffer"])
+    @pytest.mark.parametrize("change", ["one-bit", "negative-zero", "copy", "same-buffer", "shape",
+                                        "dtype", "k", "epsilon"])
     def test_other_input_searches_again(self, rng, monkeypatch, change):
-        d_mat = self.d_mat(rng)
-        other, k = d_mat.copy(), 3
-        if change == "one-bit":
-            other.view(np.uint64)[2, 5] ^= 1
-        elif change == "negative-zero":
-            other[0, 3] = -0.0
-            assert np.array_equal(other, d_mat)  # equal as floats, not as bits
-        elif change == "k":
-            k = 4
-        elif change == "dtype":
-            other = d_mat.view(np.int64)
-        elif change == "shape":  # the same bytes in F order
-            other = np.asfortranarray(d_mat).reshape(12, 8, order="F")
-            assert other.tobytes(order="F") == d_mat.tobytes(order="F")
-        else:
-            other = d_mat.reshape(-1).reshape(d_mat.shape, order="F")  # D's buffer, read in F order
-            assert other.tobytes(order="A") == d_mat.tobytes(order="A")
-            assert not np.array_equal(other, d_mat)
-        calls = spy_graph_searches(monkeypatch)
-        cache = solver.SplitCache()
-        cache.knn_graph(d_mat, 3)
-        got = cache.knn_graph(other, k)
-        assert len(calls) == 2 and cache.graph is got
-        assert same_graph(got, knn_graph(other, k))
+        calls, own, got, want = refused_then_refit(rng, monkeypatch, change, spy_graph_searches)
+        assert len(calls) == 1 and same_fit(got, want)
+        assert same_graph(own.graph, knn_graph(left_unfold(own.data), own.graph_cfg.k_neighbors))
 
     @pytest.mark.parametrize("failure", ["k", "tiny"])
     def test_failed_search_holds_nothing(self, rng, monkeypatch, failure):
         d_mat = self.d_mat(rng)
         calls = spy_graph_searches(monkeypatch)
-        cache = solver.SplitCache()
-        cache.knn_graph(d_mat, 3)
+        cache = dummy_holder()
         if failure == "k":  # check_graph_k: each sample needs K others
             with pytest.raises(ConfigError, match="K must be < number of samples"):
                 cache.knn_graph(d_mat, 12)
         else:
             with pytest.raises(DataError, match="too small"):
                 cache.knn_graph(d_mat * 1e-300, 3)
-        assert cache.graph is None and cache.graph_key is None
+        assert cache.graph is None
         got = cache.knn_graph(d_mat, 3)
-        assert len(calls) == 3 and same_graph(got, knn_graph(d_mat, 3))
+        assert len(calls) == 2 and same_graph(got, knn_graph(d_mat, 3))
+
+    def test_data_is_a_read_only_view(self, rng):
+        data = split_data(rng)
+        cache = solver.SplitCache(data, AffinityConfig(3))
+        assert cache.data is not data and np.shares_memory(cache.data, data)
+        assert same_bits(cache.data, data) and data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cache.data[0, 0, 0, 0] = 1.0
+        narrow = solver.SplitCache(data.astype(np.float32), AffinityConfig(3)).data
+        assert narrow.dtype == np.float64 and not narrow.flags.writeable
+
+    def test_graph_config_is_held_as_a_copy(self, rng):
+        graph = AffinityConfig(3)
+        cache = solver.SplitCache(split_data(rng), graph)
+        graph.k_neighbors = 4  # the held lists are K = 3's
+        with pytest.raises(ValueError, match="bound to another"):
+            fit(cache.data, graph, 0.3, max_sweeps=1, split_cache=cache)
+        assert cache.graph_cfg == AffinityConfig(3)
 
 
 class TestBuildPQC:
@@ -918,12 +954,8 @@ class TestFit:
         assert len(calls) == 2  # TN bounds the objective with eigvalsh, not eigh
 
     def test_each_fit_pays_its_own_graph_search(self, rng, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a fit without a holder hashed its data")
-
         data, _ = self.separable_data(rng, per_class=12)
         calls = spy_graph_searches(monkeypatch)
-        monkeypatch.setattr(solver.SplitCache, "knn_graph", fail)
         for variant in ("atn", "tn"):
             ttnpe.fit(data, AffinityConfig(3), tau=0.3, variant=variant, max_sweeps=3)
         assert len(calls) == 2
@@ -933,74 +965,53 @@ class TestFit:
         data, _ = self.separable_data(rng, per_class=12)
         want = [fit(data, AffinityConfig(3), tau, variant=variant, max_sweeps=3) for tau in (0.3, 0.1)]
         calls = spy_graph_searches(monkeypatch)
-        cache = solver.SplitCache()
-        got = [fit(data, AffinityConfig(3), tau, variant=variant, max_sweeps=3, split_cache=cache)
-               for tau in (0.3, 0.1)]
+        cache = solver.SplitCache(data, AffinityConfig(3))
+        got = [fit(cache.data, AffinityConfig(3), tau, variant=variant, max_sweeps=3,
+                   split_cache=cache) for tau in (0.3, 0.1)]
         assert len(calls) == 1 and cache.graph is not None
-        for (chain, report), (chain_want, report_want) in zip(got, want):
-            assert all(same_bits(a, b) for a, b in zip(chain.cores, chain_want.cores))
-            assert report.objective_trace == report_want.objective_trace
-            assert report.kyfan_bound == report_want.kyfan_bound
+        assert all(same_fit(*pair) for pair in zip(got, want))
 
-    def test_failed_graph_search_is_not_held(self, rng):
+    def test_failed_graph_search_is_not_held(self, rng, monkeypatch):
         data, _ = self.separable_data(rng, per_class=6)
         want = fit(data, AffinityConfig(3), 0.3, variant="atn", max_sweeps=3)
-        cache = solver.SplitCache()
-        fit(data, AffinityConfig(3), 0.5, variant="atn", max_sweeps=3, split_cache=cache)
+        cache = solver.SplitCache(data, AffinityConfig(3))
+        searches = spy_graph_searches(
+            monkeypatch, first=lambda search, d_mat, k: search(d_mat, d_mat.shape[1]))
         with pytest.raises(ConfigError, match="K must be < number of samples"):
-            fit(data, AffinityConfig(12), 0.3, variant="atn", max_sweeps=3, split_cache=cache)
+            fit(cache.data, AffinityConfig(3), 0.5, variant="atn", max_sweeps=3, split_cache=cache)
         assert cache.graph is None
-        chain, report = fit(data, AffinityConfig(3), 0.3, variant="atn", max_sweeps=3,
-                            split_cache=cache)
-        assert all(same_bits(a, b) for a, b in zip(chain.cores, want[0].cores))
-        assert report.objective_trace == want[1].objective_trace
+        got = fit(cache.data, AffinityConfig(3), 0.3, variant="atn", max_sweeps=3, split_cache=cache)
+        assert len(searches) == 2 and same_fit(got, want)
 
     @pytest.mark.parametrize("variant", ["atn", "tn"])
     def test_shared_cache_factors_each_rank_prefix_once(self, rng, monkeypatch, variant):
         data, _ = self.separable_data(rng, per_class=12)
         taus = (0.5, 0.3, 0.1)
         want = [fit(data, AffinityConfig(3), tau, variant=variant, max_sweeps=3) for tau in taus]
-        calls, hashes = spy_qr(monkeypatch), spy_hashes(monkeypatch)
-        cache = solver.SplitCache()
-        got = [fit(data, AffinityConfig(3), tau, variant=variant, max_sweeps=3, split_cache=cache)
-               for tau in taus]
+        calls = spy_qr(monkeypatch)
+        cache = solver.SplitCache(data, AffinityConfig(3))
+        got = [fit(cache.data, AffinityConfig(3), tau, variant=variant, max_sweeps=3,
+                   split_cache=cache) for tau in taus]
         prefixes = {chain.ranks[:k] for chain, _ in want for k in range(3)}
         assert len(calls) == len(prefixes) == len(cache.steps) < 3 * len(taus)
-        assert len(hashes) == len(taus)  # one SHA-256 per fit keys both the steps and the graph
-        for (chain, report), (chain_want, report_want) in zip(got, want):
-            assert chain.tau == chain_want.tau
-            assert all(same_bits(a, b) for a, b in zip(chain.cores, chain_want.cores))
-            assert report.objective_trace == report_want.objective_trace
+        assert all(same_fit(*pair) for pair in zip(got, want))
 
     @pytest.mark.parametrize("change", ["one-bit", "negative-zero"])
     def test_other_bits_factor_again(self, rng, monkeypatch, change):
-        data, _ = self.separable_data(rng, per_class=12)
-        data[0, 0, 0, 0] = 0.0
-        other = data.copy()
-        if change == "one-bit":
-            other.view(np.uint64)[1, 0, 1, 5] ^= 1
-        else:
-            other[0, 0, 0, 0] = -0.0
-            assert np.array_equal(other, data)  # equal as floats, not as bits
-        want = fit(other, AffinityConfig(3), 0.3, max_sweeps=3)
-        cache = solver.SplitCache()
-        fit(data, AffinityConfig(3), 0.3, max_sweeps=3, split_cache=cache)
-        calls, searches = spy_qr(monkeypatch), spy_graph_searches(monkeypatch)
-        chain, report = fit(other, AffinityConfig(3), 0.3, max_sweeps=3, split_cache=cache)
-        assert len(calls) == 3 and len(searches) == 1
-        assert set(cache.steps) == {chain.ranks[:k] for k in range(3)}
-        assert all(same_bits(a, b) for a, b in zip(chain.cores, want[0].cores))
-        assert report.objective_trace == want[1].objective_trace
+        calls, own, got, want = refused_then_refit(rng, monkeypatch, change, spy_qr)
+        assert len(calls) == 3 and set(own.steps) == {got[0].ranks[:k] for k in range(3)}
+        assert same_fit(got, want)
 
     def test_failed_tt_svd_holds_nothing(self, rng, monkeypatch):
         data, _ = self.separable_data(rng, per_class=12)
         want = fit(data, AffinityConfig(3), 0.3, max_sweeps=3)
-        cache = solver.SplitCache()
         bad = data.copy()
         bad[0, 0, 0, 0] = np.nan
+        cache = solver.SplitCache(bad, AffinityConfig(3))
         with pytest.raises(DataError, match="NaN or infinite"):
-            fit(bad, AffinityConfig(3), 0.3, max_sweeps=3, split_cache=cache)
-        assert cache.data_key is None and cache.steps == {} and cache.graph is None
+            fit(cache.data, AffinityConfig(3), 0.3, max_sweeps=3, split_cache=cache)
+        assert cache.steps == {} and cache.graph is None and cache.eigh is None
+        cache = solver.SplitCache(data, AffinityConfig(3))
         svd, seen = np.linalg.svd, []
 
         def second_fails(a, *args, **kwargs):  # split 2's SVD, as fit's TT-SVD runs first
@@ -1011,24 +1022,21 @@ class TestFit:
 
         monkeypatch.setattr(np.linalg, "svd", second_fails)
         with pytest.raises(np.linalg.LinAlgError):
-            fit(data, AffinityConfig(3), 0.3, max_sweeps=3, split_cache=cache)
+            fit(cache.data, AffinityConfig(3), 0.3, max_sweeps=3, split_cache=cache)
         monkeypatch.setattr(np.linalg, "svd", svd)
         assert list(cache.steps) == [()]  # only the split that was factored
-        chain, report = fit(data, AffinityConfig(3), 0.3, max_sweeps=3, split_cache=cache)
-        assert all(same_bits(a, b) for a, b in zip(chain.cores, want[0].cores))
-        assert report.objective_trace == want[1].objective_trace
+        got = fit(cache.data, AffinityConfig(3), 0.3, max_sweeps=3, split_cache=cache)
+        assert same_fit(got, want)
 
     def test_each_fit_pays_its_own_tt_svd(self, rng, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a fit without a holder hashed its data")
-
         data, _ = self.separable_data(rng, per_class=12)
-        monkeypatch.setattr(solver.hashlib, "sha256", fail)
-        monkeypatch.setattr(solver.SplitCache, "hold", fail)
-        calls = spy_qr(monkeypatch)
-        for variant in ("atn", "tn", "atn"):
+        qrs, searches = spy_qr(monkeypatch), spy_graph_searches(monkeypatch)
+        eighs = spy_square_eigh(monkeypatch, 8)
+        for fits, variant in enumerate(("atn", "tn", "atn"), 1):
             ttnpe.fit(data, AffinityConfig(3), tau=0.3, variant=variant, max_sweeps=3)
-        assert len(calls) == 9  # 3 splits per fit: nothing is held between fits
+            # 3 splits and 1 search per fit: nothing is held between fits
+            assert len(qrs) == 3 * fits and len(searches) == fits
+        assert len(eighs) == 2  # one per ATN fit; TN bounds the objective with eigvalsh
 
     def test_shared_spectrum_reuses_the_held_gram(self, rng, monkeypatch):
         data, _ = self.separable_data(rng, per_class=12)
@@ -1045,27 +1053,27 @@ class TestFit:
             return [ref() for ref in built if ref() is not None]
 
         def record_split(*args, **kwargs):
-            seen.append(live())
+            seen.append(("tt_svd", len(live())))
             return split(*args, **kwargs)
 
-        def record_objective(problem):
-            seen.append([problem.z] + [z for z in live() if z is not problem.z])
+        def record_objective(problem):  # the Zs alive besides the fit's own
+            seen.append(("objective", len([z for z in live() if z is not problem.z])))
             return value(problem)
 
         monkeypatch.setattr(solver, "build_gram", keep)
         monkeypatch.setattr(solver, "tt_svd", record_split)
         monkeypatch.setattr(solver, "objective", record_objective)
-        calls = spy_square_eigh(monkeypatch, 8)
-        cache = solver.SplitCache()
-        got = [fit(data, AffinityConfig(3), tau, variant="atn", max_sweeps=3, split_cache=cache)
-               for tau in (0.3, 0.1)]
-        assert len(calls) == 1 and len(built) == 2 and cache.z is built[0]()
-        # one d x d Z per split: the second fit's own Z is gone before TT-SVD or a sweep
-        assert all(zs == [] or (len(zs) == 1 and zs[0] is cache.z) for zs in seen)
-        for (chain, report), (chain_want, report_want) in zip(got, want):
-            assert all(same_bits(a, b) for a, b in zip(chain.cores, chain_want.cores))
-            assert report.objective_trace == report_want.objective_trace
-            assert report.kyfan_bound == report_want.kyfan_bound
+        calls, eigh = [], np.linalg.eigh  # shapes only: spy_square_eigh would keep Z alive
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        cache = solver.SplitCache(data, AffinityConfig(3))
+        got = [fit(cache.data, AffinityConfig(3), tau, variant="atn", max_sweeps=3,
+                   split_cache=cache) for tau in (0.3, 0.1)]
+        assert len(calls) == 1 and len(built) == 2 and cache.eigh is not None
+        # the holder keeps Z's eigenpairs, not Z: no Z lives through a TT-SVD,
+        # and a fit's sweeps see only its own
+        assert [stage for stage, _ in seen].count("tt_svd") == 2 and live() == []
+        assert all(others == 0 for _, others in seen)
+        assert all(same_fit(*pair) for pair in zip(got, want))
 
     def test_kyfan_bound_holds(self, rng):
         data, _ = self.separable_data(rng)
