@@ -204,13 +204,11 @@ def _graph_config(config: ExperimentConfig) -> AffinityConfig:
     return AffinityConfig(k_neighbors=config.k_graph, epsilon=config.epsilon)
 
 
-def fit_config(config: ExperimentConfig, train: np.ndarray, tau: float,
-               split_cache: SplitCache | None = None):
-    """``fit`` on ``train`` at ``tau`` with the config's graph, variant,
-    sweep limit and rank cap, and ``fit``'s ``split_cache``, the holder
-    bound to ``train`` (its ``data``) and the config's graph that the fits
-    of one split share; returns (chain, report)."""
-    return fit(train, _graph_config(config), tau, variant=config.variant,
+def fit_config(config: ExperimentConfig, split_cache: SplitCache, tau: float):
+    """``fit`` at ``tau`` on ``split_cache``, a ``solver.SplitCache`` bound to
+    a training split and the config's graph, with the config's variant,
+    sweep limit and rank cap; returns (chain, report)."""
+    return fit(split_cache.data, split_cache.graph_cfg, tau, variant=config.variant,
                max_sweeps=config.max_sweeps, rank_cap=config.rank_cap, split_cache=split_cache)
 
 
@@ -248,11 +246,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
     records its message and the run continues; any other exception is a
     bug and propagates. Each (trial, noise level) builds one
     ``solver.SplitCache`` bound to its training split and the config's
-    graph, and its fits are given the holder's ``data``, so both variants
-    factor each TT-SVD rank prefix of that split once and search its KNN
-    graph once, and ATN decomposes its Gram target Z once; every later tau
-    reuses them, whatever order ``tau_list`` has, and S, Y and Z are still
-    built per tau. Writes the
+    graph, which :func:`fit_config` gives each of its fits, so both
+    variants factor each TT-SVD rank prefix of that split once, search its
+    KNN graph once and decompose its Gram target Z at most once (ATN always,
+    TN when R_n > d - N); every later tau reuses them, whatever order
+    ``tau_list`` has, and S, Y and Z are still built per tau. Writes the
     deterministic report to ``output_path``,
     timings to ``output_path + '.timings.json'`` (per fitted cell: subspace
     learning, embedding and classification, the solver's per-stage
@@ -291,7 +289,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 cell = {"tau": tau, "trial": trial, "snr_db": snr_db}
                 t0 = time.perf_counter()
                 try:
-                    chain, report = fit_config(config, split_cache.data, tau, split_cache)
+                    chain, report = fit_config(config, split_cache, tau)
                     learn_seconds = time.perf_counter() - t0
                     result = evaluate(chain, train, train_labels, test, test_labels,
                                       config.k_classify)
@@ -360,9 +358,10 @@ def first_cell_train(config: ExperimentConfig, out) -> np.ndarray:
 
 
 def run_fit(config: ExperimentConfig, out) -> TTChain:
-    """Fit the first cell's training split at the first tau and save the chain
-    to ``out``, probed before the fit, so a failed fit keeps a previous model."""
-    chain = fit_config(config, first_cell_train(config, out), config.tau_list[0])[0]
+    """Fit the first cell's training split, on a holder of its own, at the first tau and
+    save the chain to ``out``, probed before the fit, so a failed fit keeps a previous model."""
+    split_cache = SplitCache(first_cell_train(config, out), _graph_config(config))
+    chain = fit_config(config, split_cache, config.tau_list[0])[0]
     save_chain(chain, out)
     return chain
 
@@ -405,8 +404,9 @@ def run_convergence(config: ExperimentConfig) -> dict:
     A variant failing with a library error (as in ``run_experiment``) is
     recorded with its reason; the other variant still runs. The set-up is
     :func:`first_cell_train`'s. Both fits share one ``solver.SplitCache``
-    bound to that split and the config's graph, and are given its ``data``,
-    so the split's TT-SVD runs once and its KNN graph is searched once.
+    bound to that split and the config's graph, so the split's TT-SVD runs
+    once, its KNN graph is searched once and Z is decomposed at most once,
+    giving both variants the same ``kyfan_bound`` bits.
     """
     split_cache = SplitCache(first_cell_train(config, config.output_path), _graph_config(config))
     tau = config.tau_list[0]
@@ -414,8 +414,7 @@ def run_convergence(config: ExperimentConfig) -> dict:
     for variant in ("tn", "atn"):
         entry = {}
         try:
-            chain, report = fit_config(replace(config, variant=variant), split_cache.data, tau,
-                                       split_cache)
+            chain, report = fit_config(replace(config, variant=variant), split_cache, tau)
             entry.update({
                 "objective_trace": report.objective_trace,
                 "surrogate_trace": report.surrogate_trace,

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ttnpe.errors import ConfigError, DataError, NumericError, is_number, require_finite, require_int
+from ttnpe.errors import ConfigError, DataError, NumericError, is_number, require_int
 from ttnpe.neighborhood_graph import (
     AffinityConfig,
     build_gram,
@@ -46,8 +46,7 @@ from ttnpe.neighborhood_graph import (
 )
 from ttnpe.stiefel import OptimizeResult, OptimizerConfig, minimize_quadratic, polar
 from ttnpe.tensor_core import frobenius_norm, kronecker, left_unfold
-from ttnpe.tt_subspace import (TTChain, check_tt_args, contract_chain, fix_signs, project_left,
-                               right_environments, tt_svd)
+from ttnpe.tt_subspace import TTChain, contract_chain, fix_signs, project_left, right_environments, tt_svd
 
 
 def check_sweep_args(variant, max_sweeps=0, core_change_tol=0.0) -> None:
@@ -82,13 +81,13 @@ class TTNPEProblem:
 class SolverReport:
     """Traces of one fit. ``kyfan_bound`` is the Ky Fan lower bound on the
     objective: the sum of Z's R_n smallest eigenvalues, exactly 0.0 when
-    R_n <= d - N (Z = Y Y^T has rank at most N). ``wall_time`` holds
+    R_n <= d - N (Z = Y Y^T has rank at most N), otherwise read off the
+    one ``eigh`` of Z that both variants share. ``wall_time`` holds
     seconds per stage ("tt_svd", "graph", "eigensolve", "sweeps") and is
     the only non-deterministic field; with a ``SplitCache`` of earlier fits
     on the split, "tt_svd" drops to the splits whose rank prefix the holder
     did not yet hold, "graph" by the KNN search once the holder holds the
-    graph, and "eigensolve" reads near 0 for an ATN fit once it holds Z's
-    decomposition.
+    graph, and "eigensolve" reads near 0 once it holds Z's decomposition.
     ``core_solves`` holds, per TN sweep, each core solve's step count and stop
     reason (``{"steps": int, "stop": str}``); it stays empty for ATN."""
 
@@ -191,7 +190,8 @@ class SplitCache:
     """What the fits of every tau on one split share: ``steps``, the dict
     ``tt_svd`` reads and fills, the (N, K) KNN ``graph`` and the ``eigh``
     pair of the Gram target Z, each read-only and held once computed. The
-    graph is searched and Z decomposed on first use. It holds no Z.
+    graph is searched and Z decomposed on first use; the pair gives ATN its
+    target and both variants their Ky Fan bound when R_n > d - N. It holds no Z.
 
     It is bound to one D (stacked (I_1, ..., I_n, N)) and one graph config:
     ``data`` is a read-only float64 view of D (of a float64 copy when D is
@@ -358,39 +358,36 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     variant's sweep (:func:`sweep_tn`, the one TN core solver, or
     :func:`sweep_atn`, both through :func:`_sweep`) until the largest
     per-core change drops below ``core_change_tol`` or ``max_sweeps`` is
-    reached. A bad ``variant``, ``max_sweeps``, ``core_change_tol``, ``tau``
-    or ``rank_cap`` raises ConfigError once ``data``'s shape is checked,
-    before the graph is built. After each sweep the objective, recomputed
+    reached. ``data``'s shape, ``variant``, ``max_sweeps``, ``core_change_tol``
+    and N >= 2 are checked in that order, then ``tt_svd``, the first stage,
+    checks ``tau``, ``rank_cap`` and that the data are finite, all before the
+    graph is built. After each sweep the objective, recomputed
     from the chain by :func:`objective` and so independent of the carried
     forms, must stay above the Ky Fan bound, less 1e-8 * max(1, ||Z||_F),
     or NumericError is raised. The bound takes no eigensolve when
-    R_n <= d - N, where it is exactly 0.0; otherwise TN takes it from
-    ``eigvalsh`` of Z, and ATN from the eigenvalues of the one ``eigh`` of Z
-    that also gives its target.
+    R_n <= d - N, where it is exactly 0.0; otherwise both variants take it
+    from the holder's ``eigh`` of Z, which also gives ATN its target.
 
     Every fit runs through a :class:`SplitCache`, its own when
     ``split_cache`` is None. A given holder must be bound to this split:
     ``data`` is its ``data`` and ``graph_cfg`` equals its ``graph_cfg``, or
     ValueError is raised before any work. ``tt_svd`` factors only the rank
     prefixes the holder lacks, both variants take its KNN graph
-    (``build_weight_matrix``'s ``search``) and ATN its ``eigh``; the chain
+    (``build_weight_matrix``'s ``search``) and its ``eigh``; the chain
     and traces are those of a fit without it, bit for bit. S, Y and Z are
     built on every call, and Y is released once Z is built.
     ``opt_cfg`` bounds the power iteration on TN cores 1..n-1 through its
     ``max_inner_iters`` and ``grad_tol``; the last TN core and every ATN
     core update are solved in closed form.
     """
-    data = np.asarray(data, dtype=np.float64)
     if split_cache is None:
         split_cache = SplitCache(data, graph_cfg)
-        data = split_cache.data
     elif not (data is split_cache.data and graph_cfg == split_cache.graph_cfg):
         raise ValueError("split_cache is bound to another data array or graph config")
+    data = split_cache.data
     if data.ndim < 2:
         raise DataError("data must stack samples along a trailing mode")
     check_sweep_args(variant, max_sweeps, core_change_tol)
-    check_tt_args(tau, rank_cap, data.ndim - 1)
-    require_finite(data, "data")
     n_samples = data.shape[-1]
     if n_samples < 2:
         raise DataError("need at least 2 samples")
@@ -411,10 +408,8 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     t0 = time.perf_counter()
     r_n = chain.embedding_dim
     v, eigvals = None, ()
-    if variant == "atn":
+    if variant == "atn" or r_n > d - n_samples:
         eigvals, v = split_cache.smallest_eigvecs(z, r_n)
-    elif r_n > d - n_samples:
-        eigvals = np.linalg.eigvalsh(z)[:r_n]
     # rank(Z) <= N leaves at least d - N zero eigenvalues, the R_n smallest.
     report.kyfan_bound = float(np.sum(eigvals)) if r_n > d - n_samples else 0.0
     problem = TTNPEProblem(z=z, mode_dims=mode_dims, chain=chain, variant=variant)

@@ -21,18 +21,22 @@ def write_idx_labels(path, labels):
 
 
 def spy_square_eigh(monkeypatch, d, fail_first=False):
-    """The inputs of every ``np.linalg.eigh`` call on a d x d array; with
-    ``fail_first`` the first such call raises LinAlgError."""
-    calls, eigh = [], np.linalg.eigh
+    """The name of every ``np.linalg.eigh`` or ``eigvalsh`` call on a d x d
+    array, so either eigensolve of a Gram target counts and no input is kept
+    alive; with ``fail_first`` the first such call raises LinAlgError."""
+    calls = []
 
-    def spy(a, *args, **kwargs):
-        if np.shape(a) == (d, d):
-            calls.append(a)
-            if fail_first and len(calls) == 1:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigh(a, *args, **kwargs)
+    def spy(name, solve):
+        def call(a, *args, **kwargs):
+            if np.shape(a) == (d, d):
+                calls.append(name)
+                if fail_first and len(calls) == 1:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(a, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     return calls
 
 

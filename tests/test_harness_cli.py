@@ -26,6 +26,7 @@ from ttnpe.harness import (
     run_experiment,
     split_per_class,
 )
+from ttnpe.neighborhood_graph import AffinityConfig
 from ttnpe.tt_subspace import load_chain, save_chain
 
 
@@ -419,6 +420,13 @@ def count_calls(monkeypatch, *names):
     return counts
 
 
+def unshared(monkeypatch):
+    """Give every ``harness.fit_config`` call a fresh holder bound to the same split."""
+    fit_config = harness.fit_config
+    monkeypatch.setattr(harness, "fit_config", lambda config, split_cache, tau: fit_config(
+        config, solver.SplitCache(split_cache.data, split_cache.graph_cfg), tau))
+
+
 class TestSharedSpectrum:
     """Every tau of one (trial, noise level) searches that split's KNN graph
     once and decomposes its Z once."""
@@ -466,9 +474,7 @@ class TestSharedSpectrum:
         prefixes = {(c["trial"], c["snr_db"], tuple(c["ranks"][:k]))
                     for c in shared["cells"] for k in range(4)}
         assert len(factored) == len(prefixes) < 4 * 12
-        fit_config = harness.fit_config
-        monkeypatch.setattr(harness, "fit_config",
-                            lambda config, train, tau, split_cache=None: fit_config(config, train, tau))
+        unshared(monkeypatch)
         alone = run_experiment(replace(config, output_path=str(tmp_path / "alone.json")))
         assert len(searches) == 4 + 12 and len(factored) == len(prefixes) + 4 * 12
         assert all("error" not in c for c in shared["cells"])
@@ -487,9 +493,9 @@ class TestSharedSpectrum:
         want = run_experiment(replace(config, output_path=str(tmp_path / "want.json")))
         held, fit_config = [], harness.fit_config
 
-        def recording(config, train, tau, split_cache=None):
+        def recording(config, split_cache, tau):
             try:
-                return fit_config(config, train, tau, split_cache)
+                return fit_config(config, split_cache, tau)
             finally:
                 held.append(split_cache.graph is not None)
 
@@ -505,9 +511,9 @@ class TestSharedSpectrum:
         want = run_experiment(replace(config, output_path=str(tmp_path / "want.json")))
         held, fit_config = [], harness.fit_config
 
-        def recording(config, train, tau, split_cache=None):
+        def recording(config, split_cache, tau):
             try:
-                return fit_config(config, train, tau, split_cache)
+                return fit_config(config, split_cache, tau)
             finally:
                 held.append(split_cache.eigh is not None)
 
@@ -526,13 +532,20 @@ class TestRunConvergence:
         searches, factored = spy_graph_searches(monkeypatch), spy_qr(monkeypatch)
         shared = run_convergence(config)
         assert len(searches) == 1 and len(factored) == 3  # the ATN fit reuses TN's TT-SVD
-        fit_config = harness.fit_config
-        monkeypatch.setattr(harness, "fit_config",
-                            lambda config, train, tau, split_cache=None: fit_config(config, train, tau))
+        unshared(monkeypatch)
         alone = run_convergence(replace(config, output_path=str(tmp_path / "alone.json")))
         assert len(searches) == 1 + 2 and len(factored) == 3 + 2 * 3
         assert not any("error" in entry for entry in shared["traces"].values())
         assert float_bits(shared["traces"]) == float_bits(alone["traces"])
+
+    def test_one_eigensolve_for_both_variants(self, tmp_path, rng, monkeypatch):
+        config = ExperimentConfig.from_dict(  # N = 10 > d = 8, so R_n > d - N
+            base_config(tmp_path, rng, output_path=str(tmp_path / "conv.json")))
+        calls = spy_square_eigh(monkeypatch, 8)
+        traces = run_convergence(config)["traces"]
+        assert calls == ["eigh"]  # TN's bound and ATN's target share it
+        bounds = [traces[variant]["kyfan_bound"] for variant in ("tn", "atn")]
+        assert bounds[0] > 0.0 and bounds[0].hex() == bounds[1].hex()
 
     def test_both_variants_traced(self, tmp_path, rng):
         config = ExperimentConfig.from_dict(
@@ -1207,5 +1220,6 @@ class TestExtremeNoise:
         train = harness.trial_data(config, samples, labels)[0]
         monkeypatch.setattr(solver, "objective", lambda problem: -1e300)
         for variant in ("atn", "tn"):
+            cache = solver.SplitCache(train, AffinityConfig(config.k_graph))
             with pytest.raises(NumericError, match="spectral lower bound"):
-                harness.fit_config(replace(config, variant=variant), train, config.tau_list[0])
+                harness.fit_config(replace(config, variant=variant), cache, config.tau_list[0])

@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,15 @@ class TestGramSpectrum:
         assert all(same_bits(held, fresh) and not held.flags.writeable
                    for held, fresh in zip(cache.eigh, pair))
         assert not any(np.shares_memory(v, cache.eigh[1]) for v in (first[1], again[1]))
+
+    def test_spy_keeps_no_input_alive(self, rng, monkeypatch):
+        calls = spy_square_eigh(monkeypatch, 6)
+        z = random_psd(rng, 6)
+        ref = weakref.ref(z)
+        np.linalg.eigh(z)
+        np.linalg.eigvalsh(z)
+        del z
+        assert calls == ["eigh", "eigvalsh"] and ref() is None
 
     @pytest.mark.parametrize("change", ["one-bit", "negative-zero", "shape"])
     def test_other_bits_recompute(self, rng, monkeypatch, change):
@@ -721,8 +731,9 @@ def eigvalsh_shift(a):
     return float(np.linalg.eigvalsh(a)[-1])
 
 
-def ci_noisy_csv_data(tmp_path):
-    """The first train split of the CI's tiny two-cluster CSV at 0 dB noise."""
+def ci_noisy_csv_data(tmp_path, noise_snr_db=(0,)):
+    """The TN config and first train split of the CI's tiny two-cluster CSV,
+    at 0 dB noise unless ``noise_snr_db`` says otherwise."""
     rng = np.random.default_rng(0)
     rows = [[c] + list(6.0 * c + 0.3 * rng.standard_normal(8)) for c in (0, 1) for _ in range(8)]
     np.savetxt(tmp_path / "data.csv", rows, delimiter=",")
@@ -730,7 +741,8 @@ def ci_noisy_csv_data(tmp_path):
         "dataset": {"format": "csv", "path": str(tmp_path / "data.csv"), "label_column": 0},
         "reshape": [2, 2, 2], "n_train_per_class": 5, "n_test_per_class": 3,
         "tau_list": [0.3], "k_graph": 3, "k_classify": 1, "max_sweeps": 5,
-        "output_path": str(tmp_path / "report.json"), "noise_snr_db": [0], "variant": "tn"})
+        "output_path": str(tmp_path / "report.json"), "variant": "tn",
+        "noise_snr_db": None if noise_snr_db is None else list(noise_snr_db)})
     samples, labels = harness.load_dataset(config)
     return config, harness.trial_data(config, samples, labels)[0]
 
@@ -783,7 +795,8 @@ class TestLanczosShift:
             config, train = ci_noisy_csv_data(tmp_path)
 
             def run():
-                return harness.fit_config(config, train, config.tau_list[0])
+                cache = solver.SplitCache(train, AffinityConfig(config.k_graph))
+                return harness.fit_config(config, cache, config.tau_list[0])
 
         chain, report = run()
         with monkeypatch.context() as patch:
@@ -930,8 +943,8 @@ class TestFit:
     ])
     def test_tn_kyfan_bound_is_the_gram_spectrum(self, rng, variant, per_class, tau, regime):
         # d = 8. "null": R_n <= d - N, so the bound is exactly 0 with no
-        # eigensolve; "wide": N = 6 < d < N + R_n; "tall": N = 12 >= d. TN
-        # sums eigvalsh of Z, ATN its eigh of Z.
+        # eigensolve; "wide": N = 6 < d < N + R_n; "tall": N = 12 >= d. Both
+        # variants sum the eigenvalues of one eigh of Z.
         data, _ = self.separable_data(rng, per_class=per_class)
         graph = AffinityConfig(2)
         chain, report = fit(data, graph, tau=tau, variant=variant, max_sweeps=1)
@@ -945,13 +958,40 @@ class TestFit:
         assert abs(report.kyfan_bound - expected) < 1e-10 * max(1.0, float(np.linalg.norm(z)))
 
     def test_each_fit_pays_its_own_eigensolve(self, rng, monkeypatch):
-        data, _ = self.separable_data(rng, per_class=12)
+        data, _ = self.separable_data(rng, per_class=12)  # N = 24 > d = 8, so R_n > d - N
         calls = spy_square_eigh(monkeypatch, 8)
-        for _ in range(2):
-            ttnpe.fit(data, AffinityConfig(3), tau=0.3, variant="atn", max_sweeps=3)
-        assert len(calls) == 2
-        ttnpe.fit(data, AffinityConfig(3), tau=0.3, variant="tn", max_sweeps=3)
-        assert len(calls) == 2  # TN bounds the objective with eigvalsh, not eigh
+        for fits, variant in enumerate(("atn", "atn", "tn", "tn"), 1):
+            ttnpe.fit(data, AffinityConfig(3), tau=0.3, variant=variant, max_sweeps=3)
+            assert calls == ["eigh"] * fits  # nothing is held between fits
+
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_shared_cache_decomposes_the_gram_once(self, rng, monkeypatch, variant):
+        data, _ = self.separable_data(rng, per_class=12)  # N = 24 > d = 8, so R_n > d - N
+        taus = (0.5, 0.3, 0.2)  # no TN core form is 8 x 8 at these ranks
+        want = [fit(data, AffinityConfig(3), tau, variant=variant, max_sweeps=3) for tau in taus]
+        calls = spy_square_eigh(monkeypatch, 8)
+        cache = solver.SplitCache(data, AffinityConfig(3))
+        got = [fit(cache.data, AffinityConfig(3), tau, variant=variant, max_sweeps=3,
+                   split_cache=cache) for tau in taus]
+        assert calls == ["eigh"] and cache.eigh is not None  # one per tau would make 3
+        assert all(same_fit(*pair) for pair in zip(got, want))
+
+    def test_tn_fit_with_zero_bound_takes_no_eigensolve(self, rng, monkeypatch):
+        data, _ = self.separable_data(rng, per_class=2)  # R_n <= d - N = 4
+        calls = spy_square_eigh(monkeypatch, 8)
+        cache = solver.SplitCache(data, AffinityConfig(1))
+        chain, report = fit(cache.data, AffinityConfig(1), 0.3, variant="tn", max_sweeps=3,
+                            split_cache=cache)
+        assert chain.embedding_dim <= 4 and report.kyfan_bound == 0.0
+        assert calls == [] and cache.eigh is None
+
+    @pytest.mark.parametrize("noise_snr_db", [None, [0]], ids=["clean", "0dB"])
+    def test_ci_csv_bounds_are_equal_bits(self, tmp_path, noise_snr_db):
+        config, train = ci_noisy_csv_data(tmp_path, noise_snr_db)  # N = 10 > d = 8
+        cache = solver.SplitCache(train, AffinityConfig(config.k_graph))
+        tn, atn = (harness.fit_config(replace(config, variant=variant), cache, config.tau_list[0])
+                   [1].kyfan_bound for variant in ("tn", "atn"))
+        assert tn > 0.0 and tn.hex() == atn.hex()
 
     def test_each_fit_pays_its_own_graph_search(self, rng, monkeypatch):
         data, _ = self.separable_data(rng, per_class=12)
@@ -1034,9 +1074,8 @@ class TestFit:
         eighs = spy_square_eigh(monkeypatch, 8)
         for fits, variant in enumerate(("atn", "tn", "atn"), 1):
             ttnpe.fit(data, AffinityConfig(3), tau=0.3, variant=variant, max_sweeps=3)
-            # 3 splits and 1 search per fit: nothing is held between fits
-            assert len(qrs) == 3 * fits and len(searches) == fits
-        assert len(eighs) == 2  # one per ATN fit; TN bounds the objective with eigvalsh
+            # 3 splits, 1 search and 1 eigensolve per fit: nothing is held between fits
+            assert len(qrs) == 3 * fits and len(searches) == len(eighs) == fits
 
     def test_shared_spectrum_reuses_the_held_gram(self, rng, monkeypatch):
         data, _ = self.separable_data(rng, per_class=12)
@@ -1063,8 +1102,7 @@ class TestFit:
         monkeypatch.setattr(solver, "build_gram", keep)
         monkeypatch.setattr(solver, "tt_svd", record_split)
         monkeypatch.setattr(solver, "objective", record_objective)
-        calls, eigh = [], np.linalg.eigh  # shapes only: spy_square_eigh would keep Z alive
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        calls = spy_square_eigh(monkeypatch, 8)
         cache = solver.SplitCache(data, AffinityConfig(3))
         got = [fit(cache.data, AffinityConfig(3), tau, variant="atn", max_sweeps=3,
                    split_cache=cache) for tau in (0.3, 0.1)]
@@ -1137,8 +1175,9 @@ class TestFit:
 
     def test_too_few_samples(self, rng):
         from ttnpe.errors import DataError
-        with pytest.raises(DataError):
-            fit(rng.standard_normal((2, 2, 1)), AffinityConfig(1), tau=0.5)
+        for tau in (0.5, 1.5):  # fit checks N >= 2 before tt_svd checks tau
+            with pytest.raises(DataError, match="at least 2 samples"):
+                fit(rng.standard_normal((2, 2, 1)), AffinityConfig(1), tau=tau)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_rejected(self, rng, bad):
