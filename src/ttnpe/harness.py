@@ -251,11 +251,11 @@ def run_experiment(config: ExperimentConfig) -> dict:
     KNN graph once and decompose its Gram target Z at most once (ATN always,
     TN when R_n > d - N); every later tau reuses them, whatever order
     ``tau_list`` has, and S, Y and Z are still built per tau. Writes the
-    deterministic report to ``output_path``,
-    timings to ``output_path + '.timings.json'`` (per fitted cell: subspace
-    learning, embedding and classification, the solver's per-stage
-    ``wall_time``, its TN ``core_solves``, its ``kyfan_bound`` and
-    ``kyfan_gap``, the final objective minus that bound), and a flat CSV of
+    deterministic report to ``output_path``, timings to
+    ``output_path + '.timings.json'`` (per fitted cell: subspace learning,
+    embedding and classification, the solver's per-stage ``wall_time``, its
+    ``work`` on the split's holder, its TN ``core_solves``, its ``kyfan_bound``
+    and ``kyfan_gap``, the final objective minus that bound), and a flat CSV of
     (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``. The split,
     ``k_graph`` and ``k_classify`` against the split's training points (by
     :func:`check_split` and ``nearest.check_k``, the graph's and the
@@ -309,6 +309,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                         "embedding": result.embed_seconds,
                         "classification": result.classify_seconds,
                         **report.wall_time,
+                        "work": report.work,
                         "core_solves": report.core_solves,
                         "kyfan_bound": report.kyfan_bound,
                         "kyfan_gap": report.objective_trace[-1] - report.kyfan_bound,

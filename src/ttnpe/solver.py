@@ -84,12 +84,12 @@ class SolverReport:
     R_n <= d - N (Z = Y Y^T has rank at most N), otherwise read off the
     one ``eigh`` of Z that both variants share. ``wall_time`` holds
     seconds per stage ("tt_svd", "graph", "eigensolve", "sweeps") and is
-    the only non-deterministic field; with a ``SplitCache`` of earlier fits
-    on the split, "tt_svd" drops to the splits whose rank prefix the holder
-    did not yet hold, "graph" by the KNN search once the holder holds the
-    graph, and "eigensolve" reads near 0 once it holds Z's decomposition.
-    ``core_solves`` holds, per TN sweep, each core solve's step count and stop
-    reason (``{"steps": int, "stop": str}``); it stays empty for ATN."""
+    the only non-deterministic field; on a holder a stage skips the shared
+    work that ``work`` does not count. ``work`` counts what the fit added to
+    its ``SplitCache``, all its work when it had none: ``tt_svd_splits``
+    (rank prefixes factored, a QR and an SVD each), ``knn_searches`` and
+    ``eigh`` (of Z). ``core_solves`` holds, per TN sweep, each core solve's
+    step count and stop reason (``{"steps": int, "stop": str}``); it stays empty for ATN."""
 
     objective_trace: list[float] = field(default_factory=list)
     surrogate_trace: list[list[float]] = field(default_factory=list)
@@ -98,6 +98,7 @@ class SolverReport:
     sweeps_run: int = 0
     termination_reason: str = ""
     wall_time: dict = field(default_factory=dict)
+    work: dict = field(default_factory=dict)
     core_solves: list[list[dict]] = field(default_factory=list)
 
 
@@ -395,6 +396,7 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     d = int(np.prod(mode_dims))
 
     report = SolverReport()
+    held = len(split_cache.steps), split_cache.graph, split_cache.eigh
     t0 = time.perf_counter()
     chain = tt_svd(data, tau, rank_cap=rank_cap, steps=split_cache.steps)
     report.wall_time["tt_svd"] = time.perf_counter() - t0
@@ -414,6 +416,9 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     report.kyfan_bound = float(np.sum(eigvals)) if r_n > d - n_samples else 0.0
     problem = TTNPEProblem(z=z, mode_dims=mode_dims, chain=chain, variant=variant)
     report.wall_time["eigensolve"] = time.perf_counter() - t0
+    report.work = {"tt_svd_splits": len(split_cache.steps) - held[0],
+                   "knn_searches": int(split_cache.graph is not held[1]),
+                   "eigh": int(split_cache.eigh is not held[2])}
 
     scale = max(1.0, frobenius_norm(z))
     report.objective_trace.append(objective(problem))

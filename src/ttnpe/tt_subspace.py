@@ -38,8 +38,8 @@ class TTChain:
             raise ValueError("a TT chain needs at least one core")
         self.cores = [np.asarray(c, dtype=np.float64) for c in self.cores]
         for k, c in enumerate(self.cores):
-            if c.ndim != 3:
-                raise ValueError(f"core {k} has {c.ndim} modes, expected 3")
+            if c.ndim != 3 or 0 in c.shape:
+                raise ValueError(f"core {k} has shape {c.shape}, expected 3 positive dims")
         if self.cores[0].shape[0] != 1:
             raise ValueError("first core must have leading rank 1")
         for k in range(len(self.cores) - 1):

@@ -4,7 +4,6 @@ import struct
 import numpy as np
 import pytest
 
-from ttnpe import solver
 from ttnpe.tensor_core import left_unfold
 from ttnpe.tt_subspace import TTChain, left_orthogonalize
 
@@ -20,18 +19,18 @@ def write_idx_labels(path, labels):
     path.write_bytes(struct.pack(">ii", 0x801, len(labels)) + labels.tobytes())
 
 
-def spy_square_eigh(monkeypatch, d, fail_first=False):
+def spy_square_eigh(monkeypatch, d):
     """The name of every ``np.linalg.eigh`` or ``eigvalsh`` call on a d x d
-    array, so either eigensolve of a Gram target counts and no input is kept
-    alive; with ``fail_first`` the first such call raises LinAlgError."""
+    array, keeping no input alive. It matches any d x d eigensolve, not only
+    Z's: TN's last-core B when R_{n-1} I_n = d, and the tridiagonal of a core
+    form with m = d. So it serves only as ground truth for ``work["eigh"]``,
+    at ranks with no d x d form."""
     calls = []
 
     def spy(name, solve):
         def call(a, *args, **kwargs):
             if np.shape(a) == (d, d):
                 calls.append(name)
-                if fail_first and len(calls) == 1:
-                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return solve(a, *args, **kwargs)
         return call
 
@@ -40,34 +39,30 @@ def spy_square_eigh(monkeypatch, d, fail_first=False):
     return calls
 
 
-def spy_graph_searches(monkeypatch, first=None):
-    """The shape of D in every KNN graph search of a fit, ``solver.knn_graph``
-    (the name ``SplitCache.knn_graph`` looks up, through which every fit
-    searches); with ``first``, the first search returns
-    ``first(knn_graph, d_mat, k)`` instead."""
-    calls, search = [], solver.knn_graph
+def spy_calls(monkeypatch, owner, name, first=None):
+    """The shape of the first argument of every call of ``owner.name``; with ``first``,
+    the first call returns ``first(original, *args)`` instead, to inject a failure."""
+    calls, original = [], getattr(owner, name)
 
-    def spy(d_mat, k):
-        calls.append(d_mat.shape)
+    def call(*args, **kwargs):
+        calls.append(np.shape(args[0]))
         if first is not None and len(calls) == 1:
-            return first(search, d_mat, k)
-        return search(d_mat, k)
+            return first(original, *args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "knn_graph", spy)
+    monkeypatch.setattr(owner, name, call)
     return calls
 
 
 def spy_qr(monkeypatch):
     """The shape of every ``np.linalg.qr`` input; ``tt_svd`` factors each
     split it does not hold with one."""
-    calls, qr = [], np.linalg.qr
+    return spy_calls(monkeypatch, np.linalg, "qr")
 
-    def spy(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return qr(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", spy)
-    return calls
+def no_convergence(*args, **kwargs):
+    """A ``first`` for :func:`spy_calls` on ``np.linalg.eigh``."""
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 def same_bits(a, b):

@@ -7,14 +7,15 @@ import sys
 import tracemalloc
 import types
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import (random_orthonormal_chain, spy_graph_searches, spy_qr, spy_square_eigh,
-                      write_idx_images, write_idx_labels)
+from conftest import (no_convergence, random_orthonormal_chain, spy_calls, write_idx_images,
+                      write_idx_labels)
 import ttnpe
 from ttnpe import cli, harness, solver
 from ttnpe.cli import main
@@ -323,6 +324,7 @@ class TestRunExperiment:
             stages = [entry[key] for key in ("graph", "tt_svd", "eigensolve", "sweeps")]
             assert all(isinstance(t, float) and t >= 0.0 for t in stages)
             assert entry["core_solves"] == []  # ATN solves every core in closed form
+            assert set(entry["work"]) == {"tt_svd_splits", "knn_searches", "eigh"}
         for cell in json.loads(first)["cells"]:
             assert list(cell) == ["tau", "trial", "snr_db", "ranks", "rho", "error_rate", "n_wrong",
                                   "n_test", "objective_trace", "sweeps", "termination"]
@@ -420,11 +422,33 @@ def count_calls(monkeypatch, *names):
     return counts
 
 
-def unshared(monkeypatch):
-    """Give every ``harness.fit_config`` call a fresh holder bound to the same split."""
-    fit_config = harness.fit_config
-    monkeypatch.setattr(harness, "fit_config", lambda config, split_cache, tau: fit_config(
-        config, solver.SplitCache(split_cache.data, split_cache.graph_cfg), tau))
+def fit_work(monkeypatch, unshared=False):
+    """The ``work`` of every ``harness.fit_config`` call's report, in order; with
+    ``unshared``, each call is given a fresh holder bound to the same split."""
+    work, fit_config = [], harness.fit_config
+
+    def recording(config, split_cache, tau):
+        if unshared:
+            split_cache = solver.SplitCache(split_cache.data, split_cache.graph_cfg)
+        chain, report = fit_config(config, split_cache, tau)
+        work.append(report.work)
+        return chain, report
+
+    monkeypatch.setattr(harness, "fit_config", recording)
+    return work
+
+
+def sidecar(out):
+    """The entries of the timings sidecar of the report at ``out``."""
+    return json.loads(Path(str(out) + ".timings.json").read_text())
+
+
+def split_work(out):
+    """The sidecar's ``work`` counts of the report at ``out``, summed per (trial, snr_db)."""
+    sums = {}
+    for entry in sidecar(out):
+        sums.setdefault((entry["trial"], entry["snr_db"]), Counter()).update(entry["work"])
+    return sums
 
 
 class TestSharedSpectrum:
@@ -440,46 +464,52 @@ class TestSharedSpectrum:
         raw.update(overrides)
         return ExperimentConfig.from_dict(raw)
 
-    def test_one_eigensolve_per_split(self, tmp_path, rng, monkeypatch):
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_one_search_and_eigensolve_per_split(self, tmp_path, rng, monkeypatch, variant):
         counts = count_calls(monkeypatch, (harness, "fit"), (solver, "build_weight_matrix"),
                              (solver, "build_gram"))
-        calls = spy_square_eigh(monkeypatch, 16)
-        config = self.config(tmp_path, rng)
+        config = self.config(tmp_path, rng, variant=variant)
         doc = run_experiment(config)
         assert len(doc["cells"]) == 12 and all("error" not in c for c in doc["cells"])
-        assert len(calls) == 4  # 2 trials x 2 levels; one per cell would make 12
         assert counts == {"fit": 12, "build_weight_matrix": 12, "build_gram": 12}
-        one_split = replace(config, trials=1, noise_snr_db=None)
-        for runs in (1, 2):  # each run pays its own eigensolve, even of the same split
-            run_experiment(one_split)
-            assert len(calls) == 4 + runs
-
-    @pytest.mark.parametrize("variant", ["atn", "tn"])
-    def test_one_graph_search_per_split(self, tmp_path, rng, monkeypatch, variant):
-        counts = count_calls(monkeypatch, (harness, "fit"), (solver, "build_weight_matrix"),
-                             (solver, "build_gram"))
-        searches = spy_graph_searches(monkeypatch)
-        doc = run_experiment(self.config(tmp_path, rng, variant=variant))
-        assert len(doc["cells"]) == 12 and all("error" not in c for c in doc["cells"])
-        assert len(searches) == 4  # 2 trials x 2 levels; one per cell would make 12
-        assert counts == {"fit": 12, "build_weight_matrix": 12, "build_gram": 12}
+        prefixes = {(c["trial"], c["snr_db"], tuple(c["ranks"][:k]))
+                    for c in doc["cells"] for k in range(4)}
+        # 2 trials x 2 levels, each with one search where one per cell would make 12,
+        # one split per distinct rank prefix and one eigensolve, which a TN fit may not need
+        work = split_work(config.output_path)
+        assert {split: (w["tt_svd_splits"], w["knn_searches"]) for split, w in work.items()} == {
+            split: (sum(p[:2] == split for p in prefixes), 1) for split in work}
+        assert all(w["eigh"] == 1 or (variant, w["eigh"]) == ("tn", 0) for w in work.values())
+        assert len(work) == 4 and all(w["tt_svd_splits"] < 4 * 3 for w in work.values())
+        for _ in range(2):  # each run pays its own work, even of the same split
+            run_experiment(replace(config, trials=1, noise_snr_db=None))
+            assert split_work(config.output_path) == {(0, None): work[(0, None)]}
 
     @pytest.mark.parametrize("variant", ["atn", "tn"])
     def test_same_report_as_unshared_fits(self, tmp_path, rng, monkeypatch, variant):
         config = self.config(tmp_path, rng, variant=variant)
-        searches, factored = spy_graph_searches(monkeypatch), spy_qr(monkeypatch)
         shared = run_experiment(config)
-        assert len(searches) == 4
-        # one QR per rank prefix of each split, against 4 per cell unshared
-        prefixes = {(c["trial"], c["snr_db"], tuple(c["ranks"][:k]))
-                    for c in shared["cells"] for k in range(4)}
-        assert len(factored) == len(prefixes) < 4 * 12
-        unshared(monkeypatch)
+        fit_work(monkeypatch, unshared=True)
         alone = run_experiment(replace(config, output_path=str(tmp_path / "alone.json")))
-        assert len(searches) == 4 + 12 and len(factored) == len(prefixes) + 4 * 12
+        # each fit, with a holder of its own, pays all its work
+        assert all((w["tt_svd_splits"], w["knn_searches"]) == (4, 1) and w["eigh"] <= 1
+                   for w in (e["work"] for e in sidecar(tmp_path / "alone.json")))
         assert all("error" not in c for c in shared["cells"])
         for key in ("cells", "baselines", "aggregates"):
             assert float_bits(shared[key]) == float_bits(alone[key])
+
+    def test_tau_order_changes_no_cell_and_no_split_total(self, tmp_path, rng):
+        config = self.config(tmp_path, rng)
+        backward = replace(config, tau_list=config.tau_list[::-1],
+                           output_path=str(tmp_path / "backward.json"))
+        keys = ("ranks", "n_wrong", "error_rate", "objective_trace")
+        cells = [{(c["trial"], c["snr_db"], c["tau"]): float_bits([c[k] for k in keys])
+                  for c in run_experiment(order)["cells"]} for order in (config, backward)]
+        assert cells[0] == cells[1] and len(cells[0]) == 12
+        assert split_work(config.output_path) == split_work(backward.output_path)
+        for order in (config, backward):  # its first tau pays each split's search and eigensolve
+            assert all((e["work"]["knn_searches"], e["work"]["eigh"]) == (
+                (1, 1) if e["tau"] == order.tau_list[0] else (0, 0)) for e in sidecar(order.output_path))
 
     @pytest.mark.parametrize("failure, error", [
         (lambda search, d_mat, k: search(d_mat, d_mat.shape[1]),
@@ -491,37 +521,20 @@ class TestSharedSpectrum:
                                                           failure, error):
         config = self.config(tmp_path, rng, trials=1, noise_snr_db=None)
         want = run_experiment(replace(config, output_path=str(tmp_path / "want.json")))
-        held, fit_config = [], harness.fit_config
-
-        def recording(config, split_cache, tau):
-            try:
-                return fit_config(config, split_cache, tau)
-            finally:
-                held.append(split_cache.graph is not None)
-
-        monkeypatch.setattr(harness, "fit_config", recording)
-        searches = spy_graph_searches(monkeypatch, first=failure)
+        spy_calls(monkeypatch, solver, "knn_graph", first=failure)
         doc = run_experiment(config)
         assert doc["cells"][0]["error"].startswith(error)
-        assert held == [False, True, True] and len(searches) == 2
+        # the next tau searches again, and the one after reuses what it held
+        assert [e["work"]["knn_searches"] for e in sidecar(config.output_path)] == [1, 0]
         assert float_bits(doc["cells"][1:]) == float_bits(want["cells"][1:])
 
     def test_failed_eigensolve_is_recorded_and_not_held(self, tmp_path, rng, monkeypatch):
         config = self.config(tmp_path, rng, trials=1, noise_snr_db=None)
         want = run_experiment(replace(config, output_path=str(tmp_path / "want.json")))
-        held, fit_config = [], harness.fit_config
-
-        def recording(config, split_cache, tau):
-            try:
-                return fit_config(config, split_cache, tau)
-            finally:
-                held.append(split_cache.eigh is not None)
-
-        monkeypatch.setattr(harness, "fit_config", recording)
-        calls = spy_square_eigh(monkeypatch, 16, fail_first=True)
+        spy_calls(monkeypatch, np.linalg, "eigh", first=no_convergence)
         doc = run_experiment(config)
         assert doc["cells"][0]["error"] == "LinAlgError: Eigenvalues did not converge"
-        assert held == [False, True, True] and len(calls) == 2
+        assert [e["work"]["eigh"] for e in sidecar(config.output_path)] == [1, 0]
         assert float_bits(doc["cells"][1:]) == float_bits(want["cells"][1:])
 
 
@@ -529,21 +542,23 @@ class TestRunConvergence:
     def test_one_graph_search_for_both_variants(self, tmp_path, rng, monkeypatch):
         config = ExperimentConfig.from_dict(
             base_config(tmp_path, rng, output_path=str(tmp_path / "conv.json")))
-        searches, factored = spy_graph_searches(monkeypatch), spy_qr(monkeypatch)
+        work = fit_work(monkeypatch)
         shared = run_convergence(config)
-        assert len(searches) == 1 and len(factored) == 3  # the ATN fit reuses TN's TT-SVD
-        unshared(monkeypatch)
+        monkeypatch.undo()
+        alone_work = fit_work(monkeypatch, unshared=True)
         alone = run_convergence(replace(config, output_path=str(tmp_path / "alone.json")))
-        assert len(searches) == 1 + 2 and len(factored) == 3 + 2 * 3
+        # the ATN fit reuses the TN fit's search and TT-SVD, unless it has a holder of its own
+        assert [(w["knn_searches"], w["tt_svd_splits"]) for w in work + alone_work] == [
+            (1, 3), (0, 0), (1, 3), (1, 3)]
         assert not any("error" in entry for entry in shared["traces"].values())
         assert float_bits(shared["traces"]) == float_bits(alone["traces"])
 
     def test_one_eigensolve_for_both_variants(self, tmp_path, rng, monkeypatch):
         config = ExperimentConfig.from_dict(  # N = 10 > d = 8, so R_n > d - N
             base_config(tmp_path, rng, output_path=str(tmp_path / "conv.json")))
-        calls = spy_square_eigh(monkeypatch, 8)
+        work = fit_work(monkeypatch)
         traces = run_convergence(config)["traces"]
-        assert calls == ["eigh"]  # TN's bound and ATN's target share it
+        assert [w["eigh"] for w in work] == [1, 0]  # TN's bound and ATN's target share it
         bounds = [traces[variant]["kyfan_bound"] for variant in ("tn", "atn")]
         assert bounds[0] > 0.0 and bounds[0].hex() == bounds[1].hex()
 
@@ -830,6 +845,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "NaN or infinite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["classify", "embed"])
+    def test_zero_rank_model_exit_code(self, tmp_path, rng, capsys, command):
+        cfg, _ = self.write_config(tmp_path, rng)
+        model, out = tmp_path / "model.json", tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        doc["cores"][-1].update(shape=doc["cores"][-1]["shape"][:2] + [0], data=[])
+        doc["ranks"][-1] = 0
+        model.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg), "--model", str(model), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ") and not out.exists()
 
     @pytest.mark.parametrize("missing, code", [("config", 1), ("model", 2), ("dataset", 2)])
     def test_missing_file_exit_code(self, tmp_path, rng, capsys, missing, code):

@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (brute_core_form, random_orthonormal_chain, random_psd, same_bits,
-                      spy_graph_searches, spy_qr, spy_square_eigh)
+from conftest import (brute_core_form, no_convergence, random_orthonormal_chain, random_psd,
+                      same_bits, spy_calls, spy_qr, spy_square_eigh)
 import ttnpe
-from ttnpe import harness, solver, stiefel
+from ttnpe import harness, neighborhood_graph, solver, stiefel
 from ttnpe.classifier import evaluate
 from ttnpe.errors import ConfigError, DataError
 from ttnpe.neighborhood_graph import (AffinityConfig, build_gram, build_residual, build_weight_matrix,
@@ -243,22 +243,24 @@ def refused_input(data, change):
     return other, graph
 
 
-def refused_then_refit(rng, monkeypatch, change, spy):
+def refused_then_refit(rng, monkeypatch, change):
     """Fit a split through its holder, then hand that holder the input
     ``change`` makes: it refuses before any work, and a holder of its own
-    fits that input. Returns (``spy``'s calls over both, the new holder, its
-    fit, the same fit without a holder)."""
+    fits that input with all its work. Returns (the new holder, its fit,
+    the same fit without a holder)."""
     data, graph = split_data(rng), AffinityConfig(3)
     cache = solver.SplitCache(data, graph)
     fit(cache.data, graph, 0.3, max_sweeps=1, split_cache=cache)
     other, other_graph = refused_input(data, change)
     want = fit(other, other_graph, 0.3, max_sweeps=1)
-    calls = spy(monkeypatch)
-    with pytest.raises(ValueError, match="bound to another"):
+    with monkeypatch.context() as patch, pytest.raises(ValueError, match="bound to another"):
+        patch.setattr(solver, "tt_svd", None)  # fit's first stage: a call would raise TypeError
         fit(other, other_graph, 0.3, max_sweeps=1, split_cache=cache)
-    assert calls == []
     own = solver.SplitCache(other, other_graph)
-    return calls, own, fit(own.data, other_graph, 0.3, max_sweeps=1, split_cache=own), want
+    got = fit(own.data, other_graph, 0.3, max_sweeps=1, split_cache=own)
+    assert got[1].work == want[1].work == {"tt_svd_splits": other.ndim - 1, "knn_searches": 1,
+                                           "eigh": 1}
+    return own, got, want
 
 
 def same_fit(got, want):
@@ -277,14 +279,14 @@ class TestGramSpectrum:
         z[0, 5] = z[5, 0] = 0.0
         return z
 
-    def test_equal_bits_reuse_the_held_pair(self, rng, monkeypatch):
+    def test_equal_bits_reuse_the_held_pair(self, rng):
         z = self.gram_with_zero(rng)
         want, pair = smallest_eigvecs(z, 3), np.linalg.eigh(z)
-        calls = spy_square_eigh(monkeypatch, 6)
         cache = dummy_holder()
         first = cache.smallest_eigvecs(z, 2)
+        held = cache.eigh
         again = cache.smallest_eigvecs(z.copy(), 3)
-        assert len(calls) == 1
+        assert cache.eigh is held
         assert same_bits(first[0], want[0][:2]) and same_bits(first[1], want[1][:, :2])
         assert same_bits(again[0], want[0]) and same_bits(again[1], want[1])
         # each caller sign-fixes its own copy; the held pair stays read-only and as eigh gave it
@@ -303,20 +305,19 @@ class TestGramSpectrum:
 
     @pytest.mark.parametrize("change", ["one-bit", "negative-zero", "shape"])
     def test_other_bits_recompute(self, rng, monkeypatch, change):
-        calls, own, got, want = refused_then_refit(
-            rng, monkeypatch, change, lambda mp: spy_square_eigh(mp, 8))
-        assert len(calls) == 1 and own.eigh is not None and same_fit(got, want)
+        own, got, want = refused_then_refit(rng, monkeypatch, change)
+        assert own.eigh is not None and same_fit(got, want)
 
     def test_failed_eigensolve_holds_nothing(self, rng, monkeypatch):
         z = self.gram_with_zero(rng)
         want = smallest_eigvecs(z, 2)
         cache = dummy_holder()
-        calls = spy_square_eigh(monkeypatch, 6, fail_first=True)
+        spy_calls(monkeypatch, np.linalg, "eigh", first=no_convergence)
         with pytest.raises(np.linalg.LinAlgError):
             cache.smallest_eigvecs(z, 2)
         assert cache.eigh is None
         got = cache.smallest_eigvecs(z, 2)
-        assert len(calls) == 2 and cache.eigh is not None
+        assert cache.eigh is not None
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
@@ -333,27 +334,25 @@ class TestSplitCacheGraph:
         d_mat[0, 3] = 0.0
         return d_mat
 
-    def test_equal_bits_reuse_the_held_graph(self, rng, monkeypatch):
+    def test_equal_bits_reuse_the_held_graph(self, rng):
         d_mat = self.d_mat(rng)
         want = knn_graph(d_mat, 3)
-        calls = spy_graph_searches(monkeypatch)
         cache = dummy_holder()
         first = cache.knn_graph(d_mat, 3)
         again = cache.knn_graph(d_mat, 3)
-        assert len(calls) == 1 and again is first and same_graph(first, want)
+        assert again is first is cache.graph and same_graph(first, want)
         assert not any(held.flags.writeable for held in first)
 
     @pytest.mark.parametrize("change", ["one-bit", "negative-zero", "copy", "same-buffer", "shape",
                                         "dtype", "k", "epsilon"])
     def test_other_input_searches_again(self, rng, monkeypatch, change):
-        calls, own, got, want = refused_then_refit(rng, monkeypatch, change, spy_graph_searches)
-        assert len(calls) == 1 and same_fit(got, want)
+        own, got, want = refused_then_refit(rng, monkeypatch, change)
+        assert same_fit(got, want)
         assert same_graph(own.graph, knn_graph(left_unfold(own.data), own.graph_cfg.k_neighbors))
 
     @pytest.mark.parametrize("failure", ["k", "tiny"])
-    def test_failed_search_holds_nothing(self, rng, monkeypatch, failure):
+    def test_failed_search_holds_nothing(self, rng, failure):
         d_mat = self.d_mat(rng)
-        calls = spy_graph_searches(monkeypatch)
         cache = dummy_holder()
         if failure == "k":  # check_graph_k: each sample needs K others
             with pytest.raises(ConfigError, match="K must be < number of samples"):
@@ -363,7 +362,7 @@ class TestSplitCacheGraph:
                 cache.knn_graph(d_mat * 1e-300, 3)
         assert cache.graph is None
         got = cache.knn_graph(d_mat, 3)
-        assert len(calls) == 2 and same_graph(got, knn_graph(d_mat, 3))
+        assert got is cache.graph and same_graph(got, knn_graph(d_mat, 3))
 
     def test_data_is_a_read_only_view(self, rng):
         data = split_data(rng)
@@ -957,33 +956,46 @@ class TestFit:
         expected = np.sort(np.linalg.eigvalsh(z))[:r_n].sum()
         assert abs(report.kyfan_bound - expected) < 1e-10 * max(1.0, float(np.linalg.norm(z)))
 
-    def test_each_fit_pays_its_own_eigensolve(self, rng, monkeypatch):
-        data, _ = self.separable_data(rng, per_class=12)  # N = 24 > d = 8, so R_n > d - N
-        calls = spy_square_eigh(monkeypatch, 8)
-        for fits, variant in enumerate(("atn", "atn", "tn", "tn"), 1):
-            ttnpe.fit(data, AffinityConfig(3), tau=0.3, variant=variant, max_sweeps=3)
-            assert calls == ["eigh"] * fits  # nothing is held between fits
+    @pytest.mark.parametrize("variant, per_class, eigh", [
+        ("atn", 12, 1), ("tn", 12, 1), ("atn", 2, 1), ("tn", 2, 0)])
+    def test_each_fit_pays_its_own_work(self, rng, variant, per_class, eigh):
+        # d = 8. N = 24 gives R_n > d - N; at N = 4, R_n <= d - N, so TN's
+        # bound is exactly 0.0 with no eigensolve, while ATN still needs its target
+        data, _ = self.separable_data(rng, per_class=per_class)
+        for _ in range(2):  # nothing is held between fits without a holder
+            chain, report = ttnpe.fit(data, AffinityConfig(3), 0.3, variant=variant, max_sweeps=3)
+            assert report.work == {"tt_svd_splits": 3, "knn_searches": 1, "eigh": eigh}
+        null = chain.embedding_dim <= 8 - data.shape[-1]
+        assert null == (per_class == 2) and (report.kyfan_bound == 0.0) == null
 
     @pytest.mark.parametrize("variant", ["atn", "tn"])
-    def test_shared_cache_decomposes_the_gram_once(self, rng, monkeypatch, variant):
+    def test_shared_cache_does_each_step_once(self, rng, variant):
         data, _ = self.separable_data(rng, per_class=12)  # N = 24 > d = 8, so R_n > d - N
-        taus = (0.5, 0.3, 0.2)  # no TN core form is 8 x 8 at these ranks
+        taus = (0.5, 0.3, 0.1)
         want = [fit(data, AffinityConfig(3), tau, variant=variant, max_sweeps=3) for tau in taus]
-        calls = spy_square_eigh(monkeypatch, 8)
         cache = solver.SplitCache(data, AffinityConfig(3))
         got = [fit(cache.data, AffinityConfig(3), tau, variant=variant, max_sweeps=3,
                    split_cache=cache) for tau in taus]
-        assert calls == ["eigh"] and cache.eigh is not None  # one per tau would make 3
+        work = [report.work for _, report in got]
+        prefixes = {chain.ranks[:k] for chain, _ in want for k in range(3)}
+        # the first tau pays the search and the eigensolve, each tau the prefixes it adds
+        assert [(w["knn_searches"], w["eigh"]) for w in work] == [(1, 1), (0, 0), (0, 0)]
+        assert sum(w["tt_svd_splits"] for w in work) == len(prefixes) == len(cache.steps) < 3 * 3
         assert all(same_fit(*pair) for pair in zip(got, want))
 
-    def test_tn_fit_with_zero_bound_takes_no_eigensolve(self, rng, monkeypatch):
-        data, _ = self.separable_data(rng, per_class=2)  # R_n <= d - N = 4
-        calls = spy_square_eigh(monkeypatch, 8)
-        cache = solver.SplitCache(data, AffinityConfig(1))
-        chain, report = fit(cache.data, AffinityConfig(1), 0.3, variant="tn", max_sweeps=3,
-                            split_cache=cache)
-        assert chain.embedding_dim <= 4 and report.kyfan_bound == 0.0
-        assert calls == [] and cache.eigh is None
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    @pytest.mark.parametrize("counter", ["tt_svd_splits", "knn_searches", "eigh"])
+    def test_work_matches_the_calls_it_counts(self, rng, monkeypatch, counter, variant):
+        # ground truth for each counter: np.linalg.qr, the graph's KNN search,
+        # and every 8 x 8 eigensolve, which at these ranks can only be Z's
+        data, _ = self.separable_data(rng, per_class=12)  # N = 24 > d = 8, so R_n > d - N
+        calls = {"tt_svd_splits": spy_qr,
+                 "knn_searches": lambda mp: spy_calls(mp, neighborhood_graph, "knn_search"),
+                 "eigh": lambda mp: spy_square_eigh(mp, 8)}[counter](monkeypatch)
+        cache = solver.SplitCache(data, AffinityConfig(3))
+        work = [fit(cache.data, AffinityConfig(3), tau, variant=variant, max_sweeps=3,
+                    split_cache=cache)[1].work[counter] for tau in (0.5, 0.3, 0.2)]
+        assert sum(work) == len(calls) > 0
 
     @pytest.mark.parametrize("noise_snr_db", [None, [0]], ids=["clean", "0dB"])
     def test_ci_csv_bounds_are_equal_bits(self, tmp_path, noise_snr_db):
@@ -993,53 +1005,22 @@ class TestFit:
                    [1].kyfan_bound for variant in ("tn", "atn"))
         assert tn > 0.0 and tn.hex() == atn.hex()
 
-    def test_each_fit_pays_its_own_graph_search(self, rng, monkeypatch):
-        data, _ = self.separable_data(rng, per_class=12)
-        calls = spy_graph_searches(monkeypatch)
-        for variant in ("atn", "tn"):
-            ttnpe.fit(data, AffinityConfig(3), tau=0.3, variant=variant, max_sweeps=3)
-        assert len(calls) == 2
-
-    @pytest.mark.parametrize("variant", ["atn", "tn"])
-    def test_shared_cache_reuses_the_held_graph(self, rng, monkeypatch, variant):
-        data, _ = self.separable_data(rng, per_class=12)
-        want = [fit(data, AffinityConfig(3), tau, variant=variant, max_sweeps=3) for tau in (0.3, 0.1)]
-        calls = spy_graph_searches(monkeypatch)
-        cache = solver.SplitCache(data, AffinityConfig(3))
-        got = [fit(cache.data, AffinityConfig(3), tau, variant=variant, max_sweeps=3,
-                   split_cache=cache) for tau in (0.3, 0.1)]
-        assert len(calls) == 1 and cache.graph is not None
-        assert all(same_fit(*pair) for pair in zip(got, want))
-
     def test_failed_graph_search_is_not_held(self, rng, monkeypatch):
         data, _ = self.separable_data(rng, per_class=6)
         want = fit(data, AffinityConfig(3), 0.3, variant="atn", max_sweeps=3)
         cache = solver.SplitCache(data, AffinityConfig(3))
-        searches = spy_graph_searches(
-            monkeypatch, first=lambda search, d_mat, k: search(d_mat, d_mat.shape[1]))
+        spy_calls(monkeypatch, solver, "knn_graph",
+                  first=lambda search, d_mat, k: search(d_mat, d_mat.shape[1]))
         with pytest.raises(ConfigError, match="K must be < number of samples"):
             fit(cache.data, AffinityConfig(3), 0.5, variant="atn", max_sweeps=3, split_cache=cache)
         assert cache.graph is None
         got = fit(cache.data, AffinityConfig(3), 0.3, variant="atn", max_sweeps=3, split_cache=cache)
-        assert len(searches) == 2 and same_fit(got, want)
-
-    @pytest.mark.parametrize("variant", ["atn", "tn"])
-    def test_shared_cache_factors_each_rank_prefix_once(self, rng, monkeypatch, variant):
-        data, _ = self.separable_data(rng, per_class=12)
-        taus = (0.5, 0.3, 0.1)
-        want = [fit(data, AffinityConfig(3), tau, variant=variant, max_sweeps=3) for tau in taus]
-        calls = spy_qr(monkeypatch)
-        cache = solver.SplitCache(data, AffinityConfig(3))
-        got = [fit(cache.data, AffinityConfig(3), tau, variant=variant, max_sweeps=3,
-                   split_cache=cache) for tau in taus]
-        prefixes = {chain.ranks[:k] for chain, _ in want for k in range(3)}
-        assert len(calls) == len(prefixes) == len(cache.steps) < 3 * len(taus)
-        assert all(same_fit(*pair) for pair in zip(got, want))
+        assert got[1].work["knn_searches"] == 1 and same_fit(got, want)
 
     @pytest.mark.parametrize("change", ["one-bit", "negative-zero"])
     def test_other_bits_factor_again(self, rng, monkeypatch, change):
-        calls, own, got, want = refused_then_refit(rng, monkeypatch, change, spy_qr)
-        assert len(calls) == 3 and set(own.steps) == {got[0].ranks[:k] for k in range(3)}
+        own, got, want = refused_then_refit(rng, monkeypatch, change)
+        assert set(own.steps) == {got[0].ranks[:k] for k in range(3)}
         assert same_fit(got, want)
 
     def test_failed_tt_svd_holds_nothing(self, rng, monkeypatch):
@@ -1068,15 +1049,6 @@ class TestFit:
         got = fit(cache.data, AffinityConfig(3), 0.3, max_sweeps=3, split_cache=cache)
         assert same_fit(got, want)
 
-    def test_each_fit_pays_its_own_tt_svd(self, rng, monkeypatch):
-        data, _ = self.separable_data(rng, per_class=12)
-        qrs, searches = spy_qr(monkeypatch), spy_graph_searches(monkeypatch)
-        eighs = spy_square_eigh(monkeypatch, 8)
-        for fits, variant in enumerate(("atn", "tn", "atn"), 1):
-            ttnpe.fit(data, AffinityConfig(3), tau=0.3, variant=variant, max_sweeps=3)
-            # 3 splits, 1 search and 1 eigensolve per fit: nothing is held between fits
-            assert len(qrs) == 3 * fits and len(searches) == len(eighs) == fits
-
     def test_shared_spectrum_reuses_the_held_gram(self, rng, monkeypatch):
         data, _ = self.separable_data(rng, per_class=12)
         want = [fit(data, AffinityConfig(3), tau, variant="atn", max_sweeps=3) for tau in (0.3, 0.1)]
@@ -1102,11 +1074,10 @@ class TestFit:
         monkeypatch.setattr(solver, "build_gram", keep)
         monkeypatch.setattr(solver, "tt_svd", record_split)
         monkeypatch.setattr(solver, "objective", record_objective)
-        calls = spy_square_eigh(monkeypatch, 8)
         cache = solver.SplitCache(data, AffinityConfig(3))
         got = [fit(cache.data, AffinityConfig(3), tau, variant="atn", max_sweeps=3,
                    split_cache=cache) for tau in (0.3, 0.1)]
-        assert len(calls) == 1 and len(built) == 2 and cache.eigh is not None
+        assert [r.work["eigh"] for _, r in got] == [1, 0] and len(built) == 2
         # the holder keeps Z's eigenpairs, not Z: no Z lives through a TT-SVD,
         # and a fit's sweeps see only its own
         assert [stage for stage, _ in seen].count("tt_svd") == 2 and live() == []
