@@ -464,26 +464,37 @@ class TestSharedSpectrum:
         raw.update(overrides)
         return ExperimentConfig.from_dict(raw)
 
-    @pytest.mark.parametrize("variant", ["atn", "tn"])
-    def test_one_search_and_eigensolve_per_split(self, tmp_path, rng, monkeypatch, variant):
+    def run_counted(self, monkeypatch, config):
+        """The work of each split of a run of ``config``, checking that every
+        cell still fits, builds its weights and builds its Z."""
         counts = count_calls(monkeypatch, (harness, "fit"), (solver, "build_weight_matrix"),
                              (solver, "build_gram"))
-        config = self.config(tmp_path, rng, variant=variant)
         doc = run_experiment(config)
         assert len(doc["cells"]) == 12 and all("error" not in c for c in doc["cells"])
         assert counts == {"fit": 12, "build_weight_matrix": 12, "build_gram": 12}
-        prefixes = {(c["trial"], c["snr_db"], tuple(c["ranks"][:k]))
-                    for c in doc["cells"] for k in range(4)}
-        # 2 trials x 2 levels, each with one search where one per cell would make 12,
-        # one split per distinct rank prefix and one eigensolve, which a TN fit may not need
         work = split_work(config.output_path)
-        assert {split: (w["tt_svd_splits"], w["knn_searches"]) for split, w in work.items()} == {
-            split: (sum(p[:2] == split for p in prefixes), 1) for split in work}
-        assert all(w["eigh"] == 1 or (variant, w["eigh"]) == ("tn", 0) for w in work.values())
-        assert len(work) == 4 and all(w["tt_svd_splits"] < 4 * 3 for w in work.values())
+        assert len(work) == 4  # 2 trials x 2 levels
+        return doc, work
+
+    def test_one_eigensolve_per_split(self, tmp_path, rng, monkeypatch):
+        config = self.config(tmp_path, rng)
+        _, work = self.run_counted(monkeypatch, config)
+        assert all(w["eigh"] == 1 for w in work.values())  # one per cell would make 12
         for _ in range(2):  # each run pays its own work, even of the same split
             run_experiment(replace(config, trials=1, noise_snr_db=None))
             assert split_work(config.output_path) == {(0, None): work[(0, None)]}
+
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_one_graph_search_per_split(self, tmp_path, rng, monkeypatch, variant):
+        doc, work = self.run_counted(monkeypatch, self.config(tmp_path, rng, variant=variant))
+        prefixes = {(c["trial"], c["snr_db"], tuple(c["ranks"][:k]))
+                    for c in doc["cells"] for k in range(4)}
+        # one search where one per cell would make 3, one split per distinct rank
+        # prefix, and at most one eigensolve, which a TN fit may not need
+        assert {split: (w["tt_svd_splits"], w["knn_searches"]) for split, w in work.items()} == {
+            split: (sum(p[:2] == split for p in prefixes), 1) for split in work}
+        assert all(w["eigh"] == 1 or (variant, w["eigh"]) == ("tn", 0) for w in work.values())
+        assert all(w["tt_svd_splits"] < 4 * 3 for w in work.values())
 
     @pytest.mark.parametrize("variant", ["atn", "tn"])
     def test_same_report_as_unshared_fits(self, tmp_path, rng, monkeypatch, variant):

@@ -968,20 +968,38 @@ class TestFit:
         null = chain.embedding_dim <= 8 - data.shape[-1]
         assert null == (per_class == 2) and (report.kyfan_bound == 0.0) == null
 
-    @pytest.mark.parametrize("variant", ["atn", "tn"])
-    def test_shared_cache_does_each_step_once(self, rng, variant):
+    def shared_and_unshared(self, rng, variant, taus):
+        """Fits of one split at each tau through one holder, that holder, and the
+        same fits without one."""
         data, _ = self.separable_data(rng, per_class=12)  # N = 24 > d = 8, so R_n > d - N
-        taus = (0.5, 0.3, 0.1)
         want = [fit(data, AffinityConfig(3), tau, variant=variant, max_sweeps=3) for tau in taus]
         cache = solver.SplitCache(data, AffinityConfig(3))
         got = [fit(cache.data, AffinityConfig(3), tau, variant=variant, max_sweeps=3,
                    split_cache=cache) for tau in taus]
-        work = [report.work for _, report in got]
-        prefixes = {chain.ranks[:k] for chain, _ in want for k in range(3)}
-        # the first tau pays the search and the eigensolve, each tau the prefixes it adds
-        assert [(w["knn_searches"], w["eigh"]) for w in work] == [(1, 1), (0, 0), (0, 0)]
-        assert sum(w["tt_svd_splits"] for w in work) == len(prefixes) == len(cache.steps) < 3 * 3
         assert all(same_fit(*pair) for pair in zip(got, want))
+        return got, cache, want
+
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_shared_cache_decomposes_the_gram_once(self, rng, variant):
+        got, cache, _ = self.shared_and_unshared(rng, variant, (0.5, 0.3, 0.2))
+        # the first tau pays the eigensolve; one per tau would make 3
+        assert [report.work["eigh"] for _, report in got] == [1, 0, 0]
+        assert cache.eigh is not None
+
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_shared_cache_reuses_the_held_graph(self, rng, variant):
+        got, cache, _ = self.shared_and_unshared(rng, variant, (0.3, 0.1))
+        assert [report.work["knn_searches"] for _, report in got] == [1, 0]
+        assert cache.graph is not None
+
+    @pytest.mark.parametrize("variant", ["atn", "tn"])
+    def test_shared_cache_factors_each_rank_prefix_once(self, rng, variant):
+        taus = (0.5, 0.3, 0.1)
+        got, cache, want = self.shared_and_unshared(rng, variant, taus)
+        # each tau pays only the rank prefixes that no earlier tau factored
+        prefixes = {chain.ranks[:k] for chain, _ in want for k in range(3)}
+        splits = sum(report.work["tt_svd_splits"] for _, report in got)
+        assert splits == len(prefixes) == len(cache.steps) < 3 * len(taus)
 
     @pytest.mark.parametrize("variant", ["atn", "tn"])
     @pytest.mark.parametrize("counter", ["tt_svd_splits", "knn_searches", "eigh"])
