@@ -29,7 +29,7 @@ def load_json(path, error: type[ValueError], what: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep nesting
         raise error(f"{path}: cannot read {what}: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{path}: {what} must be a JSON object")
@@ -37,13 +37,20 @@ def load_json(path, error: type[ValueError], what: str) -> dict:
 
 
 def is_number(value) -> bool:
-    """A ``Real`` (numpy numbers too) that is not a bool."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    """A ``Real`` (numpy numbers too) that is not a bool and that a float64
+    can hold: an int too large to convert to float is not a number."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def is_int(value, low: int) -> bool:
-    """An ``Integral`` (numpy integers too) that is not a bool and is >= ``low``."""
-    return is_number(value) and isinstance(value, Integral) and value >= low
+    """An ``Integral`` (numpy integers too, of any size) that is not a bool and is >= ``low``."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
 
 
 def require_int(value, name: str, low: int) -> None:

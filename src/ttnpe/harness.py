@@ -10,6 +10,7 @@ report bytes stay reproducible.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -128,7 +129,7 @@ def load_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     if flat.shape[1] == 0:
         raise DataError("samples have no feature values")
     dims = tuple(int(i) for i in config.reshape)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if flat.shape[1] != d:
         raise ConfigError(
             f"reshape {list(dims)} has {d} elements but samples have {flat.shape[1]}"

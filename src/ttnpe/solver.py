@@ -31,6 +31,7 @@ L_{k+1} = X_k^T L_k reshaped). As P^T P = I, the residual of core k is
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -46,7 +47,8 @@ from ttnpe.neighborhood_graph import (
 )
 from ttnpe.stiefel import OptimizeResult, OptimizerConfig, minimize_quadratic, polar
 from ttnpe.tensor_core import frobenius_norm, kronecker, left_unfold
-from ttnpe.tt_subspace import TTChain, contract_chain, fix_signs, project_left, right_environments, tt_svd
+from ttnpe.tt_subspace import (TTChain, contract_chain, fix_signs, project_left, read_only,
+                               right_environments, tt_svd)
 
 
 def check_sweep_args(variant, max_sweeps=0, core_change_tol=0.0) -> None:
@@ -69,7 +71,7 @@ class TTNPEProblem:
 
     def __post_init__(self):
         self.mode_dims = tuple(int(i) for i in self.mode_dims)
-        d = int(np.prod(self.mode_dims))
+        d = math.prod(self.mode_dims)
         if self.z.shape != (d, d):
             raise DataError(f"Gram target shape {self.z.shape} does not match dims {self.mode_dims}")
         if self.chain.mode_dims != self.mode_dims:
@@ -170,12 +172,12 @@ def build_B(problem: TTNPEProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _smallest(pair: tuple[np.ndarray, np.ndarray], r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The r smallest of an ``np.linalg.eigh`` pair, eigenvectors copied
-    (``fix_signs`` flips in place) and sign-fixed."""
+    """The r smallest of an ``np.linalg.eigh`` pair: a view of the values and
+    a sign-fixed copy of the vectors, so a held pair is never written."""
     vals, vecs = pair
     if not 1 <= r <= vals.size:
         raise ValueError(f"r must lie in [1, {vals.size}], got {r}")
-    return vals[:r], fix_signs(vecs[:, :r].copy())
+    return vals[:r], fix_signs(vecs[:, :r])
 
 
 def smallest_eigvecs(z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,9 +192,10 @@ def smallest_eigvecs(z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
 class SplitCache:
     """What the fits of every tau on one split share: ``steps``, the dict
     ``tt_svd`` reads and fills, the (N, K) KNN ``graph`` and the ``eigh``
-    pair of the Gram target Z, each read-only and held once computed. The
-    graph is searched and Z decomposed on first use; the pair gives ATN its
-    target and both variants their Ky Fan bound when R_n > d - N. It holds no Z.
+    pair of the Gram target Z, each held once computed and ``read_only``,
+    so no fit writes them. The graph is searched and Z decomposed on
+    first use; the pair gives ATN its target and both variants their Ky Fan
+    bound when R_n > d - N. It holds no Z.
 
     It is bound to one D (stacked (I_1, ..., I_n, N)) and one graph config:
     ``data`` is a read-only float64 view of D (of a float64 copy when D is
@@ -201,8 +204,7 @@ class SplitCache:
     """
 
     def __init__(self, data: np.ndarray, graph_cfg: AffinityConfig):
-        self.data = np.asarray(data, dtype=np.float64).view()
-        self.data.flags.writeable = False
+        (self.data,) = read_only((np.asarray(data, dtype=np.float64).view(),))
         self.graph_cfg = replace(graph_cfg)
         self.steps = {}
         self.graph = self.eigh = None
@@ -211,19 +213,13 @@ class SplitCache:
         """The held lists, or ``neighborhood_graph.knn_graph(d_mat, k)`` on
         first use: the ``search`` :func:`fit` gives ``build_weight_matrix``."""
         if self.graph is None:
-            graph = knn_graph(d_mat, k)
-            for held in graph:
-                held.flags.writeable = False
-            self.graph = graph
+            self.graph = read_only(knn_graph(d_mat, k))
         return self.graph
 
     def smallest_eigvecs(self, z: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         """:func:`smallest_eigvecs` from the held ``eigh``, or of ``z`` on first use."""
         if self.eigh is None:
-            pair = np.linalg.eigh(z)
-            for held in pair:
-                held.flags.writeable = False
-            self.eigh = pair
+            self.eigh = read_only(np.linalg.eigh(z))
         return _smallest(self.eigh, r)
 
 
@@ -240,7 +236,7 @@ def build_PQC(problem: TTNPEProblem, k: int, v: np.ndarray) -> tuple[np.ndarray,
     prefix = contract_chain(problem.chain, upto=k - 1)
     p = kronecker(np.eye(problem.mode_dims[k - 1]), prefix)
     q = right_environments(problem.chain)[k - 1]
-    rows = int(np.prod(problem.mode_dims[:k]))
+    rows = math.prod(problem.mode_dims[:k])
     c = v.reshape(rows, v.size // rows, order="F")
     return p, q, c
 
@@ -393,7 +389,7 @@ def fit(data: np.ndarray, graph_cfg: AffinityConfig, tau: float, variant: str = 
     if n_samples < 2:
         raise DataError("need at least 2 samples")
     mode_dims = data.shape[:-1]
-    d = int(np.prod(mode_dims))
+    d = math.prod(mode_dims)
 
     report = SolverReport()
     held = len(split_cache.steps), split_cache.graph, split_cache.eigh

@@ -14,6 +14,7 @@ environments (:func:`right_environments`).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -76,16 +77,22 @@ class TTChain:
 
 
 def fix_signs(u: np.ndarray) -> np.ndarray:
-    """Flip, in place, each column whose largest-magnitude entry is negative.
+    """A copy of ``u`` with each column negated whose first largest-magnitude
+    entry is negative; ``u`` itself is never written.
 
     Singular and eigenvectors are defined up to sign; this fixes the sign so
-    decompositions are deterministic across runs. Returns ``u``.
+    decompositions are deterministic across runs.
     """
-    for c in range(u.shape[1]):
-        j = int(np.argmax(np.abs(u[:, c])))
-        if u[j, c] < 0:
-            u[:, c] = -u[:, c]
-    return u
+    first = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return np.where(first < 0, -u, u)
+
+
+def read_only(arrays):
+    """Clear ``writeable`` on each of ``arrays`` and return them: how every
+    held result (a TT-SVD step, a split's data, graph and ``eigh``) is kept."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def check_tt_args(tau, rank_cap, n: int, tau_name: str = "tau") -> list:
@@ -109,10 +116,10 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None, steps: dict | None = 
     unfolding are kept (at least one). The unfolding's left singular pairs
     are those of R^T, with R the triangular factor of the QR of its
     transpose, so only that at most (R_{k-1} I_k)-square factor is
-    decomposed and the wide right factor V^T is never formed. The kept left
-    vectors U_r become core k, and U_r^T times the unfolding is carried into
-    the next split. The trailing R_n x N coefficient factor is discarded;
-    only the left-orthonormal cores (the subspace) are returned.
+    decomposed and the wide right factor V^T is never formed. The first R_k
+    left vectors, sign-fixed, are core k's left unfolding X_k, and X_k^T
+    times the unfolding is carried into the next split. The trailing R_n x N
+    coefficient factor is discarded; only the cores (the subspace) are returned.
 
     ``rank_cap`` caps the rank at each split as :func:`check_tt_args` reads
     it. A bad ``tau`` or ``rank_cap`` raises ConfigError before any work,
@@ -125,9 +132,9 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None, steps: dict | None = 
     factored to that split's unsliced (U, s), read-only. A held split skips
     its QR and SVD; a new one is factored and held, at most
     (R_{k-1} I_k)^2 + R_{k-1} I_k floats. The unfolding is carried only up to
-    a split that is factored, through the same kept vectors in the same
-    order as with a fresh dict, so the chain is equal bit for bit, whatever
-    order the taus come in. With None, a dict local to the call stands in,
+    a split that is factored, through the same cores in the same order as
+    with a fresh dict, so the chain is equal bit for bit, whatever order
+    the taus come in. With None, a dict local to the call stands in,
     so every split is factored and nothing outlives the call.
     """
     dataset = np.asarray(dataset, dtype=np.float64)
@@ -140,33 +147,21 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None, steps: dict | None = 
 
     steps = {} if steps is None else steps
     cores = []
-    kept = []  # each core's left unfolding, the sign-fixed U_r
-    r_prev = 1
     mat, at = dataset.reshape(dims[0], -1, order="F"), 0  # the unfolding of split `at`
     for k in range(n):
         prefix = tuple(c.shape[2] for c in cores)
         pair = steps.get(prefix)
         if pair is None:
             for j in range(at, k):
-                mat = project_left(kept[j], mat, dims[j + 1])
+                mat = project_left(left_unfold(cores[j]), mat, dims[j + 1])
             at = k
             # mat = R^T Q^T, so mat and R^T share their left singular pairs.
             tri = np.linalg.qr(mat.T, mode="r")
-            pair = np.linalg.svd(tri.T, full_matrices=False)[:2]
-            for a in pair:
-                a.flags.writeable = False
-            steps[prefix] = pair
+            pair = steps[prefix] = read_only(np.linalg.svd(tri.T, full_matrices=False)[:2])
         u, s = pair
-        if s[0] > 0:
-            r = max(1, int(np.count_nonzero(s >= tau * s[0])))
-        else:
-            r = 1
-        if caps[k] is not None:
-            r = min(r, caps[k])
-        u = fix_signs(u.copy()[:, :r])  # a held U is read-only, and fix_signs flips in place
-        cores.append(u.reshape(r_prev, dims[k], r, order="F"))
-        kept.append(u)
-        r_prev = r
+        r = max(1, int(np.count_nonzero(s >= tau * s[0]))) if s[0] > 0 else 1
+        r = r if caps[k] is None else min(r, caps[k])
+        cores.append(fix_signs(u[:, :r]).reshape(-1, dims[k], r, order="F"))
     return TTChain(cores, tau=float(tau))
 
 
@@ -264,7 +259,7 @@ def storage_count(chain: TTChain, n_train: int) -> dict:
 
 def compression_ratio(chain: TTChain, n_train: int) -> float:
     """Stored parameters divided by raw storage d * N_tr."""
-    d = int(np.prod(chain.mode_dims))
+    d = math.prod(chain.mode_dims)
     return storage_count(chain, n_train)["total"] / float(d * n_train)
 
 
@@ -304,7 +299,7 @@ def load_chain(path) -> TTChain:
             shape = tuple(entry["shape"])
             data = np.asarray(entry["data"], dtype=np.float64)
             require_finite(data, f"{path}: model core values")
-            if data.size != int(np.prod(shape)):
+            if data.size != math.prod(map(int, shape)):  # int() first: math.prod repeats a str or list
                 raise DataError(f"core payload size {data.size} inconsistent with shape {shape}")
             cores.append(data.reshape(shape, order="F"))
         chain = TTChain(cores, tau=doc.get("tau"))
@@ -312,6 +307,6 @@ def load_chain(path) -> TTChain:
             raise DataError("model metadata inconsistent with core shapes")
     except DataError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model: {type(exc).__name__}: {exc}") from exc
     return chain

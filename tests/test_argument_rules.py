@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from ttnpe import harness, solver
 from ttnpe.cli import main
-from ttnpe.errors import ConfigError, NumericError
+from ttnpe.errors import ConfigError, NumericError, is_int, is_number
 from ttnpe.harness import ExperimentConfig
 from ttnpe.neighborhood_graph import AffinityConfig
 from ttnpe.solver import fit
@@ -109,6 +109,16 @@ def test_bad_solver_key_exits_1_and_writes_nothing(tmp_path, capsys, command, ke
     named = "every tau_list entry" if key == "tau_list" else key
     assert capsys.readouterr().err.startswith(f"config error: {named}")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_a_number_is_what_a_float64_holds_and_an_int_has_any_size():
+    # every number key (tau, epsilon, class_filter, noise_snr_db, ...) rejects an
+    # int no float64 holds; the int rule keeps every int it took, seeds included
+    for value in (10**400, -10**400, 2**1024):
+        assert not is_number(value) and is_int(abs(value), 0)
+    for value in (2**1024 - 2**971, -10**308, 0.5, np.float32(2.0), np.int64(3), float("inf"), float("nan")):
+        assert is_number(value)
+    assert not any(is_number(v) or is_int(v, 0) for v in (True, "1", None, [1]))
 
 
 def test_valid_caps_keep_their_ranks():

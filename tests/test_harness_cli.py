@@ -125,7 +125,8 @@ class TestConfig:
     @pytest.mark.parametrize("content, wording", [
         (None, "cannot read {what}: "), (b"{not json", "cannot read {what}: "),
         (b'{"a": "\xff"}', "cannot read {what}: "), (b"[1, 2]", "{what} must be a JSON object"),
-    ], ids=["missing", "bad-json", "bad-utf8", "list"])
+        (b"[" * 200_000, "cannot read {what}: "),
+    ], ids=["missing", "bad-json", "bad-utf8", "list", "deep"])
     def test_json_documents_share_one_reader(self, tmp_path, reader, error, what, content, wording):
         path = tmp_path / "doc.json"
         if content is not None:
@@ -591,6 +592,11 @@ class TestRunConvergence:
         assert (tmp_path / "conv.json").exists()
 
 
+# A core value no float64 holds: json reads the digits as an int.
+OVERSIZED_MODEL = ('{"format_version": 1, "cores": [{"order": "mode1-fastest", "shape": [1, 1, 1], '
+                   '"data": [1' + "0" * 400 + ']}], "mode_dims": [1], "ranks": [1]}')
+
+
 class TestCli:
     def write_config(self, tmp_path, rng, **overrides):
         raw = base_config(tmp_path, rng, **overrides)
@@ -711,6 +717,11 @@ class TestCli:
         ("k_graph", 10, "K must be < number of samples, got K=10, N=10"),
         ("dataset", {"format": "csv", "path": "data.csv", "label_column": -1},
          "dataset.label_column must be an int >= 0, got -1"),
+        pytest.param("epsilon", 10**400, "epsilon must be positive and finite", id="epsilon-oversized"),
+        pytest.param("class_filter", [0, 10**400], "class_filter must be null or a nonempty list",
+                     id="class_filter-oversized"),
+        pytest.param("reshape", [2**40, 2**40], "reshape [1099511627776, 1099511627776] has "
+                     "1208925819614629174706176 elements but samples have 8", id="reshape-product"),
     ])
     def test_bad_config_value_exit_code(self, tmp_path, rng, capsys, key, value, message):
         cfg, _ = self.write_config(tmp_path, rng, **{key: value})
@@ -835,7 +846,9 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", ["{not json", '{"format_version": 1}', "[1, 2]",
-                                      '{"format_version": 1, "cores": [5]}'])
+                                      '{"format_version": 1, "cores": [5]}',
+                                      pytest.param("[" * 200_000, id="deep"),
+                                      pytest.param(OVERSIZED_MODEL, id="oversized-value")])
     def test_malformed_model_exit_code(self, tmp_path, rng, capsys, text):
         cfg, _ = self.write_config(tmp_path, rng)
         model = tmp_path / "model.json"

@@ -13,6 +13,7 @@ from ttnpe.tt_subspace import (
     TTChain,
     compression_ratio,
     contract_chain,
+    fix_signs,
     left_orthogonalize,
     load_chain,
     project_left,
@@ -99,6 +100,53 @@ class TestTTSVD:
         b = tt_svd(data, 0.2)
         for ca, cb in zip(a.cores, b.cores):
             assert np.array_equal(ca, cb)
+
+
+def loop_fix_signs(u):
+    """The per-column rule, in place: negate each column whose first
+    largest-magnitude entry is negative."""
+    for c in range(u.shape[1]):
+        j = int(np.argmax(np.abs(u[:, c])))
+        if u[j, c] < 0:
+            u[:, c] = -u[:, c]
+    return u
+
+
+class TestFixSigns:
+    """``fix_signs`` returns a new array with the loop's bits and never writes its input."""
+
+    def matrix(self, rng, case):
+        u = rng.standard_normal((9, 12))[:, :5]  # a column slice, as tt_svd takes one
+        if case == "tied":  # largest magnitudes tie with opposite signs, in both orders
+            u = 0.1 * u
+            u[[2, 6], 0] = [-3.0, 3.0]
+            u[[2, 6], 1] = [3.0, -3.0]
+        elif case == "zero":
+            u[:, 1] = 0.0
+            u[:, 3] = -0.0
+        elif case == "single":
+            u = u[:, :1].copy()
+            u[4, 0] = -10.0
+        elif case == "read-only":
+            u = u.copy()
+            u.flags.writeable = False
+        return u
+
+    @pytest.mark.parametrize("case", ["random", "tied", "zero", "single", "read-only"])
+    def test_copy_with_the_loop_bits(self, rng, case):
+        flipped = []
+        for _ in range(5):
+            u = self.matrix(rng, case)
+            before = u.copy()
+            want = loop_fix_signs(u.copy())
+            got = fix_signs(u)
+            assert not np.shares_memory(got, u)
+            assert same_bits(got, want) and same_bits(u, before)
+            flipped.extend(np.signbit(want[0]) != np.signbit(u[0]))
+        if case == "tied":  # the first of the tied entries decides
+            assert flipped[0::5] == [True] * 5 and flipped[1::5] == [False] * 5
+        if case == "random":  # the draws flip some columns and keep others
+            assert any(flipped) and not all(flipped)
 
 
 class TestHeldSteps:
