@@ -213,6 +213,15 @@ def fit_config(config: ExperimentConfig, split_cache: SplitCache, tau: float):
                max_sweeps=config.max_sweeps, rank_cap=config.rank_cap, split_cache=split_cache)
 
 
+def fit_timings(report, **cell) -> dict:
+    """A fit's ``.timings.json`` entry: the ``cell`` keys, then the solver
+    ``report``'s per-stage ``wall_time``, its ``work``, its TN ``core_solves``,
+    its ``kyfan_bound`` and ``kyfan_gap``, the final objective minus that bound."""
+    return {**cell, **report.wall_time, "work": report.work, "core_solves": report.core_solves,
+            "kyfan_bound": report.kyfan_bound,
+            "kyfan_gap": report.objective_trace[-1] - report.kyfan_bound}
+
+
 def probe_output(path) -> None:
     """Raise ConfigError if ``path`` cannot be written. It is never truncated,
     and a file the probe creates (at a symlink's target too) is removed again,
@@ -253,10 +262,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     TN when R_n > d - N); every later tau reuses them, whatever order
     ``tau_list`` has, and S, Y and Z are still built per tau. Writes the
     deterministic report to ``output_path``, timings to
-    ``output_path + '.timings.json'`` (per fitted cell: subspace learning,
-    embedding and classification, the solver's per-stage ``wall_time``, its
-    ``work`` on the split's holder, its TN ``core_solves``, its ``kyfan_bound``
-    and ``kyfan_gap``, the final objective minus that bound), and a flat CSV of
+    ``output_path + '.timings.json'`` (one :func:`fit_timings` entry per fitted
+    cell: ``tau``, ``trial``, ``snr_db`` and the seconds of subspace learning,
+    embedding and classification, then the solver's keys, ``work`` counting
+    what the fit added to the split's holder), and a flat CSV of
     (tau, trial, snr_db, rho, error) to ``output_path + '.csv'``. The split,
     ``k_graph`` and ``k_classify`` against the split's training points (by
     :func:`check_split` and ``nearest.check_k``, the graph's and the
@@ -304,17 +313,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
                         "sweeps": report.sweeps_run,
                         "termination": report.termination_reason,
                     })
-                    timings.append({
-                        "tau": tau, "trial": trial, "snr_db": snr_db,
-                        "subspace_learning": learn_seconds,
-                        "embedding": result.embed_seconds,
-                        "classification": result.classify_seconds,
-                        **report.wall_time,
-                        "work": report.work,
-                        "core_solves": report.core_solves,
-                        "kyfan_bound": report.kyfan_bound,
-                        "kyfan_gap": report.objective_trace[-1] - report.kyfan_bound,
-                    })
+                    timings.append(fit_timings(
+                        report, tau=tau, trial=trial, snr_db=snr_db,
+                        subspace_learning=learn_seconds, embedding=result.embed_seconds,
+                        classification=result.classify_seconds))
                 except (ValueError, NumericError) as exc:  # recorded, run continues
                     cell["error"] = f"{type(exc).__name__}: {exc}"
                 cells.append(cell)
@@ -349,13 +351,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return report_doc
 
 
-def first_cell_train(config: ExperimentConfig, out) -> np.ndarray:
+def first_cell_train(config: ExperimentConfig, *outs) -> np.ndarray:
     """The report's first cell's training split, once :func:`check_split` has
-    passed and ``out`` is probed (:func:`probe_output`)."""
+    passed and each of ``outs`` is probed (:func:`probe_output`)."""
     samples, labels = load_dataset(config)
     check_split(config, labels)
     train = trial_data(config, samples, labels)[0]
-    probe_output(out)
+    for out in outs:
+        probe_output(out)
     return train
 
 
@@ -405,18 +408,29 @@ def run_convergence(config: ExperimentConfig) -> dict:
 
     A variant failing with a library error (as in ``run_experiment``) is
     recorded with its reason; the other variant still runs. The set-up is
-    :func:`first_cell_train`'s. Both fits share one ``solver.SplitCache``
-    bound to that split and the config's graph, so the split's TT-SVD runs
-    once, its KNN graph is searched once and Z is decomposed at most once,
-    giving both variants the same ``kyfan_bound`` bits.
+    :func:`first_cell_train`'s, which probes the report and its
+    ``output_path + '.timings.json'`` sidecar before the first fit. Both fits
+    share one ``solver.SplitCache`` bound to that split and the config's graph,
+    so the split's TT-SVD runs once, its KNN graph is searched once and Z is
+    decomposed at most once, giving both variants the same ``kyfan_bound``
+    bits. The sidecar holds one :func:`fit_timings` entry per fitted variant,
+    in fit order (``variant``, ``tau`` and ``subspace_learning``, the
+    ``fit_config`` call's wall time, then the solver's keys); its ``work``
+    shows what each fit added to the shared holder. A failed variant has none.
     """
-    split_cache = SplitCache(first_cell_train(config, config.output_path), _graph_config(config))
+    out = config.output_path
+    timings_path = out + ".timings.json"
+    split_cache = SplitCache(first_cell_train(config, out, timings_path), _graph_config(config))
     tau = config.tau_list[0]
     traces = {}
+    timings = []
     for variant in ("tn", "atn"):
         entry = {}
+        t0 = time.perf_counter()
         try:
             chain, report = fit_config(replace(config, variant=variant), split_cache, tau)
+            timings.append(fit_timings(report, variant=variant, tau=tau,
+                                       subspace_learning=time.perf_counter() - t0))
             entry.update({
                 "objective_trace": report.objective_trace,
                 "surrogate_trace": report.surrogate_trace,
@@ -430,5 +444,6 @@ def run_convergence(config: ExperimentConfig) -> dict:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         traces[variant] = entry
     doc = {"config": asdict(config), "tau": tau, "traces": traces}
-    write_output(config.output_path, json_text(doc, separators=(",", ":")))
+    write_output(out, json_text(doc, separators=(",", ":")))
+    write_output(timings_path, json_text(timings, indent=1))
     return doc

@@ -131,11 +131,11 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None, steps: dict | None = 
     (``solver.SplitCache`` holds one per split), maps each prefix already
     factored to that split's unsliced (U, s), read-only. A held split skips
     its QR and SVD; a new one is factored and held, at most
-    (R_{k-1} I_k)^2 + R_{k-1} I_k floats. The unfolding is carried only up to
-    a split that is factored, through the same cores in the same order as
-    with a fresh dict, so the chain is equal bit for bit, whatever order
-    the taus come in. With None, a dict local to the call stands in,
-    so every split is factored and nothing outlives the call.
+    (R_{k-1} I_k)^2 + R_{k-1} I_k floats. Every split carries the unfolding
+    through the newest core, held or not, so the chain is equal bit for bit
+    to a fresh dict's, whatever order the taus come in. With None, a dict
+    local to the call stands in, so every split is factored and nothing
+    outlives the call.
     """
     dataset = np.asarray(dataset, dtype=np.float64)
     if dataset.ndim < 2 or dataset.size == 0:
@@ -147,14 +147,13 @@ def tt_svd(dataset: np.ndarray, tau: float, rank_cap=None, steps: dict | None = 
 
     steps = {} if steps is None else steps
     cores = []
-    mat, at = dataset.reshape(dims[0], -1, order="F"), 0  # the unfolding of split `at`
+    mat = dataset.reshape(dims[0], -1, order="F")  # the unfolding of split k
     for k in range(n):
+        if cores:
+            mat = project_left(left_unfold(cores[-1]), mat, dims[k])
         prefix = tuple(c.shape[2] for c in cores)
         pair = steps.get(prefix)
         if pair is None:
-            for j in range(at, k):
-                mat = project_left(left_unfold(cores[j]), mat, dims[j + 1])
-            at = k
             # mat = R^T Q^T, so mat and R^T share their left singular pairs.
             tri = np.linalg.qr(mat.T, mode="r")
             pair = steps[prefix] = read_only(np.linalg.svd(tri.T, full_matrices=False)[:2])
@@ -286,25 +285,41 @@ def save_chain(chain: TTChain, path) -> None:
 
 
 def load_chain(path) -> TTChain:
-    """Load a chain saved by :func:`save_chain`; an unreadable or malformed model raises DataError."""
+    """Load a chain saved by :func:`save_chain`; an unreadable or malformed model
+    raises DataError. Each value is checked by the type a config's would be:
+    ``format_version``, ``mode_dims``, ``ranks`` and core ``shape`` entries by
+    ``errors.is_int``, core ``data`` entries and a non-null ``tau`` by
+    ``errors.is_number``, so no bool, str, float dim or nested list loads."""
     doc = load_json(path, DataError, "model")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if not is_int(version, 0) or version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format_version {version!r}")
+    tau = doc.get("tau")
+    if tau is not None and not is_number(tau):
+        raise DataError(f"{path}: malformed model: tau {tau!r} is not a number")
     try:
         cores = []
         for entry in doc["cores"]:
             if entry.get("order") != "mode1-fastest":
                 raise DataError(f"unsupported core data order {entry.get('order')!r}")
             shape = tuple(entry["shape"])
+            if not all(is_int(i, 0) for i in shape):
+                raise DataError(f"{path}: malformed model: core shape {entry['shape']!r} "
+                                "is not a list of ints")
+            if not all(is_number(v) for v in entry["data"]):
+                raise DataError(f"{path}: malformed model: core data is not a list of numbers")
             data = np.asarray(entry["data"], dtype=np.float64)
             require_finite(data, f"{path}: model core values")
-            if data.size != math.prod(map(int, shape)):  # int() first: math.prod repeats a str or list
+            if data.size != math.prod(shape):
                 raise DataError(f"core payload size {data.size} inconsistent with shape {shape}")
             cores.append(data.reshape(shape, order="F"))
-        chain = TTChain(cores, tau=doc.get("tau"))
-        if list(chain.mode_dims) != list(doc["mode_dims"]) or list(chain.ranks) != list(doc["ranks"]):
-            raise DataError("model metadata inconsistent with core shapes")
+        chain = TTChain(cores, tau=tau)
+        for key, dims in (("mode_dims", chain.mode_dims), ("ranks", chain.ranks)):
+            if not all(is_int(i, 0) for i in doc[key]):
+                raise DataError(f"{path}: malformed model: {key} {doc[key]!r} "
+                                "is not a list of ints")
+            if list(doc[key]) != list(dims):
+                raise DataError("model metadata inconsistent with core shapes")
     except DataError:
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

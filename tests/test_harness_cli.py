@@ -260,6 +260,11 @@ class TestSplit:
             split_per_class(labels, 2, 1, np.random.default_rng(0))
 
 
+# The solver's keys of a ``.timings.json`` entry, in order, after the run's own keys.
+SOLVER_TIMING_KEYS = ["tt_svd", "graph", "eigensolve", "sweeps", "work", "core_solves",
+                      "kyfan_bound", "kyfan_gap"]
+
+
 class TestRunExperiment:
     def test_report_written_and_sane(self, tmp_path, rng):
         config = ExperimentConfig.from_dict(base_config(tmp_path, rng))
@@ -322,6 +327,8 @@ class TestRunExperiment:
         timings = json.loads((tmp_path / "report.json.timings.json").read_text())
         assert len(timings) == 4
         for entry in timings:
+            assert list(entry) == ["tau", "trial", "snr_db", "subspace_learning", "embedding",
+                                   "classification"] + SOLVER_TIMING_KEYS
             stages = [entry[key] for key in ("graph", "tt_svd", "eigensolve", "sweeps")]
             assert all(isinstance(t, float) and t >= 0.0 for t in stages)
             assert entry["core_solves"] == []  # ATN solves every core in closed form
@@ -423,22 +430,6 @@ def count_calls(monkeypatch, *names):
     return counts
 
 
-def fit_work(monkeypatch, unshared=False):
-    """The ``work`` of every ``harness.fit_config`` call's report, in order; with
-    ``unshared``, each call is given a fresh holder bound to the same split."""
-    work, fit_config = [], harness.fit_config
-
-    def recording(config, split_cache, tau):
-        if unshared:
-            split_cache = solver.SplitCache(split_cache.data, split_cache.graph_cfg)
-        chain, report = fit_config(config, split_cache, tau)
-        work.append(report.work)
-        return chain, report
-
-    monkeypatch.setattr(harness, "fit_config", recording)
-    return work
-
-
 def sidecar(out):
     """The entries of the timings sidecar of the report at ``out``."""
     return json.loads(Path(str(out) + ".timings.json").read_text())
@@ -498,17 +489,19 @@ class TestSharedSpectrum:
         assert all(w["tt_svd_splits"] < 4 * 3 for w in work.values())
 
     @pytest.mark.parametrize("variant", ["atn", "tn"])
-    def test_same_report_as_unshared_fits(self, tmp_path, rng, monkeypatch, variant):
+    def test_same_report_as_unshared_fits(self, tmp_path, rng, variant):
         config = self.config(tmp_path, rng, variant=variant)
         shared = run_experiment(config)
-        fit_work(monkeypatch, unshared=True)
-        alone = run_experiment(replace(config, output_path=str(tmp_path / "alone.json")))
-        # each fit, with a holder of its own, pays all its work
-        assert all((w["tt_svd_splits"], w["knn_searches"]) == (4, 1) and w["eigh"] <= 1
-                   for w in (e["work"] for e in sidecar(tmp_path / "alone.json")))
         assert all("error" not in c for c in shared["cells"])
-        for key in ("cells", "baselines", "aggregates"):
-            assert float_bits(shared[key]) == float_bits(alone[key])
+        taus, out = config.tau_list, tmp_path / "alone.json"
+        for j, tau in enumerate(taus):  # a run of one tau gives each split's fit a holder of its own
+            alone = run_experiment(replace(config, tau_list=[tau], output_path=str(out)))
+            # so each fit pays all its work
+            assert all((w["tt_svd_splits"], w["knn_searches"]) == (4, 1) and w["eigh"] <= 1
+                       for w in (e["work"] for e in sidecar(out)))
+            assert float_bits(shared["cells"][j::len(taus)]) == float_bits(alone["cells"])
+            assert float_bits(shared["aggregates"][j::len(taus)]) == float_bits(alone["aggregates"])
+            assert float_bits(shared["baselines"]) == float_bits(alone["baselines"])
 
     def test_tau_order_changes_no_cell_and_no_split_total(self, tmp_path, rng):
         config = self.config(tmp_path, rng)
@@ -551,28 +544,68 @@ class TestSharedSpectrum:
 
 
 class TestRunConvergence:
-    def test_one_graph_search_for_both_variants(self, tmp_path, rng, monkeypatch):
-        config = ExperimentConfig.from_dict(
+    def config(self, tmp_path, rng):
+        return ExperimentConfig.from_dict(
             base_config(tmp_path, rng, output_path=str(tmp_path / "conv.json")))
-        work = fit_work(monkeypatch)
-        shared = run_convergence(config)
-        monkeypatch.undo()
-        alone_work = fit_work(monkeypatch, unshared=True)
-        alone = run_convergence(replace(config, output_path=str(tmp_path / "alone.json")))
-        # the ATN fit reuses the TN fit's search and TT-SVD, unless it has a holder of its own
-        assert [(w["knn_searches"], w["tt_svd_splits"]) for w in work + alone_work] == [
-            (1, 3), (0, 0), (1, 3), (1, 3)]
-        assert not any("error" in entry for entry in shared["traces"].values())
-        assert float_bits(shared["traces"]) == float_bits(alone["traces"])
 
-    def test_one_eigensolve_for_both_variants(self, tmp_path, rng, monkeypatch):
-        config = ExperimentConfig.from_dict(  # N = 10 > d = 8, so R_n > d - N
-            base_config(tmp_path, rng, output_path=str(tmp_path / "conv.json")))
-        work = fit_work(monkeypatch)
+    def test_one_graph_search_for_both_variants(self, tmp_path, rng):
+        config = self.config(tmp_path, rng)
+        shared = run_convergence(config)
+        assert not any("error" in entry for entry in shared["traces"].values())
+        # the ATN fit reuses the TN fit's search and TT-SVD, unless it has a holder of its own
+        assert [(e["work"]["knn_searches"], e["work"]["tt_svd_splits"])
+                for e in sidecar(config.output_path)] == [(1, 3), (0, 0)]
+        train = harness.trial_data(config, *load_dataset(config))[0]
+        for variant in ("tn", "atn"):  # each on a holder of its own
+            split_cache = solver.SplitCache(train, AffinityConfig(config.k_graph, config.epsilon))
+            chain, report = harness.fit_config(replace(config, variant=variant), split_cache,
+                                               config.tau_list[0])
+            assert (report.work["knn_searches"], report.work["tt_svd_splits"]) == (1, 3)
+            alone = {"objective_trace": report.objective_trace,
+                     "surrogate_trace": report.surrogate_trace,
+                     "core_change_trace": report.core_change_trace,
+                     "kyfan_bound": report.kyfan_bound, "sweeps": report.sweeps_run,
+                     "termination": report.termination_reason, "ranks": list(chain.ranks)}
+            assert float_bits(shared["traces"][variant]) == float_bits(alone)
+
+    def test_one_eigensolve_for_both_variants(self, tmp_path, rng):
+        config = self.config(tmp_path, rng)  # N = 10 > d = 8, so R_n > d - N
         traces = run_convergence(config)["traces"]
-        assert [w["eigh"] for w in work] == [1, 0]  # TN's bound and ATN's target share it
+        # TN's bound and ATN's target share it
+        assert [e["work"]["eigh"] for e in sidecar(config.output_path)] == [1, 0]
         bounds = [traces[variant]["kyfan_bound"] for variant in ("tn", "atn")]
         assert bounds[0] > 0.0 and bounds[0].hex() == bounds[1].hex()
+
+    def test_one_timings_entry_per_fitted_variant(self, tmp_path, rng):
+        config = self.config(tmp_path, rng)
+        doc = run_convergence(config)
+        entries = sidecar(config.output_path)
+        assert [list(e) for e in entries] == [["variant", "tau", "subspace_learning"]
+                                              + SOLVER_TIMING_KEYS] * 2
+        assert [(e["variant"], e["tau"]) for e in entries] == [("tn", 0.3), ("atn", 0.3)]
+        for entry in entries:
+            trace = doc["traces"][entry["variant"]]
+            assert entry["subspace_learning"] >= entry["sweeps"] >= 0.0
+            assert entry["kyfan_bound"] == trace["kyfan_bound"]
+            assert entry["kyfan_gap"] == trace["objective_trace"][-1] - trace["kyfan_bound"]
+        assert len(entries[0]["core_solves"]) == doc["traces"]["tn"]["sweeps"]
+        assert entries[1]["core_solves"] == []
+        # one search, one TT-SVD split per distinct rank prefix, at most one eigensolve
+        prefixes = {tuple(trace["ranks"][:k]) for trace in doc["traces"].values() for k in range(3)}
+        work = sum((Counter(e["work"]) for e in entries), Counter())
+        assert (work["knn_searches"], work["tt_svd_splits"]) == (1, len(prefixes))
+        assert work["eigh"] <= 1
+
+    def test_failed_variant_has_no_timings_entry(self, tmp_path, rng, monkeypatch):
+        config = self.config(tmp_path, rng)
+        spy_calls(monkeypatch, solver, "knn_graph",
+                  first=lambda search, d_mat, k: search(d_mat, d_mat.shape[1]))
+        traces = run_convergence(config)["traces"]
+        assert traces["tn"]["error"].startswith("ConfigError: K must be < number of samples")
+        assert "error" not in traces["atn"]
+        # the failed search held nothing, so the ATN fit pays it
+        assert [(e["variant"], e["work"]["knn_searches"])
+                for e in sidecar(config.output_path)] == [("atn", 1)]
 
     def test_both_variants_traced(self, tmp_path, rng):
         config = ExperimentConfig.from_dict(
@@ -595,6 +628,27 @@ class TestRunConvergence:
 # A core value no float64 holds: json reads the digits as an int.
 OVERSIZED_MODEL = ('{"format_version": 1, "cores": [{"order": "mode1-fastest", "shape": [1, 1, 1], '
                    '"data": [1' + "0" * 400 + ']}], "mode_dims": [1], "ranks": [1]}')
+
+
+def edit_data(convert):
+    """An edit of a saved model that replaces each core value v with ``convert(v)``."""
+    def edit(doc):
+        for core in doc["cores"]:
+            core["data"] = [convert(v) for v in core["data"]]
+    return edit
+
+
+# Edits of a saved (2, 2, 2) model of ranks (1, 1, 1), each to a value of the
+# wrong type that equals, or converts to, the saved one.
+WRONGLY_TYPED = {
+    "bool-ranks": lambda doc: doc.update(ranks=[True, True, True]),
+    "float-mode-dims": lambda doc: doc.update(mode_dims=[2.0, 2.0, 2.0]),
+    "str-data": edit_data(repr),
+    "bool-data": edit_data(lambda v: v > 0),
+    "nested-data": edit_data(lambda v: [v]),
+    "bool-format-version": lambda doc: doc.update(format_version=True),
+    "str-tau": lambda doc: doc.update(tau="abc"),
+}
 
 
 class TestCli:
@@ -848,13 +902,22 @@ class TestCli:
     @pytest.mark.parametrize("text", ["{not json", '{"format_version": 1}', "[1, 2]",
                                       '{"format_version": 1, "cores": [5]}',
                                       pytest.param("[" * 200_000, id="deep"),
-                                      pytest.param(OVERSIZED_MODEL, id="oversized-value")])
+                                      pytest.param(OVERSIZED_MODEL, id="oversized-value")]
+                             + [pytest.param(edit, id=name) for name, edit in WRONGLY_TYPED.items()])
     def test_malformed_model_exit_code(self, tmp_path, rng, capsys, text):
         cfg, _ = self.write_config(tmp_path, rng)
-        model = tmp_path / "model.json"
+        model, out = tmp_path / "model.json", tmp_path / "coords.csv"
+        if callable(text):  # an edit of a saved model, not the file's text
+            save_chain(random_orthonormal_chain(rng, (2, 2, 2), (1, 1, 1)), model)
+            doc = json.loads(model.read_text())
+            text(doc)
+            text = json.dumps(doc)
         model.write_text(text)
         assert main(["classify", "--config", str(cfg), "--model", str(model)]) == 2
-        assert capsys.readouterr().err.startswith("data error: ")
+        assert main(["embed", "--config", str(cfg), "--model", str(model), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("data error: ") for line in err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_nonfinite_model_exit_code(self, tmp_path, rng, capsys, value):
@@ -934,19 +997,23 @@ class TestCli:
 
     @pytest.mark.parametrize("command, blocked", [
         ("experiment", ""), ("experiment", ".timings.json"), ("experiment", ".csv"),
-        ("convergence", ""), ("fit", ""),
+        ("convergence", ""), ("convergence", ".timings.json"), ("fit", ""),
     ])
     def test_unwritable_output_fails_before_any_fit(self, tmp_path, rng, capsys, monkeypatch,
                                                     command, blocked):
         def no_fit(*args, **kwargs):
             raise AssertionError("fit ran before the output paths were checked")
 
-        monkeypatch.setattr(harness, "fit", no_fit)
         cfg, _ = self.write_config(tmp_path, rng)
         out = tmp_path / "out.json"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        (tmp_path / ("out.json" + blocked)).unlink()
         (tmp_path / ("out.json" + blocked)).mkdir()  # a directory cannot be opened for writing
+        kept = {p: p.read_bytes() for p in tmp_path.glob("out.json*") if p.is_file()}
+        monkeypatch.setattr(harness, "fit", no_fit)
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error: cannot write output")
+        assert {p: p.read_bytes() for p in kept} == kept  # the other outputs stay as they were
 
     def test_graph_k_beyond_split_exit_code(self, tmp_path, rng, capsys):
         cfg, _ = self.write_config(tmp_path, rng, k_graph=10)
@@ -954,7 +1021,8 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: K must be")
 
     @pytest.mark.parametrize("command, suffixes", [
-        ("experiment", ("", ".timings.json", ".csv")), ("convergence", ("",)), ("fit", ("",)),
+        ("experiment", ("", ".timings.json", ".csv")), ("convergence", ("", ".timings.json")),
+        ("fit", ("",)),
     ])
     def test_graph_k_beyond_split_keeps_previous_output(self, tmp_path, rng, capsys, monkeypatch,
                                                         command, suffixes):
@@ -985,7 +1053,7 @@ class TestCli:
         assert model.read_bytes() == before
 
     @pytest.mark.parametrize("command, suffixes", [
-        ("experiment", ("", ".timings.json", ".csv")), ("convergence", ("",)),
+        ("experiment", ("", ".timings.json", ".csv")), ("convergence", ("", ".timings.json")),
     ])
     def test_interrupted_run_keeps_previous_output(self, tmp_path, rng, monkeypatch,
                                                    command, suffixes):
@@ -1010,7 +1078,7 @@ class TestCli:
         assert not os.path.lexists(model)
 
     @pytest.mark.parametrize("command, suffixes", [
-        ("experiment", ("", ".timings.json", ".csv")), ("convergence", ("",)),
+        ("experiment", ("", ".timings.json", ".csv")), ("convergence", ("", ".timings.json")),
     ])
     def test_interrupted_run_leaves_no_new_output(self, tmp_path, rng, monkeypatch,
                                                   command, suffixes):
